@@ -99,7 +99,10 @@ def avar(method: str, theta: float, t: ThresholdPair | None = None) -> float:
         raise ValueError(f"unknown method {method!r}")
     if t is None:
         raise ValueError(f"method {method!r} needs thresholds")
-    efficiency = _ARE_DISPATCH[method](theta, t)
+    try:
+        efficiency = _ARE_DISPATCH[method](theta, t)
+    except ZeroDivisionError:  # the closed form cancels to 0/0 far outside its range
+        efficiency = math.nan
     if not efficiency > 0:
         raise DegenerateError(
             f"window ({t.d}, {t.u}) is degenerate for {method}: ARE = {efficiency!r}"
@@ -309,7 +312,10 @@ def are_table(
     return out
 
 
-def _fmt(value: float) -> str:
+def _fmt(value: float | None) -> str:
+    """CSV number: shortest round-trip repr, ``inf`` for infinity, empty for None."""
+    if value is None:
+        return ""
     if math.isinf(value):
         return "inf"
     return repr(float(value))

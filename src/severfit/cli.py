@@ -19,7 +19,8 @@ import numpy as np
 
 from . import asymptotics, estimators, mc
 from .dist import ExponentialModel, ParetoIModel, ThresholdPair, exp_quantile, pareto1_quantile
-from .errors import ConfigError, EmptyWindowError, SeverfitError
+from .asymptotics import _fmt
+from .errors import ConfigError, SeverfitError
 from .framework import adapter_from_model
 
 __all__ = ["main"]
@@ -64,14 +65,6 @@ def _write_text(path: str | None, text: str) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-
-
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    if math.isinf(value):
-        return "inf"
-    return repr(float(value))
 
 
 def _build_parser() -> _Parser:
@@ -164,34 +157,26 @@ def _cmd_fit(args) -> int:
     if args.method != "mle" and thresholds is None:
         raise _UsageError(f"method {args.method!r} needs thresholds")
     n = data.size
-    try:
-        result = estimators.fit(args.method, args.model, data, thresholds, args.x0)
-    except EmptyWindowError as exc:
-        print(f"method={args.method} model={args.model} n={n}")
-        print(f"exists=false reason=EmptyWindow detail={exc}")
-        _write_text(args.out, _fit_csv(args, None, n, "EmptyWindow"))
-        return EXIT_NO_SOLUTION
+    result = estimators.fit(args.method, args.model, data, thresholds, args.x0)
     print(f"method={args.method} model={args.model} n={n}")
-    if not result.exists:
+    if result.exists:
+        print(f"estimate={result.estimate:.6g} exists=true se={math.sqrt(result.avar / n):.6g}")
+    else:
         print(f"exists=false reason={result.reason}")
-        _write_text(args.out, _fit_csv(args, result, n, result.reason))
-        return EXIT_NO_SOLUTION
-    se = math.sqrt(result.avar / n)
-    print(f"estimate={result.estimate:.6g} exists=true se={se:.6g}")
-    _write_text(args.out, _fit_csv(args, result, n, None))
-    return EXIT_OK
+    _write_text(args.out, _fit_csv(args, result, n))
+    return EXIT_OK if result.exists else EXIT_NO_SOLUTION
 
 
-def _fit_csv(args, result, n: int, reason: str | None) -> str:
+def _fit_csv(args, result, n: int) -> str:
     header = "method,model,n,exists,estimate,avar,se,reason"
-    if result is not None and result.exists:
+    if result.exists:
         se = math.sqrt(result.avar / n)
         row = (
             f"{args.method},{args.model},{n},true,"
             f"{_fmt(result.estimate)},{_fmt(result.avar)},{_fmt(se)},"
         )
     else:
-        row = f"{args.method},{args.model},{n},false,,,,{reason or ''}"
+        row = f"{args.method},{args.model},{n},false,,,,{result.reason}"
     return header + "\n" + row + "\n"
 
 

@@ -10,8 +10,8 @@ threshold is excluded, one equal to the upper threshold included.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +19,14 @@ import numpy as np
 from . import asymptotics
 from .dist import ParetoIModel, ThresholdPair, log_transform_pareto_to_exp
 from .errors import DegenerateError, EmptyWindowError, SolverStallError
-from .moments import mu_mcm, mu_mtcm, mu_mtum, pareto_g_du, pareto_g_limits
+from .moments import mu_mcm, mu_mtcm, mu_mtum, pareto_g_du
 
 __all__ = [
     "SampleMoments",
     "EstimateResult",
     "BELOW_LOWER_BOUND",
     "ABOVE_UPPER_BOUND",
+    "EMPTY_WINDOW",
     "sample_mtum",
     "sample_mcm",
     "sample_mtcm",
@@ -41,6 +42,7 @@ __all__ = [
 
 BELOW_LOWER_BOUND = "BelowLowerBound"
 ABOVE_UPPER_BOUND = "AboveUpperBound"
+EMPTY_WINDOW = "EmptyWindow"
 
 _BOUNDARY_GUARD = 1e-12
 _MAX_SOLVER_ITER = 200
@@ -62,8 +64,11 @@ class EstimateResult:
 
     ``estimate`` is theta for exponential fits and alpha for Pareto fits;
     ``avar`` is the per-observation asymptotic variance at the estimate
-    (n times the estimator variance).  ``reason`` explains a failed
-    existence check.
+    (n times the estimator variance).  ``reason`` explains a missing
+    estimate: a statistic outside the attainable interval
+    (``BELOW_LOWER_BOUND``, ``ABOVE_UPPER_BOUND``) or an empty window
+    (``EMPTY_WINDOW``).  ``bracket`` is the theta interval that enclosed the
+    root before it was refined (on the log scale for Pareto fits).
     """
 
     method: str
@@ -200,115 +205,127 @@ def _solve_increasing(
     raise SolverStallError(f"no convergence after {max_iter} iterations")
 
 
-def _result(method, estimate, iterations, bracket, t) -> EstimateResult:
-    return EstimateResult(
-        method=method,
-        model="exp",
-        exists=True,
-        estimate=estimate,
-        avar=asymptotics.avar(method, estimate, t),
-        iterations=iterations,
-        bracket=bracket,
-    )
-
-
 def _nonexistent(method: str, reason: str) -> EstimateResult:
     return EstimateResult(
         method=method, model="exp", exists=False, estimate=None, avar=None, reason=reason
     )
 
 
-def _window_scale(t: ThresholdPair) -> float:
-    return (t.u - t.d) if not t.upper_is_infinite else max(1.0, t.d)
+@dataclass(frozen=True)
+class _Method:
+    """A window statistic, its population map (increasing in theta from d up to
+    ``sup(t)``) and theta in closed form when u is infinite (None: solve)."""
+
+    sample: Callable[[np.ndarray, ThresholdPair], SampleMoments]
+    forward: Callable[[float, ThresholdPair], float]
+    sup: Callable[[ThresholdPair], float]
+    closed: Callable[[float, ThresholdPair], float | None]
+
+
+# Rows reach the samplers and maps through their module names, so a wrapper
+# installed on ``estimators.sample_*`` or ``estimators.mu_*`` sees every call.
+_METHODS = {
+    "mtum": _Method(
+        lambda x, t: sample_mtum(x, t), lambda theta, t: mu_mtum(theta, t),
+        sup=lambda t: 0.5 * (t.d + t.u), closed=lambda mu_hat, t: mu_hat - t.d,
+    ),
+    "mcm": _Method(
+        lambda x, t: sample_mcm(x, t), lambda theta, t: mu_mcm(theta, t),
+        sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat if t.d == 0.0 else None,
+    ),
+    "mtcm": _Method(
+        lambda x, t: sample_mtcm(x, t), lambda theta, t: mu_mtcm(theta, t),
+        sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat - t.d,
+    ),
+}
+
+
+def _root(method: str, mu_hat: float, t: ThresholdPair, forward=None) -> EstimateResult:
+    """Theta matching ``mu_hat``, without avar.
+
+    A statistic within a guard band (relative to the window width) of the
+    attainable interval's ends has no root.  ``forward`` replaces the
+    method's population map; the Pareto solver passes its own.
+    """
+    if not math.isfinite(mu_hat):
+        raise ValueError(f"mu_hat must be finite, got {mu_hat!r}")
+    spec = _METHODS[method]
+    scale = (t.u - t.d) if not t.upper_is_infinite else max(1.0, t.d)
+    guard = _BOUNDARY_GUARD * scale
+    if mu_hat <= t.d + guard:
+        return _nonexistent(method, BELOW_LOWER_BOUND)
+    if mu_hat >= spec.sup(t) - guard:
+        return _nonexistent(method, ABOVE_UPPER_BOUND)
+    closed = spec.closed(mu_hat, t) if t.upper_is_infinite else None
+    if closed is not None:
+        return EstimateResult(method, "exp", True, closed, None)
+    forward = forward or spec.forward
+    theta_hat, iters, bracket = _solve_increasing(
+        lambda theta: forward(theta, t), mu_hat, mu_hat - t.d, resid_tol=1e-10 * max(1.0, scale)
+    )
+    return EstimateResult(method, "exp", True, theta_hat, None, iterations=iters, bracket=bracket)
+
+
+def _with_avar(result: EstimateResult, t: ThresholdPair) -> EstimateResult:
+    """Attach the asymptotic variance at the estimate to an existing root."""
+    if not result.exists:
+        return result
+    return replace(result, avar=asymptotics.avar(result.method, result.estimate, t))
+
+
+def _estimate(method: str, x: np.ndarray, t: ThresholdPair | None, solve=None) -> EstimateResult:
+    """Window statistic, then ``solve(mu_hat, t)`` (default: the root without
+    avar); an empty window has no estimate.  The MLE is the sample mean."""
+    if method == "mle":
+        return EstimateResult("mle", "exp", True, float(x.mean()), None)
+    try:
+        mu_hat = _METHODS[method].sample(x, t).mu_hat
+    except EmptyWindowError:
+        return _nonexistent(method, EMPTY_WINDOW)
+    return solve(mu_hat, t) if solve else _root(method, mu_hat, t)
+
+
+def _on_pareto_scale(result: EstimateResult) -> EstimateResult:
+    """A fit to log(y/x0) as a Pareto I fit: alpha = 1/theta, avar * alpha^4."""
+    if not result.exists:
+        return replace(result, model="pareto1")
+    alpha_hat = 1.0 / result.estimate
+    return replace(result, model="pareto1", estimate=alpha_hat, avar=result.avar * alpha_hat**4)
+
+
+def _log_thresholds(t: ThresholdPair, x0: float) -> ThresholdPair:
+    return log_transform_pareto_to_exp(ParetoIModel(alpha=1.0, x0=x0), t)[1]
 
 
 def solve_mtum_exp(mu_hat: float, t: ThresholdPair) -> EstimateResult:
     """Match the truncated mean; a root exists only for d < mu_hat < (d+u)/2."""
-    if not math.isfinite(mu_hat):
-        raise ValueError(f"mu_hat must be finite, got {mu_hat!r}")
-    guard = _BOUNDARY_GUARD * _window_scale(t)
-    if mu_hat <= t.d + guard:
-        return _nonexistent("mtum", BELOW_LOWER_BOUND)
-    if t.upper_is_infinite:
-        theta_hat = mu_hat - t.d
-        return _result("mtum", theta_hat, 0, None, t)
-    if mu_hat >= 0.5 * (t.d + t.u) - guard:
-        return _nonexistent("mtum", ABOVE_UPPER_BOUND)
-    resid_tol = 1e-10 * max(1.0, t.u - t.d)
-    theta_hat, iters, bracket = _solve_increasing(
-        lambda th: mu_mtum(th, t), mu_hat, mu_hat - t.d, resid_tol=resid_tol
-    )
-    return _result("mtum", theta_hat, iters, bracket, t)
+    return _with_avar(_root("mtum", mu_hat, t), t)
 
 
 def solve_mcm_exp(mu_hat: float, t: ThresholdPair) -> EstimateResult:
     """Match the censored mean; a root exists only for d < mu_hat < u."""
-    if not math.isfinite(mu_hat):
-        raise ValueError(f"mu_hat must be finite, got {mu_hat!r}")
-    guard = _BOUNDARY_GUARD * _window_scale(t)
-    if mu_hat <= t.d + guard:
-        return _nonexistent("mcm", BELOW_LOWER_BOUND)
-    if not t.upper_is_infinite and mu_hat >= t.u - guard:
-        return _nonexistent("mcm", ABOVE_UPPER_BOUND)
-    if t.upper_is_infinite and t.d == 0.0:
-        return _result("mcm", mu_hat, 0, None, t)
-    resid_tol = 1e-10 * max(1.0, _window_scale(t))
-    theta_hat, iters, bracket = _solve_increasing(
-        lambda th: mu_mcm(th, t), mu_hat, mu_hat - t.d, resid_tol=resid_tol
-    )
-    return _result("mcm", theta_hat, iters, bracket, t)
+    return _with_avar(_root("mcm", mu_hat, t), t)
 
 
 def solve_mtcm_exp(mu_hat: float, t: ThresholdPair) -> EstimateResult:
     """Match the payment-type mean; a root exists only for d < mu_hat < u."""
-    if not math.isfinite(mu_hat):
-        raise ValueError(f"mu_hat must be finite, got {mu_hat!r}")
-    guard = _BOUNDARY_GUARD * _window_scale(t)
-    if mu_hat <= t.d + guard:
-        return _nonexistent("mtcm", BELOW_LOWER_BOUND)
-    if t.upper_is_infinite:
-        return _result("mtcm", mu_hat - t.d, 0, None, t)
-    if mu_hat >= t.u - guard:
-        return _nonexistent("mtcm", ABOVE_UPPER_BOUND)
-    resid_tol = 1e-10 * max(1.0, t.u - t.d)
-    theta_hat, iters, bracket = _solve_increasing(
-        lambda th: mu_mtcm(th, t), mu_hat, mu_hat - t.d, resid_tol=resid_tol
-    )
-    return _result("mtcm", theta_hat, iters, bracket, t)
+    return _with_avar(_root("mtcm", mu_hat, t), t)
 
 
 def solve_mtum_pareto1(mu_hat: float, t: ThresholdPair, x0: float) -> EstimateResult:
-    """Match the truncated log-mean of Pareto I data directly in alpha.
+    """Match the truncated log-mean of Pareto I data through the Pareto map.
 
-    ``mu_hat`` is the truncated sample mean of log(y/x0) over d < y <= u;
-    the population map is strictly decreasing in alpha between the two
-    attainable-limit bounds.
+    ``mu_hat`` is the truncated sample mean of log(y/x0) over d < y <= u
+    (finite u); the root is found in theta = 1/alpha on the log scale.
     """
-    if not math.isfinite(mu_hat):
-        raise ValueError(f"mu_hat must be finite, got {mu_hat!r}")
-    lower, upper = pareto_g_limits(t, x0)
-    guard = _BOUNDARY_GUARD * (upper - lower)
-    if mu_hat <= lower + guard:
-        return EstimateResult(
-            "mtum", "pareto1", exists=False, estimate=None, avar=None,
-            reason=BELOW_LOWER_BOUND,
-        )
-    if mu_hat >= upper - guard:
-        return EstimateResult(
-            "mtum", "pareto1", exists=False, estimate=None, avar=None,
-            reason=ABOVE_UPPER_BOUND,
-        )
-    alpha_hat, iters, bracket = _solve_increasing(
-        lambda al: -pareto_g_du(al, t, x0), -mu_hat, 1.0, resid_tol=1e-10
-    )
-    model_exp, t_exp = log_transform_pareto_to_exp(ParetoIModel(alpha_hat, x0), t)
-    avar_alpha = asymptotics.avar("mtum", model_exp.theta, t_exp) * alpha_hat**4
-    return EstimateResult(
-        "mtum", "pareto1", exists=True, estimate=alpha_hat, avar=avar_alpha,
-        iterations=iters, bracket=bracket,
-    )
+    if t.upper_is_infinite:
+        raise ValueError("solve_mtum_pareto1 requires a finite upper threshold")
+    t_log = _log_thresholds(t, x0)
+    result = _root("mtum", mu_hat, t_log, lambda theta, _: pareto_g_du(1.0 / theta, t, x0))
+    return _on_pareto_scale(_with_avar(result, t_log))
 
 
+# Public samplers and solvers by method name; ``fit`` solves through ``_EXP_SOLVERS``.
 _SAMPLERS = {"mtum": sample_mtum, "mcm": sample_mcm, "mtcm": sample_mtcm}
 _EXP_SOLVERS = {"mtum": solve_mtum_exp, "mcm": solve_mcm_exp, "mtcm": solve_mtcm_exp}
 
@@ -324,7 +341,7 @@ def fit(
 
     Pareto fits run on the log scale and report alpha = 1/theta with the
     delta-method variance alpha^4 * avar(theta).  The MLE path ignores
-    thresholds.
+    thresholds.  An empty window gives ``exists=False``.
     """
     if method not in ("mle", "mtum", "mcm", "mtcm"):
         raise ValueError(f"unknown method {method!r}")
@@ -332,44 +349,21 @@ def fit(
         raise ValueError(f"unknown model {model!r}")
     x = _as_data(data)
 
-    if model == "exp":
-        if np.any(x < 0):
-            raise ValueError("exponential data must be non-negative")
-        if method == "mle":
-            return mle_exp(x)
-        if t is None:
-            raise ValueError(f"method {method!r} needs thresholds")
-        stat = _SAMPLERS[method](x, t)
-        return _EXP_SOLVERS[method](stat.mu_hat, t)
+    if model == "pareto1":
+        if x0 is None:
+            raise ValueError("Pareto fits need x0")
+        if np.any(x <= x0):
+            raise ValueError(f"Pareto data must exceed x0 = {x0!r}")
+        t_log = None if t is None or method == "mle" else _log_thresholds(t, x0)
+        return _on_pareto_scale(fit(method, "exp", np.log(x / x0), t_log))
 
-    if x0 is None:
-        raise ValueError("Pareto fits need x0")
-    if np.any(x <= x0):
-        raise ValueError(f"Pareto data must exceed x0 = {x0!r}")
+    if np.any(x < 0):
+        raise ValueError("exponential data must be non-negative")
     if method == "mle":
-        return mle_pareto1(x, x0)
+        return mle_exp(x)
     if t is None:
         raise ValueError(f"method {method!r} needs thresholds")
-    dummy = ParetoIModel(alpha=1.0, x0=x0)
-    _, t_exp = log_transform_pareto_to_exp(dummy, t)
-    log_data = np.log(x / x0)
-    stat = _SAMPLERS[method](log_data, t_exp)
-    exp_result = _EXP_SOLVERS[method](stat.mu_hat, t_exp)
-    if not exp_result.exists:
-        return EstimateResult(
-            method, "pareto1", exists=False, estimate=None, avar=None,
-            reason=exp_result.reason,
-        )
-    alpha_hat = 1.0 / exp_result.estimate
-    return EstimateResult(
-        method,
-        "pareto1",
-        exists=True,
-        estimate=alpha_hat,
-        avar=exp_result.avar * alpha_hat**4,
-        iterations=exp_result.iterations,
-        bracket=exp_result.bracket,
-    )
+    return _estimate(method, x, t, _EXP_SOLVERS[method])
 
 
 def read_loss_csv(path: str | Path) -> np.ndarray:

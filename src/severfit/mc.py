@@ -19,8 +19,9 @@ import numpy as np
 from scipy import stats as sps
 
 from . import asymptotics, estimators
+from .asymptotics import _fmt
 from .dist import ExponentialModel, ParetoIModel, RandomSource, ThresholdPair, sample
-from .errors import ConfigError, DegenerateError, EmptyWindowError
+from .errors import ConfigError
 
 __all__ = [
     "SimCell",
@@ -58,6 +59,11 @@ DESIGN_POINTS = (
 DEFAULT_N_LIST = (50, 100, 250, 500, 1000)
 
 
+def _check_method(method: str) -> None:
+    if method not in ("mle", "mtum", "mcm", "mtcm"):
+        raise ConfigError("methods", f"unknown method {method!r}")
+
+
 @dataclass(frozen=True)
 class SimCell:
     """One simulation configuration: a (sample size, method, design) cell."""
@@ -82,8 +88,7 @@ class SimCell:
             raise ConfigError("reps", "replications_per_block must be >= 1")
         if self.blocks < 1:
             raise ConfigError("blocks", "blocks must be >= 1")
-        if self.method not in ("mle", "mtum", "mcm", "mtcm"):
-            raise ConfigError("methods", f"unknown method {self.method!r}")
+        _check_method(self.method)
         if self.model not in ("exp", "pareto1"):
             raise ConfigError("model", f"unknown model {self.model!r}")
         if not self.theta_true > 0:
@@ -137,20 +142,9 @@ def cell_from_quantiles(
     )
 
 
-def _estimate_once(cell: SimCell, x: np.ndarray) -> float | None:
-    """Point estimate for one sample, or None when the method fails on it."""
-    t = cell.thresholds
-    try:
-        if cell.method == "mle":
-            return float(x.mean())
-        if cell.method == "mtum":
-            res = estimators.solve_mtum_exp(estimators.sample_mtum(x, t).mu_hat, t)
-        elif cell.method == "mcm":
-            res = estimators.solve_mcm_exp(estimators.sample_mcm(x, t).mu_hat, t)
-        else:
-            res = estimators.solve_mtcm_exp(estimators.sample_mtcm(x, t).mu_hat, t)
-    except (EmptyWindowError, DegenerateError):
-        return None
+def _estimate_once(method: str, t: ThresholdPair, x: np.ndarray) -> float | None:
+    """Point estimate for one sample, or None when the method has none for it."""
+    res = estimators._estimate(method, x, t)
     return res.estimate if res.exists else None
 
 
@@ -169,7 +163,7 @@ def _run_block(cell: SimCell, block_index: int) -> tuple[int, int, float, float]
         draws = sample(model, cell.n, rs)
         if cell.model == "pareto1":
             draws = np.log(draws / cell.x0)
-        theta_hat = _estimate_once(cell, draws)
+        theta_hat = _estimate_once(cell.method, cell.thresholds, draws)
         if theta_hat is None:
             failures += 1
             continue
@@ -244,14 +238,6 @@ def run_table(
 ) -> list[tuple[SimCell, SimReport]]:
     """Run every cell; deterministic under a fixed master seed."""
     return [(cell, run_cell(cell, conditional=conditional, workers=workers)) for cell in cells]
-
-
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    if math.isinf(value):
-        return "inf"
-    return repr(float(value))
 
 
 def sim_table_csv(results: Sequence[tuple[SimCell, SimReport]]) -> str:
@@ -401,6 +387,8 @@ def histogram_study(
     if count < 2:
         raise ValueError("count must be >= 2")
     methods = tuple(methods)
+    for method in methods:
+        _check_method(method)
     panels: list[HistogramPanel] = []
     model = ExponentialModel(theta)
     for n_index, n in enumerate(n_list):
@@ -408,14 +396,10 @@ def histogram_study(
             sample(model, n, derive_stream(seed, n_index, 0, rep)) for rep in range(count)
         ]
         for method in methods:
-            cell = SimCell(
-                n=n, method=method, theta_true=theta, thresholds=thresholds,
-                replications_per_block=1, blocks=1, seed=seed,
-            )
             estimates = []
             failures = 0
             for draws in samples:
-                theta_hat = _estimate_once(cell, draws)
+                theta_hat = _estimate_once(method, thresholds, draws)
                 if theta_hat is None:
                     failures += 1
                 else:

@@ -91,12 +91,16 @@ def mu_mtum(theta: float, t: ThresholdPair) -> float:
     """Truncated mean E[X | d < X <= u] = mu_Y / p.
 
     Uses the equivalent form d + theta - (u - d)/(e^{(u-d)/theta} - 1), which
-    survives theta -> 0 (underflow of both mu_Y and p) and u -> inf.
+    survives theta -> 0 (underflow of both mu_Y and p) and u -> inf; a series
+    branch avoids its cancellation when the window is narrow relative to
+    theta.
     """
     _check_theta(theta)
     if t.upper_is_infinite:
         return t.d + theta
     w = (t.u - t.d) / theta
+    if w < 1e-2:
+        return t.d + (t.u - t.d) * (0.5 - w / 12.0 + w**3 / 720.0)
     if w > 700.0:
         return t.d + theta
     return t.d + theta - (t.u - t.d) / math.expm1(w)
@@ -168,8 +172,9 @@ def pareto_g_du(alpha: float, t: ThresholdPair, x0: float) -> float:
     """E[log(Y/x0) | d < Y <= u] for Pareto I, strictly decreasing in alpha.
 
     Evaluated with numerator and denominator divided by u^alpha so large
-    alpha cannot overflow; requires a finite upper threshold (use the
-    log-transform route when u is infinite).
+    alpha cannot overflow, and by its series in alpha*log(u/d) when that is
+    small, where the closed form cancels; requires a finite upper threshold
+    (use the log-transform route when u is infinite).
     """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
@@ -180,6 +185,10 @@ def pareto_g_du(alpha: float, t: ThresholdPair, x0: float) -> float:
     if t.d < x0:
         raise ValueError(f"thresholds must satisfy x0 <= d, got d={t.d!r}, x0={x0!r}")
     log_dx0 = math.log(t.d / x0)
+    w = math.log(t.u / t.d)
+    v = alpha * w
+    if v < 1e-2:
+        return log_dx0 + w * (0.5 - v / 12.0 + v**3 / 720.0)
     log_ux0 = math.log(t.u / x0)
     r = math.exp(alpha * math.log(t.d / t.u))  # (d/u)^alpha, underflows safely
     one_minus_r = -math.expm1(alpha * math.log(t.d / t.u))

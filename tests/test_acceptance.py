@@ -383,7 +383,7 @@ def test_criterion_10_transform_equivalence():
         alpha_hat = fit(method, "pareto1", y, t_y, x0=x0).estimate
         theta_hat = fit(method, "exp", log_data, t_x).estimate
         worst = max(worst, abs(alpha_hat - 1.0 / theta_hat) / alpha_hat)
-    # the direct alpha-space solver must agree with the log-scale route
+    # the solver through the Pareto map must agree with the log-scale route
     target = sample_mtum(log_data, t_x).mu_hat
     direct = solve_mtum_pareto1(target, t_y, x0).estimate
     via_exp = 1.0 / solve_mtum_exp(target, t_x).estimate

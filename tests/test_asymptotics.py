@@ -128,6 +128,11 @@ class TestAvar:
         with pytest.raises(ValueError):
             avar("mtum", THETA)
 
+    def test_unevaluable_efficiency(self):
+        # the MTCM closed form divides 0 by 0 at this theta; avar reports it as degenerate
+        with pytest.raises(DegenerateError):
+            avar("mtcm", 1e10, ThresholdPair(1.0, 11.0))
+
 
 class TestTrimmedIntegrals:
     def test_i_closed_form_against_quadrature(self):

@@ -77,7 +77,23 @@ class TestFitCommand:
              "--d", "5", "--u", "9"]
         )
         assert code == EXIT_NO_SOLUTION
-        assert "EmptyWindow" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "method=mtum model=exp n=2\n"
+            "exists=false reason=EmptyWindow\n"
+            "method,model,n,exists,estimate,avar,se,reason\n"
+            "mtum,exp,2,false,,,,EmptyWindow\n"
+        )
+
+    def test_unevaluable_efficiency_exit_code(self, tmp_path, capsys):
+        # payment mean 10.9999999 in (1, 11]: a root exists, its avar cannot be evaluated
+        path = tmp_path / "edge.csv"
+        path.write_text("10.9999998\n11.0\n", encoding="utf-8")
+        code = main(
+            ["fit", "--method", "mtcm", "--model", "exp", "--data", str(path),
+             "--d", "1", "--u", "11"]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "degenerate" in capsys.readouterr().err
 
     def test_malformed_csv_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

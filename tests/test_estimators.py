@@ -20,6 +20,7 @@ from severfit.errors import DegenerateError, EmptyWindowError
 from severfit.estimators import (
     ABOVE_UPPER_BOUND,
     BELOW_LOWER_BOUND,
+    EMPTY_WINDOW,
     fit,
     mle_exp,
     mle_pareto1,
@@ -185,6 +186,17 @@ class TestSolverRoundTrips:
             assert r.estimate == pytest.approx(theta, rel=1e-8)
 
 
+    @pytest.mark.parametrize("gap", [1e-9, 5e-10])
+    def test_mtum_large_theta(self, gap):
+        # the truncated mean sits just below (d+u)/2 = 6: theta ~ (u-d)^2 / (12 gap)
+        t = ThresholdPair(1.0, 11.0)
+        mu_hat = 6.0 - gap
+        r = solve_mtum_exp(mu_hat, t)
+        assert r.exists
+        assert r.estimate == pytest.approx(100.0 / (12.0 * (6.0 - mu_hat)), rel=1e-6)
+        assert abs(mu_mtum(r.estimate, t) - mu_hat) <= 1e-15 * 6.0
+
+
 class TestExistenceTrichotomy:
     def test_mtum_boundaries(self):
         t = ThresholdPair(1.0, 3.0)
@@ -243,6 +255,13 @@ class TestParetoSolver:
         assert solve_mtum_pareto1(math.log(2.0), self.T, 1.0).reason == BELOW_LOWER_BOUND
         assert solve_mtum_pareto1(upper, self.T, 1.0).reason == ABOVE_UPPER_BOUND
 
+    def test_round_trip_near_upper_limit(self):
+        # g(alpha) = upper - alpha w^2/12 + O(alpha^3), w = log(u/d)
+        lower, upper = pareto_g_limits(self.T, 1.0)
+        r = solve_mtum_pareto1(upper - 1e-7 * (upper - lower), self.T, 1.0)
+        assert r.exists
+        assert r.estimate == pytest.approx(6e-7 / math.log(5.0), rel=1e-6)
+
     def test_matches_exp_route(self):
         for alpha in (0.25, 1.0, 4.0):
             target = pareto_g_du(alpha, self.T, 1.0)
@@ -293,8 +312,11 @@ class TestFit:
         assert not r.exists and r.reason == ABOVE_UPPER_BOUND
 
     def test_propagates_empty_window(self):
-        with pytest.raises(EmptyWindowError):
-            fit("mtum", "exp", [1.0, 2.0], ThresholdPair(5.0, 9.0))
+        # an empty window is a nonexistent estimate, reported like a boundary
+        r = fit("mtum", "exp", [1.0, 2.0], ThresholdPair(5.0, 9.0))
+        assert not r.exists and r.reason == EMPTY_WINDOW and r.model == "exp"
+        r = fit("mtcm", "pareto1", [1.5, 2.0], ThresholdPair(5.0, 9.0), x0=1.0)
+        assert not r.exists and r.reason == EMPTY_WINDOW and r.model == "pareto1"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -74,6 +74,18 @@ class TestRunCell:
     def test_repeat_is_bit_identical(self):
         assert run_cell(self.CELL, workers=1) == run_cell(self.CELL, workers=1)
 
+    def test_estimates_do_not_need_avar(self, monkeypatch):
+        # replications report point estimates only; the variance is never evaluated
+        from severfit import asymptotics
+
+        expected = run_cell(self.CELL, workers=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("avar evaluated during a simulation")
+
+        monkeypatch.setattr(asymptotics, "avar", refuse)
+        assert run_cell(self.CELL, workers=1) == expected
+
     def test_mle_re_near_one(self):
         cell = SimCell(
             n=500,

@@ -135,6 +135,19 @@ class TestMuMtum:
             values = [mu_mtum(float(th), t) for th in grid]
             assert all(b > a for a, b in zip(values, values[1:]))
 
+    def test_monotone_and_bounded_at_large_theta(self):
+        # theta/(u-d) up to 1e11: the closed form cancels there, the series does not
+        t = ThresholdPair(1.0, 11.0)
+        values = [mu_mtum(float(r) * 10.0, t) for r in np.geomspace(1e-2, 1e11, 2000)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert values[-1] < 0.5 * (t.d + t.u)
+
+    def test_series_branch_matches_closed_form_at_switch(self):
+        # x = (u-d)/theta = 1e-2 on both sides of the switch to the series
+        t = ThresholdPair(1.0, 11.0)
+        series, closed = mu_mtum(1000.0 * (1 + 1e-12), t), mu_mtum(1000.0 * (1 - 1e-12), t)
+        assert series == pytest.approx(closed, rel=1e-13)
+
 
 class TestMuMtumDerivative:
     def test_in_unit_interval(self):
@@ -324,6 +337,14 @@ class TestParetoG:
         grid = np.geomspace(1e-4, 1e3, 80)
         values = [pareto_g_du(float(a), self.T, 1.0) for a in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
+        # down to alpha = 1e-15 the map stays monotone and inside its limits;
+        # below about 1e-14 a grid step moves g by less than one rounding unit
+        lower, upper = pareto_g_limits(self.T, 1.0)
+        grid = np.geomspace(1e-15, 1e3, 200)
+        values = [pareto_g_du(float(a), self.T, 1.0) for a in grid]
+        assert all(lower < g < upper for g in values)
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert all(b < a for a, b, al in zip(values, values[1:], grid) if al > 1e-13)
 
     def test_infinite_u_rejected(self):
         with pytest.raises(ValueError):
