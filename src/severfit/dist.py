@@ -101,8 +101,8 @@ class RandomSource:
             self._generator = np.random.default_rng(ss)
         return self._generator
 
-    def uniform(self, n: int) -> np.ndarray:
-        """Next ``n`` uniforms on [0, 1)."""
+    def uniform(self, n: int | tuple[int, ...]) -> np.ndarray:
+        """Next ``n`` uniforms on [0, 1), or an array of shape ``n`` filled row by row."""
         return self.generator().random(n)
 
 
@@ -195,13 +195,19 @@ def log_transform_pareto_to_exp(
     return ExponentialModel(theta=1.0 / m.alpha), ThresholdPair(d2, u2)
 
 
-def sample(m: ExponentialModel | ParetoIModel, n: int, rng: RandomSource) -> np.ndarray:
-    """Draw ``n`` i.i.d. values by inverse cdf applied to the source's uniforms."""
-    if n < 1:
+def sample(
+    m: ExponentialModel | ParetoIModel, n: int | tuple[int, ...], rng: RandomSource
+) -> np.ndarray:
+    """Draw ``n`` i.i.d. values, or an array of shape ``n`` such as ``(rows, size)``,
+    by inverse cdf applied to the source's uniforms."""
+    if np.any(np.asarray(n) < 1):
         raise ValueError(f"sample size must be >= 1, got {n!r}")
     v = rng.uniform(n)
+    # Transformed in place: every fresh array of a large draw costs page faults.
+    log_survival = np.log1p(np.negative(v, out=v), out=v)  # log(1 - v)
     if isinstance(m, ExponentialModel):
-        return -m.theta * np.log1p(-v)
+        return np.multiply(log_survival, -m.theta, out=log_survival)
     if isinstance(m, ParetoIModel):
-        return m.x0 * np.exp(-np.log1p(-v) / m.alpha)
+        tail = np.divide(np.negative(log_survival, out=log_survival), m.alpha, out=log_survival)
+        return np.multiply(np.exp(tail, out=tail), m.x0, out=tail)
     raise TypeError(f"unsupported model type {type(m).__name__}")

@@ -90,37 +90,64 @@ def _as_data(data: Sequence[float]) -> np.ndarray:
     return x
 
 
+def _window(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``x``: the count above d, the count inside (d, u] and the sum inside."""
+    above_d = x > t.d
+    inside = above_d if t.upper_is_infinite else above_d & (x <= t.u)
+    total = x.sum(axis=1, where=inside)
+    return np.count_nonzero(above_d, axis=1), np.count_nonzero(inside, axis=1), total
+
+
+# Row-wise statistics: (mu_hat, count of observations averaged) for each row
+# of a (rows, n) array; mu_hat is NaN where the count is 0.
+
+
+def _mtum_statistic(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of the observations inside (d, u]."""
+    _, count, total = _window(x, t)
+    with np.errstate(invalid="ignore"):
+        return total / count, count
+
+
+def _mcm_statistic(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over all n observations with values clamped to the thresholds."""
+    above_d, inside, total = _window(x, t)
+    n = x.shape[1]
+    above_u = 0.0 if t.upper_is_infinite else t.u * (above_d - inside)
+    return (t.d * (n - above_d) + total + above_u) / n, np.full(len(x), n)
+
+
+def _mtcm_statistic(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
+    """Payment-type statistic: censored-above sum over the count above d."""
+    above_d, inside, total = _window(x, t)
+    if not t.upper_is_infinite:
+        total = total + t.u * (above_d - inside)
+    with np.errstate(invalid="ignore"):
+        return total / above_d, above_d
+
+
 def sample_mtum(data: Sequence[float], t: ThresholdPair) -> SampleMoments:
     """Mean of the observations inside (d, u]."""
     x = _as_data(data)
-    mask = (x > t.d) & (x <= t.u)
-    count = int(mask.sum())
-    if count == 0:
+    mu_hat, count = _mtum_statistic(x.reshape(1, -1), t)
+    if count[0] == 0:
         raise EmptyWindowError(f"no observations in ({t.d}, {t.u}]")
-    return SampleMoments(mu_hat=float(x[mask].sum() / count), n=x.size, n_window=count)
+    return SampleMoments(mu_hat=float(mu_hat[0]), n=x.size, n_window=int(count[0]))
 
 
 def sample_mcm(data: Sequence[float], t: ThresholdPair) -> SampleMoments:
     """Mean over all n observations with values clamped to the thresholds."""
     x = _as_data(data)
-    total = (
-        t.d * int((x <= t.d).sum())
-        + float(x[(x > t.d) & (x <= t.u)].sum())
-        + (t.u * int((x > t.u).sum()) if not t.upper_is_infinite else 0.0)
-    )
-    return SampleMoments(mu_hat=total / x.size, n=x.size)
+    return SampleMoments(mu_hat=float(_mcm_statistic(x.reshape(1, -1), t)[0][0]), n=x.size)
 
 
 def sample_mtcm(data: Sequence[float], t: ThresholdPair) -> SampleMoments:
     """Payment-type statistic: censored-above sum over the count above d."""
     x = _as_data(data)
-    above_d = int((x > t.d).sum())
-    if above_d == 0:
+    mu_hat, above_d = _mtcm_statistic(x.reshape(1, -1), t)
+    if above_d[0] == 0:
         raise EmptyWindowError(f"no observations above {t.d}")
-    total = float(x[(x > t.d) & (x <= t.u)].sum())
-    if not t.upper_is_infinite:
-        total += t.u * int((x > t.u).sum())
-    return SampleMoments(mu_hat=total / above_d, n=x.size, n_above_d=above_d)
+    return SampleMoments(mu_hat=float(mu_hat[0]), n=x.size, n_above_d=int(above_d[0]))
 
 
 def mle_exp(data: Sequence[float]) -> EstimateResult:
@@ -149,60 +176,73 @@ def mle_pareto1(data: Sequence[float], x0: float) -> EstimateResult:
 
 def _solve_increasing(
     forward,
-    target: float,
-    theta0: float,
+    target: np.ndarray,
+    theta0: np.ndarray,
     *,
     resid_tol: float,
     max_iter: int = _MAX_SOLVER_ITER,
-) -> tuple[float, int, tuple[float, float]]:
-    """Root of forward(theta) = target for a strictly increasing forward map.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of forward(theta) = target, elementwise, for a strictly increasing
+    forward map that takes and returns arrays.
 
-    Brackets by doubling/halving from theta0, then runs a safeguarded
-    secant/bisection hybrid until the theta bracket is relatively tight and
-    the residual is below resid_tol.
+    Each element is bracketed by doubling/halving from its theta0, then runs a
+    safeguarded secant/bisection hybrid until its theta bracket is relatively
+    tight and its residual is below resid_tol.  Returns the roots, the
+    iterations of each and the bracket (lo, hi) that enclosed each root before
+    it was refined; raises ``SolverStallError`` when any element stalls.
     """
-    iterations = 0
-    lo = hi = max(theta0, 1e-6)
-    f_lo = f_hi = forward(lo) - target
-    while f_lo > 0.0:
-        lo *= 0.5
-        f_lo = forward(lo) - target
-        iterations += 1
-        if iterations > max_iter:
-            raise SolverStallError("bracketing below failed")
-    while f_hi < 0.0:
-        hi *= 2.0
-        f_hi = forward(hi) - target
-        iterations += 1
-        if iterations > max_iter:
-            raise SolverStallError("bracketing above failed")
-    bracket = (lo, hi)
-    if f_lo == 0.0:
-        return lo, iterations, bracket
-    if f_hi == 0.0:
-        return hi, iterations, bracket
+    target = np.asarray(target, dtype=float)
+    theta = np.full(target.shape, np.nan)
+    iterations = np.zeros(target.shape, dtype=int)
+    lo = np.maximum(theta0, 1e-6)
+    hi = lo.copy()
+    f_lo = forward(lo) - target
+    f_hi = f_lo.copy()
+    for x, fx, step, outside, side in (
+        (lo, f_lo, 0.5, np.greater, "below"), (hi, f_hi, 2.0, np.less, "above")
+    ):
+        idx = np.flatnonzero(outside(fx, 0.0))
+        while idx.size:
+            x[idx] *= step
+            fx[idx] = forward(x[idx]) - target[idx]
+            iterations[idx] += 1
+            if np.any(iterations[idx] > max_iter):
+                raise SolverStallError(f"bracketing {side} failed")
+            idx = idx[outside(fx[idx], 0.0)]
+    bracket_lo, bracket_hi = lo.copy(), hi.copy()
+    theta[f_hi == 0.0] = hi[f_hi == 0.0]
+    theta[f_lo == 0.0] = lo[f_lo == 0.0]
 
+    # Refine the rest on compacted copies; ``idx`` maps them back.
+    idx = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
+    lo, hi, f_lo, f_hi, target, iters = (
+        a[idx] for a in (lo, hi, f_lo, f_hi, target, iterations)
+    )
     use_secant = True
-    while iterations < max_iter:
-        iterations += 1
-        x = None
-        if use_secant and f_hi != f_lo:
-            secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-            if lo < secant < hi:
-                x = secant
-        if x is None:
-            x = 0.5 * (lo + hi)
+    while idx.size:
+        if iters.max() >= max_iter:
+            raise SolverStallError(f"no convergence after {max_iter} iterations")
+        iters += 1
+        x = 0.5 * (lo + hi)
+        if use_secant:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+            x = np.where((f_hi != f_lo) & (lo < secant) & (secant < hi), secant, x)
         use_secant = not use_secant  # alternate so the bracket provably shrinks
         fx = forward(x) - target
-        if fx == 0.0:
-            return x, iterations, bracket
-        if fx < 0.0:
-            lo, f_lo = x, fx
-        else:
-            hi, f_hi = x, fx
-        if hi - lo <= 1e-12 * lo and abs(fx) <= resid_tol:
-            return 0.5 * (lo + hi), iterations, bracket
-    raise SolverStallError(f"no convergence after {max_iter} iterations")
+        below = fx < 0.0
+        lo, f_lo = np.where(below, x, lo), np.where(below, fx, f_lo)
+        hi, f_hi = np.where(below, hi, x), np.where(below, f_hi, fx)
+        root = fx == 0.0
+        finished = root | ((hi - lo <= 1e-12 * lo) & (np.abs(fx) <= resid_tol))
+        if finished.any():
+            theta[idx[finished]] = np.where(root, x, 0.5 * (lo + hi))[finished]
+            iterations[idx[finished]] = iters[finished]
+            keep = ~finished
+            idx, lo, hi, f_lo, f_hi, target, iters = (
+                a[keep] for a in (idx, lo, hi, f_lo, f_hi, target, iters)
+            )
+    return theta, iterations, bracket_lo, bracket_hi
 
 
 def _nonexistent(method: str, reason: str) -> EstimateResult:
@@ -213,57 +253,87 @@ def _nonexistent(method: str, reason: str) -> EstimateResult:
 
 @dataclass(frozen=True)
 class _Method:
-    """A window statistic, its population map (increasing in theta from d up to
-    ``sup(t)``) and theta in closed form when u is infinite (None: solve)."""
+    """A row-wise window statistic, its population map (increasing in theta
+    from d up to ``sup(t)``, on floats or arrays) and theta in closed form when
+    u is infinite (None: solve)."""
 
-    sample: Callable[[np.ndarray, ThresholdPair], SampleMoments]
-    forward: Callable[[float, ThresholdPair], float]
+    statistic: Callable[[np.ndarray, ThresholdPair], tuple[np.ndarray, np.ndarray]]
+    forward: Callable[[np.ndarray, ThresholdPair], np.ndarray]
     sup: Callable[[ThresholdPair], float]
-    closed: Callable[[float, ThresholdPair], float | None]
+    closed: Callable[[np.ndarray, ThresholdPair], np.ndarray | None]
 
 
-# Rows reach the samplers and maps through their module names, so a wrapper
-# installed on ``estimators.sample_*`` or ``estimators.mu_*`` sees every call.
+# Rows reach the maps through their module names, so a wrapper installed on
+# ``estimators.mu_*`` sees every call.
 _METHODS = {
     "mtum": _Method(
-        lambda x, t: sample_mtum(x, t), lambda theta, t: mu_mtum(theta, t),
+        _mtum_statistic, lambda theta, t: mu_mtum(theta, t),
         sup=lambda t: 0.5 * (t.d + t.u), closed=lambda mu_hat, t: mu_hat - t.d,
     ),
     "mcm": _Method(
-        lambda x, t: sample_mcm(x, t), lambda theta, t: mu_mcm(theta, t),
+        _mcm_statistic, lambda theta, t: mu_mcm(theta, t),
         sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat if t.d == 0.0 else None,
     ),
     "mtcm": _Method(
-        lambda x, t: sample_mtcm(x, t), lambda theta, t: mu_mtcm(theta, t),
+        _mtcm_statistic, lambda theta, t: mu_mtcm(theta, t),
         sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat - t.d,
     ),
 }
 
 
-def _root(method: str, mu_hat: float, t: ThresholdPair, forward=None) -> EstimateResult:
-    """Theta matching ``mu_hat``, without avar.
+@dataclass(frozen=True)
+class _Roots:
+    """Thetas matching a batch of statistics: ``estimate`` is NaN where
+    ``reason`` names why there is none, and the bracket is NaN where the root
+    came in closed form."""
+
+    estimate: np.ndarray
+    reason: np.ndarray
+    iterations: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def result(self, method: str, i: int = 0) -> EstimateResult:
+        """Element ``i`` as an ``EstimateResult`` without avar."""
+        if self.reason[i] is not None:
+            return _nonexistent(method, self.reason[i])
+        bracket = None if math.isnan(self.lo[i]) else (float(self.lo[i]), float(self.hi[i]))
+        return EstimateResult(
+            method, "exp", True, float(self.estimate[i]), None,
+            iterations=int(self.iterations[i]), bracket=bracket,
+        )
+
+
+def _root(method: str, mu_hat, t: ThresholdPair, forward=None) -> _Roots:
+    """Thetas matching each of ``mu_hat`` (a float or an array), without avar.
 
     A statistic within a guard band (relative to the window width) of the
     attainable interval's ends has no root.  ``forward`` replaces the
     method's population map; the Pareto solver passes its own.
     """
-    if not math.isfinite(mu_hat):
+    mu = np.atleast_1d(np.asarray(mu_hat, dtype=float))
+    if not np.all(np.isfinite(mu)):
         raise ValueError(f"mu_hat must be finite, got {mu_hat!r}")
     spec = _METHODS[method]
     scale = (t.u - t.d) if not t.upper_is_infinite else max(1.0, t.d)
     guard = _BOUNDARY_GUARD * scale
-    if mu_hat <= t.d + guard:
-        return _nonexistent(method, BELOW_LOWER_BOUND)
-    if mu_hat >= spec.sup(t) - guard:
-        return _nonexistent(method, ABOVE_UPPER_BOUND)
-    closed = spec.closed(mu_hat, t) if t.upper_is_infinite else None
+    below = mu <= t.d + guard
+    above = ~below & (mu >= spec.sup(t) - guard)
+    inside = ~(below | above)
+    estimate = np.full(mu.shape, np.nan)
+    iterations = np.zeros(mu.shape, dtype=int)
+    lo, hi = estimate.copy(), estimate.copy()
+    closed = spec.closed(mu[inside], t) if t.upper_is_infinite else None
     if closed is not None:
-        return EstimateResult(method, "exp", True, closed, None)
-    forward = forward or spec.forward
-    theta_hat, iters, bracket = _solve_increasing(
-        lambda theta: forward(theta, t), mu_hat, mu_hat - t.d, resid_tol=1e-10 * max(1.0, scale)
-    )
-    return EstimateResult(method, "exp", True, theta_hat, None, iterations=iters, bracket=bracket)
+        estimate[inside] = closed
+    else:
+        forward = forward or spec.forward
+        estimate[inside], iterations[inside], lo[inside], hi[inside] = _solve_increasing(
+            lambda theta: forward(theta, t), mu[inside], mu[inside] - t.d,
+            resid_tol=1e-10 * max(1.0, scale),
+        )
+    reason = np.where(below, BELOW_LOWER_BOUND, np.where(above, ABOVE_UPPER_BOUND, None))
+    return _Roots(estimate, reason, iterations, lo, hi)
 
 
 def _with_avar(result: EstimateResult, t: ThresholdPair) -> EstimateResult:
@@ -273,16 +343,17 @@ def _with_avar(result: EstimateResult, t: ThresholdPair) -> EstimateResult:
     return replace(result, avar=asymptotics.avar(result.method, result.estimate, t))
 
 
-def _estimate(method: str, x: np.ndarray, t: ThresholdPair | None, solve=None) -> EstimateResult:
-    """Window statistic, then ``solve(mu_hat, t)`` (default: the root without
-    avar); an empty window has no estimate.  The MLE is the sample mean."""
+def _estimates(method: str, x: np.ndarray, t: ThresholdPair | None) -> np.ndarray:
+    """Theta for each row of ``x`` (rows, n), without avar; NaN where a row has
+    none (an empty window or a statistic outside the attainable interval).
+    The MLE is the row mean."""
     if method == "mle":
-        return EstimateResult("mle", "exp", True, float(x.mean()), None)
-    try:
-        mu_hat = _METHODS[method].sample(x, t).mu_hat
-    except EmptyWindowError:
-        return _nonexistent(method, EMPTY_WINDOW)
-    return solve(mu_hat, t) if solve else _root(method, mu_hat, t)
+        return x.sum(axis=1) / x.shape[1]
+    mu_hat, count = _METHODS[method].statistic(x, t)
+    estimate = np.full(len(x), np.nan)
+    filled = count > 0
+    estimate[filled] = _root(method, mu_hat[filled], t).estimate
+    return estimate
 
 
 def _on_pareto_scale(result: EstimateResult) -> EstimateResult:
@@ -299,17 +370,17 @@ def _log_thresholds(t: ThresholdPair, x0: float) -> ThresholdPair:
 
 def solve_mtum_exp(mu_hat: float, t: ThresholdPair) -> EstimateResult:
     """Match the truncated mean; a root exists only for d < mu_hat < (d+u)/2."""
-    return _with_avar(_root("mtum", mu_hat, t), t)
+    return _with_avar(_root("mtum", mu_hat, t).result("mtum"), t)
 
 
 def solve_mcm_exp(mu_hat: float, t: ThresholdPair) -> EstimateResult:
     """Match the censored mean; a root exists only for d < mu_hat < u."""
-    return _with_avar(_root("mcm", mu_hat, t), t)
+    return _with_avar(_root("mcm", mu_hat, t).result("mcm"), t)
 
 
 def solve_mtcm_exp(mu_hat: float, t: ThresholdPair) -> EstimateResult:
     """Match the payment-type mean; a root exists only for d < mu_hat < u."""
-    return _with_avar(_root("mtcm", mu_hat, t), t)
+    return _with_avar(_root("mtcm", mu_hat, t).result("mtcm"), t)
 
 
 def solve_mtum_pareto1(mu_hat: float, t: ThresholdPair, x0: float) -> EstimateResult:
@@ -321,11 +392,11 @@ def solve_mtum_pareto1(mu_hat: float, t: ThresholdPair, x0: float) -> EstimateRe
     if t.upper_is_infinite:
         raise ValueError("solve_mtum_pareto1 requires a finite upper threshold")
     t_log = _log_thresholds(t, x0)
-    result = _root("mtum", mu_hat, t_log, lambda theta, _: pareto_g_du(1.0 / theta, t, x0))
-    return _on_pareto_scale(_with_avar(result, t_log))
+    roots = _root("mtum", mu_hat, t_log, lambda theta, _: pareto_g_du(1.0 / theta, t, x0))
+    return _on_pareto_scale(_with_avar(roots.result("mtum"), t_log))
 
 
-# Public samplers and solvers by method name; ``fit`` solves through ``_EXP_SOLVERS``.
+# Public samplers and solvers by method name, through which ``fit`` estimates.
 _SAMPLERS = {"mtum": sample_mtum, "mcm": sample_mcm, "mtcm": sample_mtcm}
 _EXP_SOLVERS = {"mtum": solve_mtum_exp, "mcm": solve_mcm_exp, "mtcm": solve_mtcm_exp}
 
@@ -363,7 +434,11 @@ def fit(
         return mle_exp(x)
     if t is None:
         raise ValueError(f"method {method!r} needs thresholds")
-    return _estimate(method, x, t, _EXP_SOLVERS[method])
+    try:
+        mu_hat = _SAMPLERS[method](x, t).mu_hat
+    except EmptyWindowError:
+        return _nonexistent(method, EMPTY_WINDOW)
+    return _EXP_SOLVERS[method](mu_hat, t)
 
 
 def read_loss_csv(path: str | Path) -> np.ndarray:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dist import ThresholdPair
 
 __all__ = [
@@ -59,6 +61,19 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must be a positive finite real, got {theta!r}")
 
 
+def _positive_array(value, name: str) -> np.ndarray:
+    """``value`` (a float or an array) as a float array of positive finite reals."""
+    array = np.asarray(value, dtype=float)
+    if not ((array > 0) & np.isfinite(array)).all():
+        raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+    return array
+
+
+def _like(arg, value: np.ndarray):
+    """A forward map's result: a float for a scalar argument, else the array."""
+    return float(value) if np.ndim(arg) == 0 else value
+
+
 def tail_quantities(theta: float, t: ThresholdPair) -> TailQuantities:
     _check_theta(theta)
     w = (t.u - t.d) / theta
@@ -87,23 +102,24 @@ def truncated_summary(theta: float, t: ThresholdPair) -> TruncatedSummary:
     return TruncatedSummary(mu_y=mu_y, mu_y2=mu_y2, sigma_y2=mu_y2 - mu_y * mu_y)
 
 
-def mu_mtum(theta: float, t: ThresholdPair) -> float:
-    """Truncated mean E[X | d < X <= u] = mu_Y / p.
+def mu_mtum(theta, t: ThresholdPair):
+    """Truncated mean E[X | d < X <= u] = mu_Y / p, for a float or an array of theta.
 
     Uses the equivalent form d + theta - (u - d)/(e^{(u-d)/theta} - 1), which
     survives theta -> 0 (underflow of both mu_Y and p) and u -> inf; a series
     branch avoids its cancellation when the window is narrow relative to
     theta.
     """
-    _check_theta(theta)
+    th = _positive_array(theta, "theta")
     if t.upper_is_infinite:
-        return t.d + theta
-    w = (t.u - t.d) / theta
-    if w < 1e-2:
-        return t.d + (t.u - t.d) * (0.5 - w / 12.0 + w**3 / 720.0)
-    if w > 700.0:
-        return t.d + theta
-    return t.d + theta - (t.u - t.d) / math.expm1(w)
+        return _like(theta, t.d + th)
+    width = t.u - t.d
+    w = width / th
+    with np.errstate(over="ignore", divide="ignore"):
+        closed = t.d + th - width / np.expm1(w)
+        series = t.d + width * (0.5 - w / 12.0 + w * w * w / 720.0)
+    value = np.where(w < 1e-2, series, np.where(w > 700.0, t.d + th, closed))
+    return _like(theta, value)
 
 
 def mu_mtum_dtheta(theta: float, t: ThresholdPair) -> float:
@@ -126,10 +142,12 @@ def mu_mtum_dtheta(theta: float, t: ThresholdPair) -> float:
     return 1.0 - c * c
 
 
-def mu_mcm(theta: float, t: ThresholdPair) -> float:
-    """Censored mean E[min(max(d, X), u)] = d + theta p."""
-    _check_theta(theta)
-    return t.d + theta * tail_quantities(theta, t).p
+def mu_mcm(theta, t: ThresholdPair):
+    """Censored mean E[min(max(d, X), u)] = d + theta p, for a float or an array of theta."""
+    th = _positive_array(theta, "theta")
+    tau = np.exp(-t.d / th)
+    p = tau if t.upper_is_infinite else -tau * np.expm1(-(t.u - t.d) / th)
+    return _like(theta, t.d + th * p)
 
 
 def mcm_second_moment(theta: float, t: ThresholdPair) -> float:
@@ -146,12 +164,13 @@ def sigma_mcm2(theta: float, t: ThresholdPair) -> float:
     return mcm_second_moment(theta, t) - m1 * m1
 
 
-def mu_mtcm(theta: float, t: ThresholdPair) -> float:
-    """Left-truncated right-censored mean d + theta p / tau = d + theta (1 - e^{-(u-d)/theta})."""
-    _check_theta(theta)
+def mu_mtcm(theta, t: ThresholdPair):
+    """Left-truncated right-censored mean d + theta p / tau = d + theta (1 - e^{-(u-d)/theta}),
+    for a float or an array of theta."""
+    th = _positive_array(theta, "theta")
     if t.upper_is_infinite:
-        return t.d + theta
-    return t.d - theta * math.expm1(-(t.u - t.d) / theta)
+        return _like(theta, t.d + th)
+    return _like(theta, t.d - th * np.expm1(-(t.u - t.d) / th))
 
 
 def mtcm_w_summary(theta: float, t: ThresholdPair) -> tuple[float, float, float]:
@@ -168,16 +187,16 @@ def mtcm_w_summary(theta: float, t: ThresholdPair) -> tuple[float, float, float]
     return mu_w, e_w2, e_w2 - mu_w * mu_w
 
 
-def pareto_g_du(alpha: float, t: ThresholdPair, x0: float) -> float:
-    """E[log(Y/x0) | d < Y <= u] for Pareto I, strictly decreasing in alpha.
+def pareto_g_du(alpha, t: ThresholdPair, x0: float):
+    """E[log(Y/x0) | d < Y <= u] for Pareto I, strictly decreasing in alpha
+    (a float or an array).
 
     Evaluated with numerator and denominator divided by u^alpha so large
     alpha cannot overflow, and by its series in alpha*log(u/d) when that is
     small, where the closed form cancels; requires a finite upper threshold
     (use the log-transform route when u is infinite).
     """
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be a positive finite real, got {alpha!r}")
+    al = _positive_array(alpha, "alpha")
     if not (x0 > 0 and math.isfinite(x0)):
         raise ValueError(f"x0 must be a positive finite real, got {x0!r}")
     if t.upper_is_infinite:
@@ -186,14 +205,15 @@ def pareto_g_du(alpha: float, t: ThresholdPair, x0: float) -> float:
         raise ValueError(f"thresholds must satisfy x0 <= d, got d={t.d!r}, x0={x0!r}")
     log_dx0 = math.log(t.d / x0)
     w = math.log(t.u / t.d)
-    v = alpha * w
-    if v < 1e-2:
-        return log_dx0 + w * (0.5 - v / 12.0 + v**3 / 720.0)
+    v = al * w
     log_ux0 = math.log(t.u / x0)
-    r = math.exp(alpha * math.log(t.d / t.u))  # (d/u)^alpha, underflows safely
-    one_minus_r = -math.expm1(alpha * math.log(t.d / t.u))
-    numerator = one_minus_r - alpha * (-log_dx0 + r * log_ux0)
-    return numerator / (alpha * one_minus_r)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = np.exp(al * math.log(t.d / t.u))  # (d/u)^alpha, underflows safely
+        one_minus_r = -np.expm1(al * math.log(t.d / t.u))
+        numerator = one_minus_r - al * (-log_dx0 + r * log_ux0)
+        closed = numerator / (al * one_minus_r)
+        series = log_dx0 + w * (0.5 - v / 12.0 + v * v * v / 720.0)
+    return _like(alpha, np.where(v < 1e-2, series, closed))
 
 
 def pareto_g_limits(t: ThresholdPair, x0: float) -> tuple[float, float]:
@@ -210,11 +230,6 @@ def pareto_g_limits(t: ThresholdPair, x0: float) -> tuple[float, float]:
     if t.d < x0:
         raise ValueError(f"thresholds must satisfy x0 <= d, got d={t.d!r}, x0={x0!r}")
     lower = math.log(t.d / x0)
-    log_u, log_d = math.log(t.u), math.log(t.d)
-    upper = (
-        log_u * log_u
-        - log_d * log_d
-        - 2.0 * log_u * math.log(x0 / t.d)
-        + 2.0 * log_d * math.log(x0 / t.u)
-    ) / (2.0 * math.log(t.u / t.d))
+    # the mean of a log-uniform on (d, u): (log(d/x0) + log(u/x0)) / 2
+    upper = lower + 0.5 * math.log(t.u / t.d)
     return lower, upper

@@ -229,3 +229,13 @@ class TestSampling:
         second = sample(EXP10, 50, rs)
         both = sample(EXP10, 100, RandomSource(seed=11))
         assert np.allclose(np.concatenate([first, second]), both)
+
+    def test_shape_fills_rows_from_one_stream(self):
+        # chunks of rows drawn one after another equal one flat draw, bit for bit
+        rs = RandomSource(seed=11)
+        chunks = [sample(EXP10, (rows, 40), rs) for rows in (3, 7, 1)]
+        flat = sample(EXP10, 11 * 40, RandomSource(seed=11))
+        assert all(c.shape[1] == 40 for c in chunks)
+        assert np.array_equal(np.concatenate(chunks).ravel(), flat)
+        with pytest.raises(ValueError):
+            sample(EXP10, (3, 0), RandomSource(seed=1))

@@ -18,6 +18,8 @@ from severfit.dist import (
 )
 from severfit.errors import DegenerateError, EmptyWindowError
 from severfit.estimators import (
+    _BOUNDARY_GUARD,
+    _METHODS,
     ABOVE_UPPER_BOUND,
     BELOW_LOWER_BOUND,
     EMPTY_WINDOW,
@@ -32,6 +34,7 @@ from severfit.estimators import (
     solve_mtcm_exp,
     solve_mtum_exp,
     solve_mtum_pareto1,
+    _root,
 )
 from severfit.moments import (
     mu_mcm,
@@ -361,6 +364,94 @@ class TestStrongConsistency:
             arr = np.asarray(values)
             se = arr.std(ddof=1) / math.sqrt(reps)
             assert abs(arr.mean() - THETA) < 3.0 * se, method
+
+
+def _bisect(forward, target, lo=1e-9, hi=1e9):
+    """Plain bisection of an increasing map down to adjacent doubles."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if forward(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+# The benchmark's Monte Carlo windows at theta = 10 (u = inf included) and
+# its histogram window.
+BENCH_WINDOWS = [quantile_pair(a, b, THETA) for a, b in
+                 ((0.05, 0.05), (0.10, 0.10), (0.25, 0.00), (0.10, 0.70))]
+BENCH_WINDOWS.append(ThresholdPair(0.50, 23.00))
+
+
+class TestBatchRoots:
+    """``_root`` solves a batch of statistics the way it solves each one alone."""
+
+    @staticmethod
+    def _statistics(t, sup):
+        top = sup if math.isfinite(sup) else t.d + 50.0
+        inside = t.d + (top - t.d) * np.linspace(0.0, 1.0, 41)[1:-1]
+        edges = [t.d - 1.0, t.d, t.d + 1e-14, top - 1e-14, top, top + 1.0]
+        return np.concatenate([inside, edges])
+
+    @pytest.mark.parametrize("t", BENCH_WINDOWS + [ThresholdPair(1.0, 3.0)], ids=str)
+    def test_batch_equals_size_one_calls(self, t):
+        for method, spec in _METHODS.items():
+            mus = self._statistics(t, spec.sup(t))
+            batch = _root(method, mus, t)
+            for i, mu in enumerate(mus):
+                one = _root(method, float(mu), t)
+                assert one.reason[0] == batch.reason[i]
+                assert one.iterations[0] == batch.iterations[i]
+                for name in ("estimate", "lo", "hi"):
+                    assert np.array_equal(
+                        getattr(one, name)[:1], getattr(batch, name)[i:i + 1], equal_nan=True
+                    ), (method, mu, name)
+                assert batch.result(method, i) == one.result(method)
+
+    def test_batch_equals_size_one_calls_pareto_map(self):
+        t, x0 = ThresholdPair(2.0, 10.0), 1.0
+        t_log = ThresholdPair(math.log(2.0), math.log(10.0))
+        forward = lambda theta, _: pareto_g_du(1.0 / theta, t, x0)  # noqa: E731
+        mus = self._statistics(t_log, 0.5 * (t_log.d + t_log.u))
+        batch = _root("mtum", mus, t_log, forward)
+        for i, mu in enumerate(mus):
+            assert batch.result("mtum", i) == _root("mtum", mu, t_log, forward).result("mtum")
+
+    @pytest.mark.parametrize("t", BENCH_WINDOWS, ids=str)
+    def test_roots_match_bisection(self, t):
+        thetas = np.geomspace(0.2, 300.0, 30)
+        for method, spec in _METHODS.items():
+            forward = spec.forward
+            targets = forward(thetas, t)
+            roots = _root(method, targets, t)
+            assert np.all(roots.reason == None), method  # noqa: E711
+            for target, root in zip(targets, roots.estimate):
+                reference = _bisect(lambda theta: forward(theta, t), target)
+                assert root == pytest.approx(reference, rel=1e-10), (method, target)
+
+    @given(
+        method=st.sampled_from(sorted(_METHODS)),
+        d=st.floats(0.0, 1e3),
+        width=st.floats(1e-6, 1e3),
+        infinite=st.booleans(),
+        shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_statistic_inside_guard_has_root(self, method, d, width, infinite, shares):
+        t = ThresholdPair(d, math.inf if infinite else d + width)
+        scale = width if not infinite else max(1.0, d)
+        guard = _BOUNDARY_GUARD * scale
+        low = t.d + guard
+        high = _METHODS[method].sup(t) - guard if not infinite else t.d + 1e6 * scale
+        mus = np.array([low + share * (high - low) for share in shares])
+        mus = mus[(mus > low) & (mus < high)]
+        if mus.size == 0:
+            return
+        roots = _root(method, mus, t)
+        assert np.all(roots.reason == None)  # noqa: E711
+        assert np.all(np.isfinite(roots.estimate) & (roots.estimate > 0))
 
 
 class TestReadLossCsv(object):

@@ -1,11 +1,13 @@
 """Monte Carlo engine: stream derivation, determinism, failure bookkeeping,
 table CSV, config parsing, and the histogram study."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from severfit import mc
 from severfit.dist import ThresholdPair
 from severfit.errors import ConfigError
 from severfit.mc import (
@@ -124,6 +126,40 @@ class TestRunCell:
         assert conditional.failure_count == report.failure_count
         assert conditional.re is not None
 
+    def test_chunk_size_changes_nothing(self, monkeypatch):
+        # draws continue one stream across chunks, and the block sums are
+        # taken over the whole block, so 7-row chunks give the same bits
+        cells = [
+            self.CELL,
+            cell_from_quantiles(0.10, 0.70, 10.0, 40, "mtum", replications_per_block=60,
+                                blocks=2, seed=3, cell_index=1),
+        ]
+        default = [run_cell(c, conditional=True, workers=1) for c in cells]
+        panels = histogram_study([30, 50], 60, seed=5)
+        for cell, expected in zip(cells, default):
+            monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * cell.n)
+            assert mc._chunks(cell.replications_per_block, cell.n)[0] == 7
+            assert run_cell(cell, conditional=True, workers=1) == expected
+        monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * 30)
+        for small, full in zip(histogram_study([30, 50], 60, seed=5), panels):
+            assert (small.method, small.n, small.failures) == (full.method, full.n, full.failures)
+            assert np.array_equal(small.estimates, full.estimates)
+
+    def test_pareto_cell_matches_exponential_twin(self):
+        # log(y/x0) of Pareto I(1/theta, x0) draws is Exp(theta) up to rounding,
+        # on the log-scale thresholds
+        for method in ("mle", "mtum", "mcm", "mtcm"):
+            exp_cell = cell_from_quantiles(
+                0.05, 0.05, 10.0, 80, method,
+                replications_per_block=150, blocks=3, seed=8, cell_index=6,
+            )
+            pareto_cell = dataclasses.replace(exp_cell, model="pareto1", x0=2.0)
+            exp_report = run_cell(exp_cell, workers=1)
+            pareto_report = run_cell(pareto_cell, workers=1)
+            assert pareto_report.failure_count == exp_report.failure_count, method
+            assert pareto_report.mean_ratio == pytest.approx(exp_report.mean_ratio, rel=1e-9)
+            assert pareto_report.re == pytest.approx(exp_report.re, rel=1e-9)
+
     def test_invalid_cell_config(self):
         with pytest.raises(ConfigError):
             SimCell(n=0, method="mcm", theta_true=10.0, thresholds=ThresholdPair(0, 1))
@@ -164,6 +200,40 @@ class TestRunTable:
         a = sim_table_csv(run_table(self._cells(), workers=1))
         b = sim_table_csv(run_table(self._cells(), workers=2))
         assert a == b
+
+    def test_one_pool_capped_by_tasks_and_cpus(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Stands in for ProcessPoolExecutor, so no process is started."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cells = self._cells() + [
+            cell_from_quantiles(0.05, 0.05, 10.0, 60, "mtcm",
+                                replications_per_block=30, blocks=2, seed=9, cell_index=2)
+        ]
+        expected = run_table(cells, workers=1)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("SEVERFIT_THREADS", "64")
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
+        assert run_table(cells) == expected  # 6 tasks, 4 CPUs
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 16)
+        assert run_table(cells) == expected  # 6 tasks, 16 CPUs
+        assert run_table(cells, workers=3) == expected
+        assert run_cell(cells[0], workers=8) == expected[0][1]  # 2 tasks
+        assert run_table(cells[:1], workers=1) == expected[:1]  # in process
+        assert sizes == [4, 6, 3, 2]
 
 
 class TestConfig:
@@ -248,3 +318,29 @@ class TestHistogramStudy:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             histogram_study([30], 1)
+
+    def test_skewness_matches_scipy(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(12)
+        for size in (3, 4, 30, 10_000):
+            x = 10.0 * rng.standard_exponential(size) ** 2
+            assert mc._skewness(x) == pytest.approx(stats.skew(x, bias=False), rel=1e-13)
+        assert math.isnan(mc._skewness(np.full(5, 2.5)))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about 20 MB and 0.4 s to import; nothing needs it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import severfit
+
+        src = Path(severfit.__file__).resolve().parent.parent
+        code = "import sys, severfit, severfit.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            check=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.stdout.strip() == "False"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -364,3 +364,79 @@ class TestThetaValidation:
                 fn(0.0, T_MAIN)
             with pytest.raises(ValueError):
                 fn(-2.0, T_MAIN)
+
+
+# The forward maps the estimators solve, with the supremum of each one's
+# attainable interval.
+FORWARD_MAPS = (
+    (mu_mtum, lambda t: 0.5 * (t.d + t.u)),
+    (mu_mcm, lambda t: t.u),
+    (mu_mtcm, lambda t: t.u),
+)
+WINDOWS = st.builds(
+    lambda d, width, infinite: ThresholdPair(d, math.inf if infinite else d + width),
+    st.floats(0.0, 1e3),
+    st.floats(1e-6, 1e3),
+    st.booleans(),
+)
+
+
+class TestArrayForwardMaps:
+    @given(t=WINDOWS)
+    @settings(max_examples=60, deadline=None)
+    def test_monotone_and_inside_interval(self, t):
+        # theta/(u - d) over 24 decades (the scale is max(1, d) for infinite u)
+        scale = (t.u - t.d) if not t.upper_is_infinite else max(1.0, t.d)
+        theta = scale * np.geomspace(1e-12, 1e12, 2401)
+        for forward, sup in FORWARD_MAPS:
+            values = forward(theta, t)
+            assert np.all(np.diff(values) >= 0.0), forward.__name__
+            assert np.all((values >= t.d) & (values <= sup(t))), forward.__name__
+
+    @given(
+        d=st.floats(1.0, 1e3),
+        ratio=st.floats(1.0 + 1e-6, 1e3),
+        x0_share=st.floats(1e-3, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pareto_map_monotone_and_inside_limits(self, d, ratio, x0_share):
+        t = ThresholdPair(d, d * ratio)
+        x0 = d * x0_share
+        assume(t.u > t.d)
+        lower, upper = pareto_g_limits(t, x0)
+        values = pareto_g_du(np.geomspace(1e-15, 1e6, 2101), t, x0)
+        assert np.all(np.diff(values) <= 0.0)
+        assert np.all((values >= lower) & (values <= upper))
+
+    @given(
+        t=WINDOWS,
+        thetas=st.lists(st.floats(1e-6, 1e9), min_size=1, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_call_equals_float_calls(self, t, thetas):
+        for forward, _ in FORWARD_MAPS:
+            batch = forward(np.array(thetas), t)
+            singles = [forward(theta, t) for theta in thetas]
+            assert all(type(value) is float for value in singles)
+            assert np.array_equal(batch, np.array(singles)), forward.__name__
+        if not t.upper_is_infinite and t.d > 1e-6:
+            batch = pareto_g_du(np.array(thetas), t, t.d / 2.0)
+            singles = [pareto_g_du(alpha, t, t.d / 2.0) for alpha in thetas]
+            assert np.array_equal(batch, np.array(singles))
+
+    def test_array_rejects_any_bad_element(self):
+        for forward, _ in FORWARD_MAPS:
+            with pytest.raises(ValueError):
+                forward(np.array([1.0, 0.0]), T_MAIN)
+            with pytest.raises(ValueError):
+                forward(np.array([1.0, math.nan]), T_MAIN)
+        with pytest.raises(ValueError):
+            pareto_g_du(np.array([1.0, -1.0]), ThresholdPair(2.0, 10.0), 1.0)
+
+    def test_limits_on_a_narrow_window(self):
+        # the upper limit is the log-uniform mean; a difference of squares
+        # divided by log(u/d) lost it to cancellation on narrow windows
+        t, x0 = ThresholdPair(100.0, 100.001), 1.0
+        lower, upper = pareto_g_limits(t, x0)
+        assert upper == pytest.approx(0.5 * (math.log(100.0) + math.log(100.001)), rel=1e-15)
+        assert pareto_g_du(1e-15, t, x0) <= upper
