@@ -19,8 +19,10 @@ from .dist import ExponentialModel, ThresholdPair, exp_quantile
 from .errors import DegenerateError, QuadratureError
 from .framework import DistributionAdapter
 from .moments import (
+    mu_mtcm_dtheta,
     mu_mtum_dtheta,
     sigma_mcm2,
+    sigma_mtcm2,
     tail_quantities,
     truncated_summary,
 )
@@ -61,24 +63,25 @@ def are_mtum(theta: float, t: ThresholdPair) -> float:
 
 
 def are_mcm(theta: float, t: ThresholdPair) -> float:
-    """ARE of the censored-moment estimator: mu_Y^2 / sigma_MCM^2."""
+    """ARE of the censored-moment estimator: mu_Y^2 / sigma_MCM^2.
+
+    Both moments are sums of positive terms, so the ratio stays accurate
+    (about 3 x e^{-d/theta} / 4 to leading order) as x = (u-d)/theta -> 0.
+    """
     mu_y = truncated_summary(theta, t).mu_y
     return mu_y * mu_y / sigma_mcm2(theta, t)
 
 
 def are_mtcm(theta: float, t: ThresholdPair) -> float:
-    """ARE of the payment-type estimator.
+    """ARE of the payment-type estimator: tau (theta d mu_MTCM/d theta)^2 / sigma_MTCM^2.
 
-    [p - b (u-d)/theta]^2 / (p (1 + b/tau) - 2 b (u-d)/theta); reduces to
-    exp(-d/theta) when the upper threshold is infinite (b = 0).
+    Equal to the printed [p - b (u-d)/theta]^2 / (p (1 + b/tau) - 2 b (u-d)/theta),
+    written as tau (1 - (1+x) e^{-x})^2 / (1 - e^{-2x} - 2x e^{-x}) with
+    x = (u-d)/theta, whose series branches keep the digits the printed form
+    cancels at large theta; reduces to exp(-d/theta) when u is infinite.
     """
-    q = tail_quantities(theta, t)
-    if q.b == 0.0:
-        return q.tau
-    w = (t.u - t.d) / theta
-    num = q.p - q.b * w
-    den = q.p * (1.0 + q.b / q.tau) - 2.0 * q.b * w
-    return num * num / den
+    slope = theta * mu_mtcm_dtheta(theta, t)
+    return tail_quantities(theta, t).tau * slope * slope / sigma_mtcm2(theta, t)
 
 
 _ARE_DISPATCH = {"mtum": are_mtum, "mcm": are_mcm, "mtcm": are_mtcm}
@@ -101,7 +104,7 @@ def avar(method: str, theta: float, t: ThresholdPair | None = None) -> float:
         raise ValueError(f"method {method!r} needs thresholds")
     try:
         efficiency = _ARE_DISPATCH[method](theta, t)
-    except ZeroDivisionError:  # the closed form cancels to 0/0 far outside its range
+    except ZeroDivisionError:  # the variance underflows to 0, e.g. with the survival at d
         efficiency = math.nan
     if not efficiency > 0:
         raise DegenerateError(
@@ -155,52 +158,50 @@ def are_mtm(a: float, b: float) -> float:
     return i_val * i_val / mtm_integral_J(a, 1.0 - b)
 
 
-def _if_integral(F: DistributionAdapter, lo: float, hi: float, fx: float) -> float:
-    """Integral of (v - 1{fx <= v}) / f(F^{-1}(v)) over (lo, hi), split at the jump."""
+def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[float, float]:
+    """d = F^{-1}(a) and u = F^{-1}(1-b), infinite when b = 0."""
+    if not (a >= 0 and b >= 0 and a + b < 1):
+        raise ValueError(f"need a >= 0, b >= 0, a + b < 1, got a={a!r}, b={b!r}")
+    return F.quantile(a), math.inf if b == 0.0 else F.quantile(1.0 - b)
 
-    def before_jump(v: float) -> float:  # indicator = 0
-        return v / F.pdf(F.quantile(v))
 
-    def after_jump(v: float) -> float:  # indicator = 1
-        return (v - 1.0) / F.pdf(F.quantile(v))
-
-    def piece(fn, a_, b_):
-        if b_ <= a_:
-            return 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-            value, abserr = integrate.quad(fn, a_, b_, **_IF_QUAD_OPTS)
-        if abserr > 1e-8:
-            raise QuadratureError(
-                f"influence quadrature error {abserr:.3e} exceeds 1e-8", achieved=abserr
-            )
-        return value
-
-    if fx <= lo:
-        return piece(after_jump, lo, hi)
-    if fx >= hi:
-        return piece(before_jump, lo, hi)
-    return piece(before_jump, lo, fx) + piece(after_jump, fx, hi)
+def _centred_winsorized(F: DistributionAdapter, a: float, b: float, d: float, u: float, x):
+    """clip(x, d, u) - W, W = a d + b u + integral of F^{-1} over (a, 1-b), for any x."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
+        integral, abserr = integrate.quad(F.quantile, a, 1.0 - b, **_IF_QUAD_OPTS)
+    if abserr > 1e-8:
+        raise QuadratureError(
+            f"influence quadrature error {abserr:.3e} exceeds 1e-8", achieved=abserr
+        )
+    tails = (a * d if a > 0.0 else 0.0) + (b * u if b > 0.0 else 0.0)
+    return np.clip(x, d, u) - (tails + integral)
 
 
 def influence_mtm(F: DistributionAdapter, a: float, b: float, x: float) -> float:
-    """Influence function of the (a, b) trimmed mean at contamination point x."""
-    if not (a >= 0 and b >= 0 and a + b < 1):
-        raise ValueError(f"need a >= 0, b >= 0, a + b < 1, got a={a!r}, b={b!r}")
-    return _if_integral(F, a, 1.0 - b, F.cdf(x)) / (1.0 - a - b)
+    """Influence function of the (a, b) trimmed mean at contamination point x.
+
+    It is the centred winsorized variable (clip(x, d, u) - W) / (1 - a - b):
+    d = F^{-1}(a), u = F^{-1}(1-b) (infinite when b = 0) and the winsorized
+    mean W = a d + b u + integral of F^{-1}(v) over (a, 1-b).  With b = 0 the
+    model needs a finite mean; x = inf then gives inf.
+    """
+    d, u = _quantile_thresholds(F, a, b)
+    return float(_centred_winsorized(F, a, b, d, u, x)) / (1.0 - a - b)
 
 
 def influence_mcm(F: DistributionAdapter, t: ThresholdPair, x: float) -> float:
     """Influence function of the interval-censored mean at contamination point x.
 
     The thresholds map to tail probabilities a = F(d), b = 1 - F(u); the
-    value is (1 - a - b) times the trimmed-mean influence at the same x.
+    value is clip(x, d, u) - W, the censored variable minus its mean W, which
+    is (1 - a - b) times the trimmed-mean influence at the same x.
     """
     a = F.cdf(t.d)
     b = 1.0 - F.cdf(t.u)
     if not a + b < 1:
         raise ValueError(f"window ({t.d}, {t.u}) carries no probability mass")
-    return _if_integral(F, a, 1.0 - b, F.cdf(x))
+    return float(_centred_winsorized(F, a, b, t.d, t.u, x))
 
 
 @dataclass(frozen=True)
@@ -223,17 +224,14 @@ class IFCurve:
 def influence_curve(
     F: DistributionAdapter, method: str, a: float, b: float, grid: Sequence[float]
 ) -> IFCurve:
-    """Evaluate the MTM or MCM influence function on a grid of x values."""
-    xs = np.asarray(grid, dtype=float)
-    if method == "mtm":
-        values = np.array([influence_mtm(F, a, b, x) for x in xs])
-    elif method == "mcm":
-        d = F.quantile(a)
-        u = math.inf if b == 0.0 else F.quantile(1.0 - b)
-        t = ThresholdPair(d, u)
-        values = np.array([influence_mcm(F, t, x) for x in xs])
-    else:
+    """Evaluate the MTM or MCM influence function on a grid of x values, in one quadrature."""
+    if method not in ("mtm", "mcm"):
         raise ValueError(f"unknown influence method {method!r}")
+    xs = np.asarray(grid, dtype=float)
+    d, u = _quantile_thresholds(F, a, b)
+    values = _centred_winsorized(F, a, b, d, u, xs)
+    if method == "mtm":
+        values = values / (1.0 - a - b)
     return IFCurve(method=method, a=a, b=b, grid=xs, values=values)
 
 

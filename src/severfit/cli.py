@@ -205,6 +205,9 @@ def _cmd_influence(args) -> int:
     if args.model == "pareto1":
         if args.alpha is None:
             raise _UsageError("pareto1 influence curves need --alpha")
+        if args.alpha <= 1 and args.b == 0:
+            # the untrimmed upper tail has no mean, so the influence is -inf
+            raise _UsageError("pareto1 with alpha <= 1 has no mean: influence curves need --b > 0")
         model = ParetoIModel(alpha=args.alpha, x0=args.x0)
     else:
         if args.theta is None:

@@ -104,9 +104,16 @@ def adapter_from_model(model: ExponentialModel | ParetoIModel) -> DistributionAd
 
 @dataclass(frozen=True)
 class MomentEquation:
-    """One matching equation: statistic ``h`` restricted to ``window``."""
+    """One matching equation: statistic ``h`` restricted to ``window``.
 
-    h: Callable[[float], float]
+    The population side calls ``h`` with one float at a time;
+    :func:`sample_moment_vector` calls it once with the ndarray of the
+    window's observations, so there it must accept an ndarray (NumPy
+    ufuncs and arithmetic do; ``math`` functions do not).  A constant,
+    such as ``lambda _: 1.0``, is broadcast to the window.
+    """
+
+    h: Callable[[float | np.ndarray], float | np.ndarray]
     window: ThresholdPair
 
 
@@ -187,12 +194,8 @@ def _window_mass(F: DistributionAdapter, w: ThresholdPair) -> float:
     return F.cdf(w.u) - F.cdf(w.d)
 
 
-def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> PopulationQuantities:
-    """All expectations by adaptive quadrature in the quantile (v) domain.
-
-    Integrating h(F^{-1}(v)) over (F(d), F(u)) keeps every integration range
-    finite regardless of tail heaviness.
-    """
+def _window_moments(F: DistributionAdapter, spec: TruncatedSpec) -> tuple[np.ndarray, np.ndarray]:
+    """p[j] = P(window j) and mu_y[j] = E[h_j(X) 1{window j}]: k quadratures."""
     k = spec.k
     p = np.zeros(k)
     mu_y = np.zeros(k)
@@ -200,6 +203,17 @@ def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> Popula
         lo, hi = F.cdf(eq.window.d), F.cdf(eq.window.u)
         p[j] = hi - lo
         mu_y[j] = _integrate(lambda v, h=eq.h: h(F.quantile(v)), lo, hi)
+    return p, mu_y
+
+
+def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> PopulationQuantities:
+    """All expectations by adaptive quadrature in the quantile (v) domain.
+
+    Integrating h(F^{-1}(v)) over (F(d), F(u)) keeps every integration range
+    finite regardless of tail heaviness.
+    """
+    k = spec.k
+    p, mu_y = _window_moments(F, spec)
 
     p_pair = np.zeros((k, k))
     mu_y_pair = np.zeros((k, k))
@@ -236,11 +250,15 @@ def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> Popula
 
 
 def population_moment_vector(F: DistributionAdapter, spec: TruncatedSpec) -> np.ndarray:
-    """The k population truncated moments E[h_j(X) | d_j < X <= u_j]."""
-    q = population_quantities(F, spec)
-    if np.any(q.p <= 0):
+    """The k population truncated moments E[h_j(X) | d_j < X <= u_j].
+
+    Only the k window integrals; the second moments of
+    :func:`population_quantities` are not needed here.
+    """
+    p, mu_y = _window_moments(F, spec)
+    if np.any(p <= 0):
         raise DegenerateError("a window has zero probability mass")
-    return q.mu_y / q.p
+    return mu_y / p
 
 
 def sigma_v(q: PopulationQuantities) -> np.ndarray:
@@ -325,18 +343,20 @@ def propagate_theta(sigma: np.ndarray, jacobian: np.ndarray) -> np.ndarray:
 
 
 def sample_moment_vector(data: Sequence[float], spec: TruncatedSpec) -> np.ndarray:
-    """Empirical ratios sum h_j(x) 1{window} / count{window}, one per equation."""
+    """Empirical ratios sum h_j(x) 1{window} / count{window}, one per equation.
+
+    Each ``h_j`` is called once, on the ndarray of the observations in its
+    window (see :class:`MomentEquation`); a scalar result is broadcast.
+    """
     x = np.asarray(data, dtype=float)
     if x.size == 0:
         raise ValueError("data must be non-empty")
     out = np.zeros(spec.k)
     for j, eq in enumerate(spec.equations):
-        mask = (x > eq.window.d) & (x <= eq.window.u)
-        count = int(mask.sum())
-        if count == 0:
+        xm = x[(x > eq.window.d) & (x <= eq.window.u)]
+        if xm.size == 0:
             raise EmptyWindowError(f"no observations in window {j}", index=j)
-        hx = np.array([eq.h(v) for v in x[mask]], dtype=float)
-        out[j] = hx.sum() / count
+        out[j] = np.broadcast_to(eq.h(xm), xm.shape).sum() / xm.size
     return out
 
 

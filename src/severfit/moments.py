@@ -27,6 +27,8 @@ __all__ = [
     "mcm_second_moment",
     "sigma_mcm2",
     "mu_mtcm",
+    "mu_mtcm_dtheta",
+    "sigma_mtcm2",
     "mtcm_w_summary",
     "pareto_g_du",
     "pareto_g_limits",
@@ -85,6 +87,39 @@ def tail_quantities(theta: float, t: ThresholdPair) -> TailQuantities:
     return TailQuantities(a=a, b=b, tau=tau, p=p)
 
 
+def _taylor_tail(x: float, first: int, step: int) -> float:
+    """Sum of x^n / n! over n = first, first + step, ... for 0 <= x <= 1.
+
+    These are the leading terms the closed forms below cancel away:
+    expm1(x) - x is the tail from n = 2, sinh(x) - x the odd tail from n = 3.
+    """
+    total, term, n = 0.0, x**first / math.factorial(first), first
+    while total + term != total:
+        total += term
+        for _ in range(step):
+            n += 1
+            term *= x / n
+    return total
+
+
+def _censored_slope(x: float) -> float:
+    """1 - (1 + x) e^{-x} = e^{-x} (e^x - 1 - x), for x = (u-d)/theta in [0, inf]."""
+    if x <= 1.0:  # the closed form loses about log10(1/x) digits here
+        return math.exp(-x) * _taylor_tail(x, 2, 1)
+    if math.isinf(x):
+        return 1.0
+    return -math.expm1(-x) - x * math.exp(-x)
+
+
+def _censored_var(x: float) -> float:
+    """1 - e^{-2x} - 2x e^{-x} = 2 e^{-x} (sinh x - x), for x = (u-d)/theta in [0, inf]."""
+    if x <= 1.0:  # the closed form loses about 2 log10(1/x) digits here
+        return 2.0 * math.exp(-x) * _taylor_tail(x, 3, 2)
+    if math.isinf(x):
+        return 1.0
+    return -math.expm1(-2.0 * x) - 2.0 * x * math.exp(-x)
+
+
 def _gamma3_tail(x: float) -> float:
     # 1 - Gamma(3; x): accurate complementary form for differences at large x.
     if math.isinf(x):
@@ -93,11 +128,15 @@ def _gamma3_tail(x: float) -> float:
 
 
 def truncated_summary(theta: float, t: ThresholdPair) -> TruncatedSummary:
-    """mu_Y = theta p + d e^{-d/theta} - u e^{-u/theta} and the matching variance."""
+    """mu_Y = theta p + d e^{-d/theta} - u e^{-u/theta} and the matching variance.
+
+    mu_Y is evaluated as d p + theta e^{-d/theta} (1 - (1 + x) e^{-x}) with
+    x = (u-d)/theta, a sum of positive terms that keeps its digits when the
+    window is narrow relative to theta.
+    """
     _check_theta(theta)
     q = tail_quantities(theta, t)
-    ub = 0.0 if q.b == 0.0 else t.u * q.b
-    mu_y = theta * q.p + t.d * q.tau - ub
+    mu_y = t.d * q.p + theta * q.tau * _censored_slope((t.u - t.d) / theta)
     mu_y2 = 2.0 * theta * theta * (_gamma3_tail(t.d / theta) - _gamma3_tail(t.u / theta))
     return TruncatedSummary(mu_y=mu_y, mu_y2=mu_y2, sigma_y2=mu_y2 - mu_y * mu_y)
 
@@ -160,8 +199,15 @@ def mcm_second_moment(theta: float, t: ThresholdPair) -> float:
 
 
 def sigma_mcm2(theta: float, t: ThresholdPair) -> float:
-    m1 = mu_mcm(theta, t)
-    return mcm_second_moment(theta, t) - m1 * m1
+    """Var(min(max(d, X), u)) = e^{-d/theta} (sigma_MTCM^2 + a (theta (1 - e^{-(u-d)/theta}))^2).
+
+    The law of total variance split at d (mass a at d, the payment-type
+    variable above it) leaves only positive terms, so the variance keeps its
+    digits where E[Z^2] - E[Z]^2 cancels: narrow windows and large theta.
+    """
+    q = tail_quantities(theta, t)
+    gain = -theta * math.expm1(-(t.u - t.d) / theta)  # E[min(X, u) | X > d] - d
+    return q.tau * (sigma_mtcm2(theta, t) + q.a * gain * gain)
 
 
 def mu_mtcm(theta, t: ThresholdPair):
@@ -171,6 +217,27 @@ def mu_mtcm(theta, t: ThresholdPair):
     if t.upper_is_infinite:
         return _like(theta, t.d + th)
     return _like(theta, t.d - th * np.expm1(-(t.u - t.d) / th))
+
+
+def mu_mtcm_dtheta(theta: float, t: ThresholdPair) -> float:
+    """d mu_MTCM / d theta = 1 - (1 + x) e^{-x} with x = (u-d)/theta; 1 when u is infinite.
+
+    A series branch keeps its digits when the window is narrow relative to
+    theta, where it tends to x^2/2.
+    """
+    _check_theta(theta)
+    return _censored_slope((t.u - t.d) / theta)
+
+
+def sigma_mtcm2(theta: float, t: ThresholdPair) -> float:
+    """Var(min(X, u) | X > d) = theta^2 (1 - e^{-2x} - 2x e^{-x}) with x = (u-d)/theta.
+
+    By memorylessness it is the variance of Exp(theta) censored at u - d;
+    theta^2 when u is infinite, and about theta^2 x^3/3 (series branch)
+    when the window is narrow relative to theta.
+    """
+    _check_theta(theta)
+    return theta * (theta * _censored_var((t.u - t.d) / theta))
 
 
 def mtcm_w_summary(theta: float, t: ThresholdPair) -> tuple[float, float, float]:

@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
-from severfit.dist import ExponentialModel, ThresholdPair, exp_quantile
+from severfit import asymptotics
+from severfit.dist import ExponentialModel, ParetoIModel, ThresholdPair, exp_quantile
 from severfit.errors import DegenerateError
-from severfit.framework import adapter_from_model
+from severfit.framework import DistributionAdapter, adapter_from_model
 from severfit.asymptotics import (
     are,
     are_mcm,
@@ -129,12 +132,75 @@ class TestAvar:
             avar("mtum", THETA)
 
     def test_unevaluable_efficiency(self):
-        # the MTCM closed form divides 0 by 0 at this theta; avar reports it as degenerate
+        # survival at d underflows, so mu_Y and the censored variance are both 0:
+        # the MCM ratio is 0/0, and avar reports it as degenerate
         with pytest.raises(DegenerateError):
-            avar("mtcm", 1e10, ThresholdPair(1.0, 11.0))
+            avar("mcm", 1e-3, ThresholdPair(5.0, 6.0))
+
+
+def _are_oracle(theta, d, u):
+    """MCM and MTCM efficiencies from their definitions in 50-digit arithmetic.
+
+    mu_Y and E[X^2 1{d < X <= u}] come from mpmath quadrature, the variance
+    from E[Z^2] - E[Z]^2 and MTCM from the printed closed form; 50 digits
+    absorb the cancellations that ruin them in double precision.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        th, d, u = mp.mpf(theta), mp.mpf(d), mp.mpf(u)
+        pdf = lambda x: mp.exp(-x / th) / th  # noqa: E731
+        below, above = -mp.expm1(-d / th), mp.exp(-u / th)
+        # u^n P(X > u) vanishes as u -> inf
+        u_above, u2_above = (0, 0) if mp.isinf(u) else (u * above, u * u * above)
+        mu_y = mp.quad(lambda x: x * pdf(x), [d, u])
+        mu_y2 = mp.quad(lambda x: x * x * pdf(x), [d, u])
+        mean_z = d * below + mu_y + u_above
+        var_z = d * d * below + mu_y2 + u2_above - mean_z**2
+        tau = mp.exp(-d / th)
+        p, b_w = tau - above, u_above / th - d * above / th
+        mtcm = (p - b_w) ** 2 / (p * (1 + above / tau) - 2 * b_w)
+        return {"mcm": float(mu_y**2 / var_z), "mtcm": float(mtcm)}
+
+
+class TestLargeTheta:
+    def test_are_matches_50_digit_oracle(self):
+        # the closed forms cancelled here: MCM wrong from 1e7 and negative
+        # from 1e8, MTCM off at 1e8, 0/0 at 1e10 and negative at 1e12
+        t = ThresholdPair(1.0, 11.0)
+        for theta in np.logspace(3, 12, 19):
+            theta = float(theta)
+            oracle = _are_oracle(theta, t.d, t.u)
+            for method in ("mcm", "mtcm"):
+                value = are(method, theta, t)
+                assert value == pytest.approx(oracle[method], rel=1e-9), (method, theta)
+                assert avar(method, theta, t) == pytest.approx(theta**2 / oracle[method], rel=1e-9)
+
+    def test_default_table_cells_match_oracle(self):
+        for r in are_table(THETA, methods=("mcm", "mtcm")):
+            if r.are is not None:
+                assert r.are == pytest.approx(_are_oracle(THETA, r.d, r.u)[r.method], rel=1e-13)
+
+
+def _winsorized_exp1_variance(a, b):
+    """Variance of Exp(1) winsorized at (-log(1-a), -log(b)), in closed log form.
+
+    With r = b/(1-a): (1-a) (1 - r^2 + 2 r log r) + a (1-a) (1-r)^2.
+    """
+    r = b / (1.0 - a)
+    r_log_r = r * math.log(r) if r > 0 else 0.0
+    return (1.0 - a) * (1.0 - r * r + 2.0 * r_log_r) + a * (1.0 - a) * (1.0 - r) ** 2
 
 
 class TestTrimmedIntegrals:
+    def test_j_is_winsorized_exp1_variance(self):
+        grid = default_grid()
+        for a in grid:
+            for b in grid:
+                if a + b < 1.0:
+                    assert mtm_integral_J(a, 1.0 - b) == pytest.approx(
+                        _winsorized_exp1_variance(a, b), abs=1e-9
+                    ), (a, b)
+
     def test_i_closed_form_against_quadrature(self):
         for a, ub in [(0.0, 1.0), (0.05, 0.95), (0.25, 0.75), (0.1, 0.3)]:
             oracle, _ = quad(lambda v: math.log1p(-v), a, ub, epsabs=1e-13, limit=300)
@@ -162,6 +228,75 @@ class TestTrimmedIntegrals:
             mtm_integral_I(0.5, 0.4)
         with pytest.raises(ValueError):
             mtm_integral_J(-0.1, 0.9)
+
+
+def _split_quadrature_influence(F, a, b, x):
+    """Trimmed-mean influence (without the 1/(1-a-b)) from its integral definition.
+
+    The integral of (v - 1{F(x) <= v}) / f(F^{-1}(v)) over (a, 1-b), split at
+    the jump and taken per point: the reference for the winsorized identity.
+    """
+    lo, hi, fx = a, 1.0 - b, F.cdf(x)
+
+    def piece(indicator, left, right):
+        if right <= left:
+            return 0.0
+        value, _ = quad(
+            lambda v: (v - indicator) / F.pdf(F.quantile(v)),
+            left, right, epsabs=1e-11, epsrel=1e-11, limit=200,
+        )
+        return value
+
+    if fx <= lo:
+        return piece(1.0, lo, hi)
+    if fx >= hi:
+        return piece(0.0, lo, hi)
+    return piece(0.0, lo, fx) + piece(1.0, fx, hi)
+
+
+def _normal_adapter(m, scale):
+    return DistributionAdapter(
+        cdf=lambda x: 1.0 if math.isinf(x) else float(ndtr((x - m) / scale)),
+        pdf=lambda x: math.exp(-0.5 * ((x - m) / scale) ** 2) / (scale * math.sqrt(2 * math.pi)),
+        quantile=lambda v: m + scale * float(ndtri(v)),
+        support=(-math.inf, math.inf),
+    )
+
+
+class TestInfluenceOracle:
+    CASES = (
+        ("exp", ADAPTER, 0.05, 0.05, np.linspace(0.0, 40.0, 41)),
+        ("pareto1", adapter_from_model(ParetoIModel(2.0, 1.5)), 0.05, 0.05, np.linspace(1.5, 12.0, 41)),
+        ("exp b=0", ADAPTER, 0.25, 0.0, np.linspace(0.0, 60.0, 41)),
+        ("normal", _normal_adapter(4.0, 2.0), 0.05, 0.05, np.linspace(-2.0, 10.0, 41)),
+    )
+
+    @pytest.mark.parametrize("label,F,a,b,grid", CASES, ids=[c[0] for c in CASES])
+    def test_curve_matches_split_quadrature(self, label, F, a, b, grid):
+        oracle = np.array([_split_quadrature_influence(F, a, b, float(x)) for x in grid])
+        mtm = influence_curve(F, "mtm", a, b, grid).values
+        mcm = influence_curve(F, "mcm", a, b, grid).values
+        assert np.max(np.abs(mtm - oracle / (1.0 - a - b))) < 1e-9
+        assert np.max(np.abs(mcm - oracle)) < 1e-9
+
+    def test_one_quadrature_per_curve(self, monkeypatch):
+        calls = []
+        real_quad = integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics.integrate, "quad", counting_quad)
+        grid = np.linspace(0.0, ADAPTER.quantile(0.999), 1001)
+        influence_curve(ADAPTER, "mtm", 0.05, 0.05, grid)
+        assert len(calls) == 1
+
+    def test_infinite_point_without_upper_trimming(self):
+        assert influence_mtm(ADAPTER, 0.25, 0.0, math.inf) == math.inf
+        assert influence_mtm(ADAPTER, 0.25, 0.05, math.inf) == pytest.approx(
+            influence_mtm(ADAPTER, 0.25, 0.05, 1e6), abs=1e-12
+        )
 
 
 class TestInfluence:

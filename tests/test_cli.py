@@ -85,15 +85,30 @@ class TestFitCommand:
         )
 
     def test_unevaluable_efficiency_exit_code(self, tmp_path, capsys):
-        # payment mean 10.9999999 in (1, 11]: a root exists, its avar cannot be evaluated
+        # truncated mean 1e-10 above d = 5: a root theta ~ 1e-10 exists, but the
+        # survival at d underflows, so its avar cannot be evaluated
+        path = tmp_path / "edge.csv"
+        path.write_text("5.0000000001\n", encoding="utf-8")
+        code = main(
+            ["fit", "--method", "mtum", "--model", "exp", "--data", str(path),
+             "--d", "5", "--u", "6"]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert "degenerate" in capsys.readouterr().err
+
+    def test_large_theta_efficiency_exit_code(self, tmp_path, capsys):
+        # payment mean 10.9999999 in (1, 11]: root theta ~ 5e8, where the old
+        # ARE closed form cancelled; avar = theta^2 / (3 x / 4), x = 10 / theta
         path = tmp_path / "edge.csv"
         path.write_text("10.9999998\n11.0\n", encoding="utf-8")
         code = main(
             ["fit", "--method", "mtcm", "--model", "exp", "--data", str(path),
              "--d", "1", "--u", "11"]
         )
-        assert code == EXIT_INPUT_ERROR
-        assert "degenerate" in capsys.readouterr().err
+        assert code == EXIT_OK
+        row = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+        theta, avar = float(row[4]), float(row[5])
+        assert avar == pytest.approx(theta**3 / 7.5, rel=1e-6)
 
     def test_malformed_csv_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -237,6 +252,14 @@ class TestInfluenceCommand:
         assert main(
             ["influence", "--model", "exp", "--theta", "10", "--a", "0.6", "--b", "0.5"]
         ) == EXIT_INPUT_ERROR
+
+    def test_infinite_mean_rejected(self, tmp_path, capsys):
+        # Pareto I with alpha <= 1 has no mean, so without upper trimming the
+        # influence is -inf; with b > 0 the curve exists
+        args = ["influence", "--model", "pareto1", "--alpha", "0.8", "--x-max", "20"]
+        assert main(args + ["--b", "0"]) == EXIT_INPUT_ERROR
+        assert "no mean" in capsys.readouterr().err
+        assert main(args + ["--b", "0.05", "--out", str(tmp_path / "if.csv")]) == EXIT_OK
 
 
 class TestHistCommand:

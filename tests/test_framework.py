@@ -108,6 +108,14 @@ class TestPopulationQuantities:
         assert q.mu_w_pair[0, 1] != pytest.approx(q.mu_w_pair[1, 0], rel=1e-3)
 
 
+class TestPopulationMomentVector:
+    def test_equals_quantities_ratio_bit_for_bit(self):
+        # the criterion-06 spec; only the k window integrals are computed
+        s = spec_of((identity, ThresholdPair(0.51, 29.96)), (square, ThresholdPair(1.05, 23.03)))
+        q = population_quantities(EXP_ADAPTER, s)
+        assert np.array_equal(population_moment_vector(EXP_ADAPTER, s), q.mu_y / q.p)
+
+
 class TestSigmaV:
     def test_k1_analytic_entries(self):
         s = spec_of((identity, T_MAIN))
@@ -228,6 +236,14 @@ class TestSampleMomentVector:
         s = spec_of((identity, T_MAIN))
         vec = sample_moment_vector(x, s)
         assert vec[0] == pytest.approx(sample_mtum(x, T_MAIN).mu_hat, rel=1e-14)
+
+    def test_array_statistic_equals_direct_masked_sum(self):
+        # h is called once on the window's ndarray
+        x = sample(ExponentialModel(THETA), 100_000, RandomSource(seed=11))
+        in_window = x[(x > T_MAIN.d) & (x <= T_MAIN.u)]
+        for h in (np.log1p, square):
+            vec = sample_moment_vector(x, spec_of((h, T_MAIN)))
+            assert vec[0] == h(in_window).sum() / in_window.size
 
     def test_indicator_statistic_gives_one(self):
         x = sample(ExponentialModel(THETA), 1000, RandomSource(seed=9))

@@ -15,10 +15,12 @@ from severfit.moments import (
     mu_mcm,
     mu_mtcm,
     mu_mtum,
+    mu_mtcm_dtheta,
     mu_mtum_dtheta,
     pareto_g_du,
     pareto_g_limits,
     sigma_mcm2,
+    sigma_mtcm2,
     tail_quantities,
     truncated_summary,
 )
@@ -270,6 +272,45 @@ class TestMuMtcm:
         values = [mu_mtcm(float(th), t) for th in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(t.d < v < t.u for v in values)
+
+
+class TestMtcmSlopeAndVariance:
+    def test_slope_matches_finite_difference(self):
+        for t in (T_MAIN, ThresholdPair(2.0, 9.0)):
+            step = 1e-5 * THETA
+            fd = (mu_mtcm(THETA + step, t) - mu_mtcm(THETA - step, t)) / (2.0 * step)
+            assert mu_mtcm_dtheta(THETA, t) == pytest.approx(fd, rel=1e-8)
+        assert mu_mtcm_dtheta(THETA, ThresholdPair(2.0, math.inf)) == 1.0
+
+    def test_variance_against_payment_oracle(self):
+        # Var(min(X, u) | X > d), from the conditional moments by quadrature
+        q = tail_quantities(THETA, T_MAIN)
+        e_w = (window_integral(lambda x: x, T_MAIN) + T_MAIN.u * q.b) / q.tau
+        e_w2 = (window_integral(lambda x: x * x, T_MAIN) + T_MAIN.u**2 * q.b) / q.tau
+        assert sigma_mtcm2(THETA, T_MAIN) == pytest.approx(e_w2 - e_w**2, rel=1e-9)
+        assert sigma_mtcm2(THETA, ThresholdPair(2.0, math.inf)) == THETA**2
+
+    def test_both_branches_against_50_digit_forms(self):
+        # x = (u-d)/theta across the series/closed switch at x = 1 and far beyond
+        mp = pytest.importorskip("mpmath")
+        t = ThresholdPair(1.0, 2.0)
+        xs = [float(x) for x in np.logspace(-12, 2.5, 30)] + [1.0 - 1e-12, 1.0, 1.0 + 1e-12]
+        with mp.workdps(50):
+            for x in xs:
+                theta = 1.0 / x
+                xm = mp.mpf(t.u - t.d) / mp.mpf(theta)
+                slope = 1 - (1 + xm) * mp.exp(-xm)
+                var = 1 - mp.exp(-2 * xm) - 2 * xm * mp.exp(-xm)
+                assert mu_mtcm_dtheta(theta, t) == pytest.approx(float(slope), rel=1e-14), x
+                assert sigma_mtcm2(theta, t) / theta**2 == pytest.approx(float(var), rel=1e-14), x
+
+    def test_mcm_variance_and_mu_y_at_large_theta(self):
+        # to leading order in 1/theta: Var(Z) = (u-d)^2 (d + (u-d)/3) / theta and
+        # mu_Y = (u^2 - d^2) / (2 theta); the E[Z^2] - E[Z]^2 form lost every digit
+        t = ThresholdPair(1.0, 11.0)
+        theta = 1e12
+        assert sigma_mcm2(theta, t) == pytest.approx(100.0 * (1.0 + 10.0 / 3.0) / theta, rel=1e-10)
+        assert truncated_summary(theta, t).mu_y == pytest.approx(60.0 / theta, rel=1e-10)
 
 
 class TestQuantileFormEquivalence:
