@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics
-from .dist import ParetoIModel, ThresholdPair, log_transform_pareto_to_exp
+from .dist import ThresholdPair
 from .errors import DegenerateError, EmptyWindowError, SolverStallError
-from .moments import mu_mcm, mu_mtcm, mu_mtum, pareto_g_du
+from .moments import _log_thresholds, mu_mcm, mu_mtcm, mu_mtum
 
 __all__ = [
     "SampleMoments",
@@ -165,13 +165,7 @@ def mle_exp(data: Sequence[float]) -> EstimateResult:
 
 def mle_pareto1(data: Sequence[float], x0: float) -> EstimateResult:
     """Maximum likelihood for Pareto I via the log transform: 1 / mean(log(y/x0))."""
-    x = _as_data(data)
-    if np.any(x <= x0):
-        raise ValueError(f"Pareto data must exceed x0 = {x0!r}")
-    alpha_hat = 1.0 / float(np.log(x / x0).mean())
-    return EstimateResult(
-        method="mle", model="pareto1", exists=True, estimate=alpha_hat, avar=alpha_hat**2
-    )
+    return fit("mle", "pareto1", data, x0=x0)
 
 
 def _solve_increasing(
@@ -304,12 +298,11 @@ class _Roots:
         )
 
 
-def _root(method: str, mu_hat, t: ThresholdPair, forward=None) -> _Roots:
+def _root(method: str, mu_hat, t: ThresholdPair) -> _Roots:
     """Thetas matching each of ``mu_hat`` (a float or an array), without avar.
 
     A statistic within a guard band (relative to the window width) of the
-    attainable interval's ends has no root.  ``forward`` replaces the
-    method's population map; the Pareto solver passes its own.
+    attainable interval's ends has no root.
     """
     mu = np.atleast_1d(np.asarray(mu_hat, dtype=float))
     if not np.all(np.isfinite(mu)):
@@ -327,9 +320,8 @@ def _root(method: str, mu_hat, t: ThresholdPair, forward=None) -> _Roots:
     if closed is not None:
         estimate[inside] = closed
     else:
-        forward = forward or spec.forward
         estimate[inside], iterations[inside], lo[inside], hi[inside] = _solve_increasing(
-            lambda theta: forward(theta, t), mu[inside], mu[inside] - t.d,
+            lambda theta: spec.forward(theta, t), mu[inside], mu[inside] - t.d,
             resid_tol=1e-10 * max(1.0, scale),
         )
     reason = np.where(below, BELOW_LOWER_BOUND, np.where(above, ABOVE_UPPER_BOUND, None))
@@ -364,10 +356,6 @@ def _on_pareto_scale(result: EstimateResult) -> EstimateResult:
     return replace(result, model="pareto1", estimate=alpha_hat, avar=result.avar * alpha_hat**4)
 
 
-def _log_thresholds(t: ThresholdPair, x0: float) -> ThresholdPair:
-    return log_transform_pareto_to_exp(ParetoIModel(alpha=1.0, x0=x0), t)[1]
-
-
 def solve_mtum_exp(mu_hat: float, t: ThresholdPair) -> EstimateResult:
     """Match the truncated mean; a root exists only for d < mu_hat < (d+u)/2."""
     return _with_avar(_root("mtum", mu_hat, t).result("mtum"), t)
@@ -384,16 +372,15 @@ def solve_mtcm_exp(mu_hat: float, t: ThresholdPair) -> EstimateResult:
 
 
 def solve_mtum_pareto1(mu_hat: float, t: ThresholdPair, x0: float) -> EstimateResult:
-    """Match the truncated log-mean of Pareto I data through the Pareto map.
+    """Match the truncated log-mean of Pareto I data: the exponential MTuM fit
+    on the log window, reported as alpha = 1/theta.
 
     ``mu_hat`` is the truncated sample mean of log(y/x0) over d < y <= u
     (finite u); the root is found in theta = 1/alpha on the log scale.
     """
     if t.upper_is_infinite:
         raise ValueError("solve_mtum_pareto1 requires a finite upper threshold")
-    t_log = _log_thresholds(t, x0)
-    roots = _root("mtum", mu_hat, t_log, lambda theta, _: pareto_g_du(1.0 / theta, t, x0))
-    return _on_pareto_scale(_with_avar(roots.result("mtum"), t_log))
+    return _on_pareto_scale(solve_mtum_exp(mu_hat, _log_thresholds(t, x0)))
 
 
 # Public samplers and solvers by method name, through which ``fit`` estimates.

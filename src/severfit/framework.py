@@ -190,10 +190,6 @@ def _integrate(fn: Callable[[float], float], lo: float, hi: float) -> float:
     return value
 
 
-def _window_mass(F: DistributionAdapter, w: ThresholdPair) -> float:
-    return F.cdf(w.u) - F.cdf(w.d)
-
-
 def _window_moments(F: DistributionAdapter, spec: TruncatedSpec) -> tuple[np.ndarray, np.ndarray]:
     """p[j] = P(window j) and mu_y[j] = E[h_j(X) 1{window j}]: k quadratures."""
     k = spec.k

@@ -110,24 +110,19 @@ class SimReport:
     total_samples: int
 
 
-def derive_stream(
-    master_seed: int, cell_index: int, block_index: int, replication_index: int
-) -> RandomSource:
-    """Collision-free stream for one (cell, block, replication) triple; the
-    engine draws a whole block from its replication index 0.
+def derive_stream(master_seed: int, cell_index: int, block_index: int) -> RandomSource:
+    """Collision-free stream for one (cell, block) pair; the engine draws a
+    whole block from it.
 
-    The three indices are packed into disjoint bit ranges (each must be
-    below 2^21), so distinct triples can never share a stream and the
-    derivation is independent of execution order.
+    The two indices are packed into disjoint bit ranges (each must be below
+    2^21) of the stream index ``(cell << 42) | (block << 21)``, so distinct
+    pairs can never share a stream and the derivation is independent of
+    execution order.
     """
-    for name, idx in (
-        ("cell_index", cell_index),
-        ("block_index", block_index),
-        ("replication_index", replication_index),
-    ):
+    for name, idx in (("cell_index", cell_index), ("block_index", block_index)):
         if not 0 <= idx < _INDEX_CAP:
             raise ValueError(f"{name} must be in [0, {_INDEX_CAP}), got {idx}")
-    stream = (cell_index << (2 * _INDEX_BITS)) | (block_index << _INDEX_BITS) | replication_index
+    stream = (cell_index << (2 * _INDEX_BITS)) | (block_index << _INDEX_BITS)
     return RandomSource(seed=master_seed, stream=stream)
 
 
@@ -161,7 +156,7 @@ def _run_block(cell: SimCell, block_index: int) -> tuple[int, int, float, float]
     else:
         model = ExponentialModel(cell.theta_true)
     theta = cell.theta_true
-    rs = derive_stream(cell.seed, cell.cell_index, block_index, 0)
+    rs = derive_stream(cell.seed, cell.cell_index, block_index)
     parts = []
     for rows in _chunks(cell.replications_per_block, cell.n):
         draws = sample(model, (rows, cell.n), rs)
@@ -431,7 +426,7 @@ def histogram_study(
     panels: list[HistogramPanel] = []
     model = ExponentialModel(theta)
     for n_index, n in enumerate(n_list):
-        rs = derive_stream(seed, n_index, 0, 0)
+        rs = derive_stream(seed, n_index, 0)
         chunks = {method: [] for method in methods}
         for rows in _chunks(count, n):
             draws = sample(model, (rows, n), rs)

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ThresholdPair
+from .dist import (
+    ParetoIModel,
+    ThresholdPair,
+    log_transform_pareto_to_exp,
+    regularized_incomplete_gamma3,
+)
 
 __all__ = [
     "TailQuantities",
@@ -120,25 +125,35 @@ def _censored_var(x: float) -> float:
     return -math.expm1(-2.0 * x) - 2.0 * x * math.exp(-x)
 
 
-def _gamma3_tail(x: float) -> float:
-    # 1 - Gamma(3; x): accurate complementary form for differences at large x.
-    if math.isinf(x):
-        return 0.0
-    return math.exp(-x) * (1.0 + x + 0.5 * x * x)
-
-
 def truncated_summary(theta: float, t: ThresholdPair) -> TruncatedSummary:
-    """mu_Y = theta p + d e^{-d/theta} - u e^{-u/theta} and the matching variance.
+    """mu_Y = theta p + d e^{-d/theta} - u e^{-u/theta} and the matching moments.
 
-    mu_Y is evaluated as d p + theta e^{-d/theta} (1 - (1 + x) e^{-x}) with
-    x = (u-d)/theta, a sum of positive terms that keeps its digits when the
-    window is narrow relative to theta.
+    By memorylessness X = d + E on the window, E ~ Exp(theta) below
+    u - d, so with x = (u-d)/theta, h(x) = 1 - (1 + x) e^{-x} and G3 the
+    regularized incomplete gamma of shape 3, every moment is a sum of
+    positive terms that keeps its digits when the window is narrow relative
+    to theta:
+
+        mu_Y     = d p + theta tau h(x)
+        E[Y^2]   = tau (d^2 (1 - e^{-x}) + 2 d theta h(x) + 2 theta^2 G3(x))
+        Var(Y)   = p theta^2 mu_MTuM'(theta) + p (1 - p) mu_MTuM^2
+
+    (Var(X | d < X <= u) = theta^2 d mu_MTuM / d theta, and 1 - p = a + b.)
     """
     _check_theta(theta)
     q = tail_quantities(theta, t)
-    mu_y = t.d * q.p + theta * q.tau * _censored_slope((t.u - t.d) / theta)
-    mu_y2 = 2.0 * theta * theta * (_gamma3_tail(t.d / theta) - _gamma3_tail(t.u / theta))
-    return TruncatedSummary(mu_y=mu_y, mu_y2=mu_y2, sigma_y2=mu_y2 - mu_y * mu_y)
+    x = (t.u - t.d) / theta
+    h = _censored_slope(x)
+    inside = -math.expm1(-x)  # P(E <= u - d)
+    mu_y = t.d * q.p + theta * q.tau * h
+    mu_y2 = q.tau * (
+        t.d * t.d * inside
+        + 2.0 * t.d * theta * h
+        + 2.0 * theta * theta * regularized_incomplete_gamma3(x)
+    )
+    m = t.d + theta * h / inside
+    sigma_y2 = q.p * theta * theta * mu_mtum_dtheta(theta, t) + q.p * (q.a + q.b) * m * m
+    return TruncatedSummary(mu_y=mu_y, mu_y2=mu_y2, sigma_y2=sigma_y2)
 
 
 def mu_mtum(theta, t: ThresholdPair):
@@ -162,23 +177,22 @@ def mu_mtum(theta, t: ThresholdPair):
 
 
 def mu_mtum_dtheta(theta: float, t: ThresholdPair) -> float:
-    """d mu_MTuM / d theta = 1 - ((u-d)/(2 theta))^2 csch^2((u-d)/(2 theta)).
+    """d mu_MTuM / d theta = 1 - y^2 csch^2 y with y = (u-d)/(2 theta).
 
-    Strictly inside (0, 1) for finite u, approaching 1 as u -> inf; a series
-    branch avoids the 1 - c^2 cancellation when the window is narrow
-    relative to theta.
+    Strictly inside (0, 1) for finite u, approaching 1 as u -> inf.  It is
+    evaluated as ((sinh y - y)/sinh y) ((sinh y + y)/sinh y), with sinh y - y
+    from its Taylor tail for y <= 1, so no difference of nearly equal terms
+    is formed when the window is narrow relative to theta.
     """
     _check_theta(theta)
     if t.upper_is_infinite:
         return 1.0
-    x = (t.u - t.d) / (2.0 * theta)
-    if x < 0.05:
-        x2 = x * x
-        return x2 / 3.0 - x2 * x2 / 15.0 + 2.0 * x2 * x2 * x2 / 189.0
-    if x > 350.0:
+    y = (t.u - t.d) / (2.0 * theta)
+    if y > 350.0:
         return 1.0
-    c = x / math.sinh(x)
-    return 1.0 - c * c
+    s = math.sinh(y)
+    excess = _taylor_tail(y, 3, 2) if y <= 1.0 else s - y
+    return (excess / s) * ((s + y) / s)
 
 
 def mu_mcm(theta, t: ThresholdPair):
@@ -190,12 +204,9 @@ def mu_mcm(theta, t: ThresholdPair):
 
 
 def mcm_second_moment(theta: float, t: ThresholdPair) -> float:
-    """E[Z^2] = d^2 (1 - e^{-d/theta}) + E[Y^2] + u^2 e^{-u/theta}."""
-    _check_theta(theta)
-    q = tail_quantities(theta, t)
-    s = truncated_summary(theta, t)
-    u2b = 0.0 if q.b == 0.0 else t.u * t.u * q.b
-    return t.d * t.d * q.a + s.mu_y2 + u2b
+    """E[Z^2] = d^2 (1 - e^{-d/theta}) + E[Y^2] + u^2 e^{-u/theta} = sigma_MCM^2 + mu_MCM^2."""
+    mean = mu_mcm(theta, t)
+    return sigma_mcm2(theta, t) + mean * mean
 
 
 def sigma_mcm2(theta: float, t: ThresholdPair) -> float:
@@ -241,62 +252,48 @@ def sigma_mtcm2(theta: float, t: ThresholdPair) -> float:
 
 
 def mtcm_w_summary(theta: float, t: ThresholdPair) -> tuple[float, float, float]:
-    """Moments of W = X 1{d < X <= u} + u 1{X > u}: (mean, raw second moment, variance)."""
-    _check_theta(theta)
+    """Moments of W = X 1{d < X <= u} + u 1{X > u}: (mean, raw second moment, variance).
+
+    W = 1{X > d} min(X, u), so with c = mu_MTCM its mean is tau c and, by the
+    law of total variance, Var(W) = tau sigma_MTCM^2 + tau a c^2 (a = 1 - tau).
+    """
     q = tail_quantities(theta, t)
-    s = truncated_summary(theta, t)
-    if q.b == 0.0:
-        mu_w = s.mu_y
-        e_w2 = s.mu_y2
-    else:
-        mu_w = s.mu_y + t.u * q.b
-        e_w2 = s.mu_y2 + t.u * t.u * q.b
-    return mu_w, e_w2, e_w2 - mu_w * mu_w
+    c = mu_mtcm(theta, t)
+    mean = q.tau * c
+    var = q.tau * sigma_mtcm2(theta, t) + q.tau * q.a * c * c
+    return mean, var + mean * mean, var
+
+
+def _log_thresholds(t: ThresholdPair, x0: float) -> ThresholdPair:
+    """Pareto I thresholds (d, u) on the exponential scale: (log(d/x0), log(u/x0))."""
+    return log_transform_pareto_to_exp(ParetoIModel(alpha=1.0, x0=x0), t)[1]
 
 
 def pareto_g_du(alpha, t: ThresholdPair, x0: float):
     """E[log(Y/x0) | d < Y <= u] for Pareto I, strictly decreasing in alpha
     (a float or an array).
 
-    Evaluated with numerator and denominator divided by u^alpha so large
-    alpha cannot overflow, and by its series in alpha*log(u/d) when that is
-    small, where the closed form cancels; requires a finite upper threshold
-    (use the log-transform route when u is infinite).
+    log(Y/x0) is Exp(1/alpha), so this is mu_mtum(1/alpha) on the log window
+    (log(d/x0), log(u/x0)); requires a finite upper threshold (use the
+    log-transform route when u is infinite).
     """
     al = _positive_array(alpha, "alpha")
-    if not (x0 > 0 and math.isfinite(x0)):
-        raise ValueError(f"x0 must be a positive finite real, got {x0!r}")
     if t.upper_is_infinite:
         raise ValueError("pareto_g_du requires a finite upper threshold")
-    if t.d < x0:
-        raise ValueError(f"thresholds must satisfy x0 <= d, got d={t.d!r}, x0={x0!r}")
-    log_dx0 = math.log(t.d / x0)
-    w = math.log(t.u / t.d)
-    v = al * w
-    log_ux0 = math.log(t.u / x0)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r = np.exp(al * math.log(t.d / t.u))  # (d/u)^alpha, underflows safely
-        one_minus_r = -np.expm1(al * math.log(t.d / t.u))
-        numerator = one_minus_r - al * (-log_dx0 + r * log_ux0)
-        closed = numerator / (al * one_minus_r)
-        series = log_dx0 + w * (0.5 - v / 12.0 + v * v * v / 720.0)
-    return _like(alpha, np.where(v < 1e-2, series, closed))
+    return mu_mtum(1.0 / al, _log_thresholds(t, x0))
 
 
 def pareto_g_limits(t: ThresholdPair, x0: float) -> tuple[float, float]:
     """Limits of pareto_g_du: (alpha -> inf, alpha -> 0+); the interval of attainable means.
 
-    With w = log(u/d) and r = (d/u)^alpha, the map approaches them as
+    On the log window (d', u') = (log(d/x0), log(u/x0)) they are mu_mtum's
+    limits as theta = 1/alpha -> 0 and -> inf: d' and the window midpoint
+    d' + (u' - d')/2, the mean of a log-uniform on (d, u).  With
+    w = log(u/d) and r = (d/u)^alpha, the map approaches them as
     g(alpha) = lower + 1/alpha - w*r/(1-r) (exact; first order as alpha -> inf)
     and g(alpha) = upper - alpha*w^2/12 + O(alpha^3) as alpha -> 0+.
     """
-    if not (x0 > 0 and math.isfinite(x0)):
-        raise ValueError(f"x0 must be a positive finite real, got {x0!r}")
     if t.upper_is_infinite:
         raise ValueError("pareto_g_limits requires a finite upper threshold")
-    if t.d < x0:
-        raise ValueError(f"thresholds must satisfy x0 <= d, got d={t.d!r}, x0={x0!r}")
-    lower = math.log(t.d / x0)
-    # the mean of a log-uniform on (d, u): (log(d/x0) + log(u/x0)) / 2
-    upper = lower + 0.5 * math.log(t.u / t.d)
-    return lower, upper
+    t_log = _log_thresholds(t, x0)
+    return t_log.d, t_log.d + 0.5 * (t_log.u - t_log.d)

@@ -14,6 +14,7 @@ from severfit.dist import (
     RandomSource,
     ThresholdPair,
     exp_quantile,
+    log_transform_pareto_to_exp,
     sample,
 )
 from severfit.errors import DegenerateError, EmptyWindowError
@@ -273,6 +274,17 @@ class TestParetoSolver:
             via_exp = 1.0 / solve_mtum_exp(target, t_exp).estimate
             assert direct == pytest.approx(via_exp, rel=1e-10)
 
+    def test_same_result_as_fit_route(self):
+        # both public Pareto solvers are fit's log-scale route, field for field
+        x0 = 1.5
+        y = sample(ParetoIModel(1.0, x0), 2000, RandomSource(seed=8))
+        t_log = log_transform_pareto_to_exp(ParetoIModel(1.0, x0), self.T)[1]
+        mu_hat = sample_mtum(np.log(y / x0), t_log).mu_hat
+        via_fit = fit("mtum", "pareto1", y, self.T, x0=x0)
+        assert via_fit.exists
+        assert solve_mtum_pareto1(mu_hat, self.T, x0) == via_fit
+        assert mle_pareto1(y, x0) == fit("mle", "pareto1", y, x0=x0)
+
 
 class TestDegenerateReductions:
     def test_all_methods_reduce_to_mle(self):
@@ -411,13 +423,18 @@ class TestBatchRoots:
                 assert batch.result(method, i) == one.result(method)
 
     def test_batch_equals_size_one_calls_pareto_map(self):
+        # the Pareto solver is the MTuM root on the log window, alpha = 1/theta
         t, x0 = ThresholdPair(2.0, 10.0), 1.0
         t_log = ThresholdPair(math.log(2.0), math.log(10.0))
-        forward = lambda theta, _: pareto_g_du(1.0 / theta, t, x0)  # noqa: E731
         mus = self._statistics(t_log, 0.5 * (t_log.d + t_log.u))
-        batch = _root("mtum", mus, t_log, forward)
+        batch = _root("mtum", mus, t_log)
         for i, mu in enumerate(mus):
-            assert batch.result("mtum", i) == _root("mtum", mu, t_log, forward).result("mtum")
+            one = solve_mtum_pareto1(float(mu), t, x0)
+            assert one.reason == batch.reason[i]
+            assert one.iterations == batch.iterations[i]
+            if one.exists:
+                assert one.estimate == 1.0 / batch.estimate[i]
+                assert one.bracket == (batch.lo[i], batch.hi[i])
 
     @pytest.mark.parametrize("t", BENCH_WINDOWS, ids=str)
     def test_roots_match_bisection(self, t):

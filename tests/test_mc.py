@@ -28,32 +28,33 @@ from severfit.mc import (
 
 class TestDeriveStream:
     def test_reproducible(self):
-        a = derive_stream(5, 1, 2, 3)
-        b = derive_stream(5, 1, 2, 3)
+        a = derive_stream(5, 1, 2)
+        b = derive_stream(5, 1, 2)
         assert np.array_equal(a.uniform(16), b.uniform(16))
+        # the (cell, block) layout of the stream index that every seeded run rests on
+        assert a.stream == (1 << 42) | (2 << 21)
 
     def test_distinct_indices_distinct_streams(self):
-        base = derive_stream(5, 1, 2, 3).uniform(4)
-        for cell, block, rep in [(1, 2, 4), (1, 3, 3), (2, 2, 3)]:
-            other = derive_stream(5, cell, block, rep).uniform(4)
+        base = derive_stream(5, 1, 2).uniform(4)
+        for cell, block in [(0, 0), (1, 3), (2, 2), (2, 1)]:
+            other = derive_stream(5, cell, block).uniform(4)
             assert not np.array_equal(base, other)
 
     def test_collision_scan(self):
         # one million derivations: all first outputs distinct
         firsts = np.empty(10**6)
         i = 0
-        for cell in range(10):
-            for block in range(10):
-                for rep in range(10**4):
-                    firsts[i] = derive_stream(12345, cell, block, rep).uniform(1)[0]
-                    i += 1
+        for cell in range(1000):
+            for block in range(1000):
+                firsts[i] = derive_stream(12345, cell, block).uniform(1)[0]
+                i += 1
         assert np.unique(firsts).size == firsts.size
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            derive_stream(1, -1, 0, 0)
+            derive_stream(1, -1, 0)
         with pytest.raises(ValueError):
-            derive_stream(1, 0, 0, 2**21)
+            derive_stream(1, 0, 2**21)
 
 
 class TestRunCell:

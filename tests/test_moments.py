@@ -186,6 +186,20 @@ class TestMuMtumDerivative:
             direct = 1.0 - (x_seam / math.sinh(x_seam)) ** 2
             assert mu_mtum_dtheta(theta, t2) == pytest.approx(direct, rel=1e-9)
 
+    def test_matches_50_digit_form(self):
+        # x = (u-d)/theta from 1e-8 to 1400, around x = 0.1, where a three-term
+        # series lost digits, and around the Taylor/sinh switch at x = 2
+        mp = pytest.importorskip("mpmath")
+        t = ThresholdPair(0.0, 1.0)
+        xs = [float(x) for x in np.logspace(-8, math.log10(1400.0), 60)]
+        xs += [0.0999, 0.1, 0.1001, 2.0 - 1e-12, 2.0, 2.0 + 1e-12]
+        with mp.workdps(50):
+            for x in xs:
+                theta = 1.0 / x
+                y = mp.mpf(t.u - t.d) / (2 * mp.mpf(theta))
+                oracle = float(1 - (y / mp.sinh(y)) ** 2)
+                assert mu_mtum_dtheta(theta, t) == pytest.approx(oracle, rel=1e-14, abs=0.0), x
+
     def test_two_printed_forms_agree(self):
         # ratio form (p^2 th^2 - e^{-(d+u)/th}(u-d)^2)/(p^2 th^2) vs csch form
         for theta in (1.0, 10.0, 25.0):
@@ -313,6 +327,56 @@ class TestMtcmSlopeAndVariance:
         assert truncated_summary(theta, t).mu_y == pytest.approx(60.0 / theta, rel=1e-10)
 
 
+def _second_moment_oracle(theta, d, u):
+    """E[Y^2], Var(Y), E[Z^2] and the moments of W in 50-digit arithmetic.
+
+    On the window X = d + theta S with S ~ Exp(1) below x = (u-d)/theta
+    (memorylessness), so each window moment is one mpmath quadrature with
+    no cancellation in its integrand; 50 digits absorb the subtractions
+    that follow.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        th, d, u = mp.mpf(theta), mp.mpf(d), mp.mpf(u)
+        tau, below = mp.exp(-d / th), -mp.expm1(-d / th)
+        x = (u - d) / th
+        mu_y, mu_y2 = (
+            tau * mp.quad(lambda s, k=k: (d + th * s) ** k * mp.exp(-s), [0, x]) for k in (1, 2)
+        )
+        # u^n P(X > u) vanishes as u -> inf
+        above = 0 if mp.isinf(u) else mp.exp(-u / th)
+        u_above, u2_above = (0, 0) if mp.isinf(u) else (u * above, u * u * above)
+        mean_w, e_w2 = mu_y + u_above, mu_y2 + u2_above
+        return {
+            "mu_y2": float(mu_y2),
+            "sigma_y2": float(mu_y2 - mu_y**2),
+            "mcm_second_moment": float(d * d * below + e_w2),
+            "mtcm_w_summary": (float(mean_w), float(e_w2), float(e_w2 - mean_w**2)),
+        }
+
+
+class TestSecondMoments:
+    @pytest.mark.parametrize(
+        "d,u", [(1.0, 11.0), (0.51, 29.96), (2.0, 2.001), (5.0, 6.0), (0.0, math.inf)]
+    )
+    def test_match_50_digit_oracle(self, d, u):
+        # the difference 2 theta^2 (G3(d/theta) - G3(u/theta)) cancels here: on
+        # (1, 11) it gives E[Y^2] = 0.0444 at theta = 1e7 (true 4.43e-5)
+        t = ThresholdPair(d, u)
+        for theta in np.geomspace(1e-1, 1e12, 14):
+            theta = float(theta)
+            oracle = _second_moment_oracle(theta, d, u)
+            s = truncated_summary(theta, t)
+            assert s.mu_y2 == pytest.approx(oracle["mu_y2"], rel=1e-13, abs=0.0), theta
+            assert s.sigma_y2 == pytest.approx(oracle["sigma_y2"], rel=1e-13, abs=0.0), theta
+            assert mcm_second_moment(theta, t) == pytest.approx(
+                oracle["mcm_second_moment"], rel=1e-13, abs=0.0
+            ), theta
+            assert mtcm_w_summary(theta, t) == pytest.approx(
+                oracle["mtcm_w_summary"], rel=1e-13, abs=0.0
+            ), theta
+
+
 class TestQuantileFormEquivalence:
     def test_truncated_mean_via_quantile_domain(self):
         # population moment as an integral of the quantile function
@@ -392,6 +456,17 @@ class TestParetoG:
             pareto_g_du(1.0, ThresholdPair(2.0, math.inf), 1.0)
         with pytest.raises(ValueError):
             pareto_g_limits(ThresholdPair(2.0, math.inf), 1.0)
+
+    def test_is_mtum_on_the_log_window(self):
+        # log(Y/x0) is Exp(1/alpha): the map is mu_mtum(1/alpha) on (log(d/x0), log(u/x0))
+        alpha = np.geomspace(1e-15, 1e6, 301)
+        for t, x0 in (
+            (self.T, 1.0), (ThresholdPair(3.0, 9.0), 3.0), (ThresholdPair(100.0, 100.001), 0.7)
+        ):
+            t_log = ThresholdPair(math.log(t.d / x0), math.log(t.u / x0))
+            assert np.array_equal(pareto_g_du(alpha, t, x0), mu_mtum(1.0 / alpha, t_log))
+            assert pareto_g_du(2.0, t, x0) == mu_mtum(0.5, t_log)
+            assert pareto_g_limits(t, x0) == (t_log.d, t_log.d + 0.5 * (t_log.u - t_log.d))
 
     def test_d_below_x0_rejected(self):
         with pytest.raises(ValueError):
