@@ -152,10 +152,11 @@ def _thresholds_from_args(args) -> ThresholdPair | None:
 
 
 def _cmd_fit(args) -> int:
-    data = estimators.read_loss_csv(args.data)
+    # usage errors first, so that they do not wait for a large file to parse
     thresholds = _thresholds_from_args(args)
     if args.method != "mle" and thresholds is None:
         raise _UsageError(f"method {args.method!r} needs thresholds")
+    data = estimators.read_loss_csv(args.data)
     n = data.size
     result = estimators.fit(args.method, args.model, data, thresholds, args.x0)
     print(f"method={args.method} model={args.model} n={n}")

@@ -10,6 +10,7 @@ threshold is excluded, one equal to the upper threshold included.
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -428,26 +429,86 @@ def fit(
     return _EXP_SOLVERS[method](mu_hat, t)
 
 
+# Everything np.loadtxt may parse must be spelled in these bytes: digits,
+# float punctuation, the delimiter, line ends, space, tab and the letters of
+# inf, infinity and nan.  On them loadtxt's C parser and ``float`` agree.
+# This leaves out ``#`` (an inline comment is an error), ``_`` (``float``
+# accepts ``1_0``) and the non-ASCII digits and blanks ``float`` also accepts.
+_PLAIN_BYTES = b"0123456789.eE+-,\n\r \tinfatyINFATY"
+_GATE_CHUNK = 1 << 20
+# np.loadtxt decompresses a path by these suffixes; the line parser does not
+_COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
 def read_loss_csv(path: str | Path) -> np.ndarray:
     """Read loss data from a CSV file.
 
     Accepts a single unnamed column, or any number of named columns of
     which one is ``loss``.  Lines starting with ``#`` and blank lines are
     skipped.  Malformed rows raise ValueError naming the line number.
-    """
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append((lineno, [cell.strip() for cell in line.split(",")]))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
 
-    first_lineno, first = rows[0]
-    column = 0
-    start = 0
+    A file whose body is plain ASCII numbers (see ``_PLAIN_BYTES``) is read
+    by ``np.loadtxt``'s C parser.  Any other file, and any file the C parser
+    refuses, is read by the line parser, ``_read_loss_lines``, which alone
+    decides the result and every error message; both give the same array.
+    """
+    layout = _plain_layout(path)
+    if layout is not None:
+        skiprows, column = layout
+        try:
+            with warnings.catch_warnings():
+                # an empty body warns "input contained no data"
+                warnings.simplefilter("error", UserWarning)
+                return np.loadtxt(
+                    path, dtype=float, delimiter=",", comments=None,
+                    skiprows=skiprows, usecols=column, ndmin=1, encoding="utf-8",
+                )
+        except (ValueError, UserWarning):
+            pass
+    return _read_loss_lines(path)
+
+
+def _plain_layout(path: str | Path) -> tuple[int, int] | None:
+    """``(skiprows, column)`` for np.loadtxt, or None for the line parser.
+
+    Applies the line parser's header rules to the first line that is neither
+    blank nor a comment, then streams the rest of the file through the byte
+    gate.  No such line, a first row the header rules reject, or a byte
+    outside ``_PLAIN_BYTES`` in the rows np.loadtxt would parse gives None.
+    """
+    if str(path).endswith(_COMPRESSED_SUFFIXES):
+        return None
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    break
+            else:
+                return None
+            try:
+                column, has_header = _loss_column(path, lineno, _cells(line))
+            except ValueError:
+                return None
+            body = "" if has_header else raw
+            chunks = iter(lambda: handle.read(_GATE_CHUNK), "")
+            if not (_is_plain(body) and all(map(_is_plain, chunks))):
+                return None
+    except UnicodeDecodeError:
+        return None
+    return (lineno if has_header else lineno - 1), column
+
+
+def _is_plain(text: str) -> bool:
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
+
+
+def _cells(line: str) -> list[str]:
+    return [cell.strip() for cell in line.split(",")]
+
+
+def _loss_column(path: str | Path, lineno: int, first: list[str]) -> tuple[int, bool]:
+    """The ``loss`` column's index, and whether the first row is a header."""
 
     def is_number(token: str) -> bool:
         try:
@@ -459,18 +520,32 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
     if not all(is_number(cell) for cell in first):
         header = [cell.lower() for cell in first]
         if "loss" not in header:
-            raise ValueError(
-                f"{path}: line {first_lineno}: header has no 'loss' column"
-            )
-        column = header.index("loss")
-        start = 1
-    elif len(first) > 1:
+            raise ValueError(f"{path}: line {lineno}: header has no 'loss' column")
+        return header.index("loss"), True
+    if len(first) > 1:
         raise ValueError(
-            f"{path}: line {first_lineno}: multiple columns need a header naming 'loss'"
+            f"{path}: line {lineno}: multiple columns need a header naming 'loss'"
         )
+    return 0, False
+
+
+def _read_loss_lines(path: str | Path) -> np.ndarray:
+    """The line parser: ``read_loss_csv`` for any file, one line at a time."""
+    rows: list[tuple[int, list[str]]] = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            rows.append((lineno, _cells(line)))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+
+    first_lineno, first = rows[0]
+    column, has_header = _loss_column(path, first_lineno, first)
 
     values = []
-    for lineno, cells in rows[start:]:
+    for lineno, cells in rows[int(has_header):]:
         if column >= len(cells):
             raise ValueError(f"{path}: line {lineno}: missing 'loss' column")
         token = cells[column]

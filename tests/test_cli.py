@@ -128,6 +128,21 @@ class TestFitCommand:
         code = main(["fit", "--method", "mtum", "--model", "exp", "--data", str(losses_csv)])
         assert code == EXIT_INPUT_ERROR
 
+    def test_usage_error_reported_before_file_error(self, tmp_path, capsys):
+        # flags are checked before the file is read: a bad file and a missing
+        # --d/--u report the missing thresholds
+        path = tmp_path / "bad.csv"
+        path.write_text("loss\n1\nabc\n", encoding="utf-8")
+        code = main(["fit", "--method", "mtum", "--model", "exp", "--data", str(path)])
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: method 'mtum' needs thresholds\n"
+        code = main(
+            ["fit", "--method", "mcm", "--model", "exp", "--data", str(tmp_path / "absent.csv"),
+             "--d", "1"]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: --d and --u must be given together\n"
+
     def test_pareto_fit(self, tmp_path):
         from severfit.dist import ParetoIModel
 

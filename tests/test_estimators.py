@@ -2,12 +2,16 @@
 benchmarks, and the end-to-end fit orchestration."""
 
 import math
+import warnings
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from severfit import cli, estimators
 from severfit.dist import (
     ExponentialModel,
     ParetoIModel,
@@ -510,3 +514,281 @@ class TestReadLossCsv(object):
         path.write_text("# nothing here\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_loss_csv(path)
+
+
+def oracle_read_loss_csv(path):
+    """The line-by-line reader that preceded the loadtxt fast path, verbatim."""
+    rows: list[tuple[int, list[str]]] = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            rows.append((lineno, [cell.strip() for cell in line.split(",")]))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+
+    first_lineno, first = rows[0]
+    column = 0
+    start = 0
+
+    def is_number(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+    if not all(is_number(cell) for cell in first):
+        header = [cell.lower() for cell in first]
+        if "loss" not in header:
+            raise ValueError(
+                f"{path}: line {first_lineno}: header has no 'loss' column"
+            )
+        column = header.index("loss")
+        start = 1
+    elif len(first) > 1:
+        raise ValueError(
+            f"{path}: line {first_lineno}: multiple columns need a header naming 'loss'"
+        )
+
+    values = []
+    for lineno, cells in rows[start:]:
+        if column >= len(cells):
+            raise ValueError(f"{path}: line {lineno}: missing 'loss' column")
+        token = cells[column]
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: not a number: {token!r}"
+            ) from None
+    if not values:
+        raise ValueError(f"{path}: no data rows")
+    return np.asarray(values, dtype=float)
+
+
+def read_both(path):
+    """Each reader's outcome: ("ok", shape, bit pattern) or (type, message)."""
+    outcomes = []
+    for reader in (oracle_read_loss_csv, read_loss_csv):
+        try:
+            values = reader(path)
+        except Exception as exc:  # the outcome is what is compared
+            outcomes.append((type(exc), str(exc)))
+        else:
+            assert values.dtype == np.float64
+            outcomes.append(("ok", values.shape, values.view(np.uint64).tolist()))
+    return outcomes
+
+
+@contextmanager
+def reader_spies():
+    """Count the C-parser calls and the line-parser calls of read_loss_csv."""
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as fast, mock.patch.object(
+        estimators, "_read_loss_lines", wraps=estimators._read_loss_lines
+    ) as lines:
+        yield fast, lines
+
+
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ["inf", "-inf", "+Inf", "INFINITY", "-Infinity", "nan", "-nan", "+NaN", "NAN",
+         ".5", "5.", "-0.0", "1E+05", "1e-400", "1e999", "007"]
+    ),
+)
+MALFORMED = st.sampled_from(
+    ["", "1e", ".", "+", "1 2", "abc", "1_0", "1__0", "٣", "1.5 # x", "#", "--1",
+     "infinit", "nan(1)", "0x10", "1,5", " 1"]
+)
+PLAIN_PADS = st.sampled_from(["", " ", "\t", " \t "])
+PADS = st.sampled_from(["", " ", "\t", " \t ", "\x0b", "\x0c"])
+
+
+@st.composite
+def loss_files(draw):
+    """Files mixing every line shape the line parser reads or rejects."""
+    pads = draw(st.sampled_from([PLAIN_PADS, PLAIN_PADS, PADS]))
+    lines = draw(st.lists(
+        st.sampled_from(["", "# note", "#", "   ", "\t", "# x,loss", "# a\u2028b\x85c"]), max_size=3
+    ))
+    width = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        names = draw(st.lists(st.sampled_from(["id", "year", "amount", "", "x1"]),
+                              min_size=width, max_size=width))
+        if draw(st.integers(0, 9)) > 0:
+            names[draw(st.integers(0, width - 1))] = draw(st.sampled_from(["loss", "Loss", "LOSS"]))
+        lines.append(",".join(draw(pads) + name + draw(pads) for name in names))
+    else:
+        width = draw(st.sampled_from([1, 1, 1, 2]))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", " ", "# c", "\x0b", "  # c"])))
+            continue
+        cells = draw(st.integers(1, width + 1)) if kind == 1 else width
+        tokens = draw(st.lists(MALFORMED if kind == 2 else NUMBERS,
+                               min_size=cells, max_size=cells))
+        lines.append(",".join(draw(pads) + token + draw(pads) for token in tokens))
+    endings = draw(st.lists(ENDINGS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@st.composite
+def plain_loss_lines(draw):
+    """Well-formed files whose body uses only the fast path's bytes.
+
+    Returns the head (comments and header), the body lines, the line ending
+    and whether the last line is terminated.
+    """
+    head = draw(st.lists(st.sampled_from(["", "# note", "# x,loss"]), max_size=2))
+    width = draw(st.integers(1, 3))
+    column = 0
+    if draw(st.booleans()) or width > 1:
+        column = draw(st.integers(0, width - 1))
+        names = ["id"] * width
+        names[column] = draw(st.sampled_from(["loss", "Loss"]))
+        head.append(",".join(names))
+    rows = draw(st.lists(
+        st.lists(NUMBERS, min_size=width, max_size=width), min_size=1, max_size=8
+    ))
+    body = []
+    for i, row in enumerate(rows):
+        if i and draw(st.integers(0, 4)) == 0:
+            body.append("")
+        if draw(st.booleans()):
+            row = row[: column + 1]
+        body.append(",".join(draw(PLAIN_PADS) + token + draw(PLAIN_PADS) for token in row))
+    return head, body, draw(ENDINGS), draw(st.booleans())
+
+
+def join_lines(head, body, ending, terminated):
+    return ending.join(head + body) + (ending if terminated else "")
+
+
+class TestLossReaderOracle:
+    @given(text=loss_files())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected, actual = read_both(path)
+        assert actual == expected
+
+    @given(parts=plain_loss_lines())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_files_take_the_c_parser(self, tmp_path_factory, parts):
+        path = tmp_path_factory.getbasetemp() / "plain.csv"
+        path.write_bytes(join_lines(*parts).encode("utf-8"))
+        with reader_spies() as (fast, lines):
+            expected, actual = read_both(path)
+        assert expected[0] == "ok"
+        assert actual == expected
+        assert fast.call_count == 1 and lines.call_count == 0
+
+    @given(
+        parts=plain_loss_lines(),
+        intruder=st.sampled_from(["#", "_", "٣", "\xa0", "\x0b", "é"]),
+        where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_other_bytes_take_the_line_parser(self, tmp_path_factory, parts, intruder, where):
+        head, body, ending, terminated = parts
+        i = int(where[0] * (len(body) - 1))
+        line = body[i]
+        # after the first visible character, so that no data line turns
+        # into a comment and hides the intruder from the reader
+        first = len(line) - len(line.lstrip())
+        lo = min(first + 1, len(line))
+        at = lo + int(where[1] * (len(line) - lo))
+        body = body[:i] + [line[:at] + intruder + line[at:]] + body[i + 1 :]
+        path = tmp_path_factory.getbasetemp() / "other.csv"
+        path.write_bytes(join_lines(head, body, ending, terminated).encode("utf-8"))
+        with reader_spies() as (fast, lines):
+            expected, actual = read_both(path)
+        assert actual == expected
+        assert fast.call_count == 0 and lines.call_count == 1
+
+
+class TestLossReaderValues:
+    def test_repr_of_random_bit_doubles(self, tmp_path):
+        bits = np.random.default_rng(7).integers(0, 2**64, 100_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        path = tmp_path / "bits.csv"
+        path.write_text("loss\n" + "\n".join(map(repr, values.tolist())) + "\n", encoding="utf-8")
+        with reader_spies() as (fast, lines):
+            got = read_loss_csv(path)
+        assert fast.call_count == 1 and lines.call_count == 0
+        assert np.array_equal(got.view(np.uint64), values.view(np.uint64))
+
+    def test_long_decimal_strings(self, tmp_path):
+        gen = np.random.default_rng(8)
+        rows = 100_000
+        # 17 to 25 significant digits, exponents from subnormal to overflow
+        heads = gen.integers(10**16, 10**17, rows).tolist()
+        tails = gen.integers(0, 10**8, rows).tolist()
+        lengths = gen.integers(17, 26, rows).tolist()
+        exponents = gen.integers(-330, 310, rows).tolist()
+        digits = [f"{h}{t:08d}"[:k] for h, t, k in zip(heads, tails, lengths)]
+        tokens = [f"{d[0]}.{d[1:]}e{e}" for d, e in zip(digits, exponents)]
+        path = tmp_path / "digits.csv"
+        path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+        expected = np.array([float(token) for token in tokens])
+        with reader_spies() as (fast, lines):
+            got = read_loss_csv(path)
+        assert fast.call_count == 1 and lines.call_count == 0
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_single_row_is_one_dimensional(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("loss\n4\n", encoding="utf-8")
+        assert read_loss_csv(path).shape == (1,)
+
+    @pytest.mark.parametrize("text", ["loss\n", "loss\r\n\r\n", "# only\n\n# comments\n", ""])
+    def test_no_data_rows_without_warning(self, tmp_path, text):
+        path = tmp_path / "nodata.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no data rows"):
+                read_loss_csv(path)
+        assert caught == []
+
+    def test_compressed_suffix_read_as_text(self, tmp_path):
+        # np.loadtxt would try to decompress a path ending in .gz
+        path = tmp_path / "losses.csv.gz"
+        path.write_text("loss\n1.5\n2.5\n", encoding="utf-8")
+        assert read_loss_csv(path).tolist() == [1.5, 2.5]
+
+
+class TestFitOutputUnchanged:
+    @pytest.mark.parametrize(
+        "model, argv",
+        [
+            ("exp", ["--method", "mtum", "--model", "exp", "--d", "0.51", "--u", "29.96"]),
+            ("pareto1", ["--method", "mtcm", "--model", "pareto1", "--d", "1.6", "--u", "20",
+                         "--x0", "1.5"]),
+        ],
+    )
+    def test_stdout_and_csv_bytes_match_oracle(self, tmp_path, capsys, model, argv):
+        # the benchmark's fit_file shape at a tenth of its rows
+        draws = np.random.default_rng(9).standard_exponential(100_000)
+        if model == "exp":
+            data = 10.0 * draws
+        else:
+            data = np.maximum(1.5 * np.exp(draws / 2.0), np.nextafter(1.5, 2.0))
+        path = tmp_path / "losses.csv"
+        path.write_text("loss\n" + "\n".join(map(repr, data.tolist())) + "\n", encoding="utf-8")
+        outputs = []
+        for reader in (read_loss_csv, oracle_read_loss_csv):
+            out = tmp_path / f"{reader.__name__}.csv"
+            with mock.patch.object(estimators, "read_loss_csv", reader):
+                code = cli.main(["fit", "--data", str(path), "--out", str(out)] + argv)
+            outputs.append((code, capsys.readouterr(), out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == cli.EXIT_OK
