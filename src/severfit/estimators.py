@@ -10,6 +10,7 @@ threshold is excluded, one equal to the upper threshold included.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
@@ -447,10 +448,11 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
     which one is ``loss``.  Lines starting with ``#`` and blank lines are
     skipped.  Malformed rows raise ValueError naming the line number.
 
-    A file whose body is plain ASCII numbers (see ``_PLAIN_BYTES``) is read
-    by ``np.loadtxt``'s C parser.  Any other file, and any file the C parser
-    refuses, is read by the line parser, ``_read_loss_lines``, which alone
-    decides the result and every error message; both give the same array.
+    A regular file whose body is plain ASCII numbers (see ``_PLAIN_BYTES``)
+    is read by ``np.loadtxt``'s C parser.  Any other file or stream, and any
+    file the C parser refuses, is read by the line parser,
+    ``_read_loss_lines``, which alone decides the result and every error
+    message; both give the same array.
     """
     layout = _plain_layout(path)
     if layout is not None:
@@ -459,8 +461,9 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
             with warnings.catch_warnings():
                 # an empty body warns "input contained no data"
                 warnings.simplefilter("error", UserWarning)
+                # an absolute path, so numpy's DataSource sees no URL scheme
                 return np.loadtxt(
-                    path, dtype=float, delimiter=",", comments=None,
+                    os.path.abspath(path), dtype=float, delimiter=",", comments=None,
                     skiprows=skiprows, usecols=column, ndmin=1, encoding="utf-8",
                 )
         except (ValueError, UserWarning):
@@ -473,10 +476,13 @@ def _plain_layout(path: str | Path) -> tuple[int, int] | None:
 
     Applies the line parser's header rules to the first line that is neither
     blank nor a comment, then streams the rest of the file through the byte
-    gate.  No such line, a first row the header rules reject, or a byte
-    outside ``_PLAIN_BYTES`` in the rows np.loadtxt would parse gives None.
+    gate.  A path that is not a regular file, no such line, a first row the
+    header rules reject, or a byte outside ``_PLAIN_BYTES`` in the rows
+    np.loadtxt would parse gives None.
     """
-    if str(path).endswith(_COMPRESSED_SUFFIXES):
+    # The gate and np.loadtxt each open the file: a pipe or FIFO is read once,
+    # by the line parser.
+    if not os.path.isfile(path) or str(path).endswith(_COMPRESSED_SUFFIXES):
         return None
     try:
         with open(path, encoding="utf-8") as handle:

@@ -2,6 +2,9 @@
 benchmarks, and the end-to-end fit orchestration."""
 
 import math
+import os
+import threading
+import urllib.request
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -765,6 +768,52 @@ class TestLossReaderValues:
         path.write_text("loss\n1.5\n2.5\n", encoding="utf-8")
         assert read_loss_csv(path).tolist() == [1.5, 2.5]
 
+    @pytest.mark.parametrize("tail", ["", "# end\n"])
+    def test_pipe_is_read_once_by_the_line_parser(self, tmp_path, tail):
+        # as `--data <(zcat losses.csv.gz)`: the body spans several gate chunks,
+        # and a late `#` line would fail the gate after its first chunk
+        text = "loss\n" + "12.3456789\n" * 150_000 + tail
+        regular = tmp_path / "losses.csv"
+        regular.write_text(text, encoding="utf-8")
+        expected = oracle_read_loss_csv(regular)
+        read_end, write_end = os.pipe()
+
+        def write():
+            try:
+                with open(write_end, "w", encoding="utf-8") as sink:
+                    sink.write(text)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            with reader_spies() as (fast, lines):
+                got = read_loss_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+            writer.join()
+        assert fast.call_count == 0 and lines.call_count == 1
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_url_shaped_path_read_as_local_file(self, tmp_path, monkeypatch):
+        # "http://host/x.csv" names the local file http:/host/x.csv; numpy's
+        # DataSource would take it for a URL and read ./host/x.csv instead
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "x.csv").write_text("loss\n1.5\n2.5\n", encoding="utf-8")
+        (tmp_path / "host").mkdir()
+        (tmp_path / "host" / "x.csv").write_text("loss\n7\n", encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a loss path was fetched as a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        with reader_spies() as (fast, lines):
+            got = read_loss_csv("http://host/x.csv")
+        assert fast.call_count == 1 and lines.call_count == 0
+        assert got.tolist() == [1.5, 2.5]
+
 
 class TestFitOutputUnchanged:
     @pytest.mark.parametrize(
@@ -776,8 +825,8 @@ class TestFitOutputUnchanged:
         ],
     )
     def test_stdout_and_csv_bytes_match_oracle(self, tmp_path, capsys, model, argv):
-        # the benchmark's fit_file shape at a tenth of its rows
-        draws = np.random.default_rng(9).standard_exponential(100_000)
+        # the benchmark's fit_file shape, small: equal arrays give equal bytes
+        draws = np.random.default_rng(9).standard_exponential(2_000)
         if model == "exp":
             data = 10.0 * draws
         else:
