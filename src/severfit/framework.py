@@ -4,9 +4,12 @@ Given a parametric cdf (wrapped in a :class:`DistributionAdapter`) and k
 window/statistic pairs, this module computes the population quantities by
 quadrature in the quantile domain, assembles the 2k x 2k covariance of the
 underlying sums-and-counts vector, reduces it to the k x k covariance of the
-moment ratios, and propagates through a parameter Jacobian.  A damped Newton
-solver for the matching system is provided; it needs a starting point and
-offers no global guarantee, because the system may simply have no solution.
+moment ratios, and propagates through a parameter Jacobian.  The matching
+system is solved by damped Broyden with finite-difference refresh: one
+finite-difference Jacobian at the start, rank-one secant updates after each
+step, and a fresh finite-difference Jacobian whenever an updated one fails.
+The solver needs a starting point and offers no global guarantee, because
+the system may simply have no solution.
 """
 
 from __future__ import annotations
@@ -361,16 +364,56 @@ def finite_difference_jacobian(
 ) -> np.ndarray:
     """Central-difference Jacobian of g at theta with per-coordinate relative steps."""
     theta = np.asarray(theta, dtype=float)
-    k = theta.size
-    g0 = np.asarray(g(theta), dtype=float)
-    jac = np.zeros((g0.size, k))
-    for i in range(k):
+    jac = None
+    for i in range(theta.size):
         h = rel_step * max(1.0, abs(theta[i]))
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
-        jac[:, i] = (np.asarray(g(up)) - np.asarray(g(down))) / (2.0 * h)
+        column = (np.asarray(g(up), dtype=float) - np.asarray(g(down), dtype=float)) / (2.0 * h)
+        if jac is None:  # the output size, from the first difference
+            jac = np.zeros((column.size, theta.size))
+        jac[:, i] = column
+    if jac is None:  # no coordinates, so no difference tells the output size
+        return np.zeros((np.asarray(g(theta)).size, 0))
     return jac
+
+
+# The damped search tries the steps above these fractions: 30 on a fresh
+# finite-difference Jacobian, and 4 on a Broyden-updated one, whose bad
+# direction a refresh (2k residuals) mends sooner than more halvings (one
+# residual each) would.
+_MIN_LAM_FRESH = 2.0**-30
+_MIN_LAM_UPDATED = 2.0**-4
+
+
+def _damped_step(
+    residual: Callable[[np.ndarray], np.ndarray],
+    theta: np.ndarray,
+    r: np.ndarray,
+    jac: np.ndarray,
+    min_lam: float,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first of the steps 1, 1/2, 1/4, ... above ``min_lam`` along the
+    Newton direction that lowers the largest residual, as ``(theta, residual)``;
+    None if none does."""
+    norm = np.max(np.abs(r))
+    if jac.shape[0] == jac.shape[1]:
+        step = np.linalg.solve(jac, -r)
+    else:
+        step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+    lam = 1.0
+    while lam > min_lam:
+        candidate = theta + lam * step
+        try:
+            r_new = residual(candidate)
+        except (ValueError, DegenerateError):
+            lam *= 0.5
+            continue
+        if np.max(np.abs(r_new)) < norm:
+            return candidate, r_new
+        lam *= 0.5
+    return None
 
 
 def solve_moment_system(
@@ -382,11 +425,17 @@ def solve_moment_system(
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """Damped Newton iteration on mu(theta) = mu_hat.
+    """Damped Broyden iteration, with finite-difference refresh, on mu(theta) = mu_hat.
 
-    ``family`` maps a parameter vector to an adapter.  Requires a usable
-    starting point; the system may have no root at all, in which case the
-    iteration surfaces a :class:`NoSolutionError` carrying the final residual.
+    ``family`` maps a parameter vector to an adapter.  The Jacobian is taken
+    by finite differences at the start and then carried by Broyden's (1965)
+    rank-one secant update after each accepted step.  When the damped search
+    (4 steps on an updated Jacobian, 30 on a fresh one) finds no step, or the
+    Jacobian is singular, on an updated Jacobian, a fresh finite-difference
+    Jacobian is taken and the step retried; only a
+    fresh Jacobian's failure ends the iteration.  Requires a usable starting
+    point; the system may have no root at all, in which case the iteration
+    surfaces a :class:`NoSolutionError` carrying the final residual.
     """
     target = np.asarray(mu_hat, dtype=float)
     theta = np.asarray(theta0, dtype=float).copy()
@@ -397,31 +446,31 @@ def solve_moment_system(
         return population_moment_vector(family(th), spec) - target
 
     r = residual(theta)
+    jac = None  # None: take a fresh finite-difference Jacobian before the next step
     for _ in range(max_iter):
         norm = float(np.max(np.abs(r)))
         if norm <= tol:
             return theta
-        jac = finite_difference_jacobian(residual, theta)
+        fresh = jac is None
+        if fresh:
+            jac = finite_difference_jacobian(residual, theta)
         try:
-            step = np.linalg.solve(jac, -r) if jac.shape[0] == jac.shape[1] else np.linalg.lstsq(jac, -r, rcond=None)[0]
-        except np.linalg.LinAlgError as exc:
-            raise NoSolutionError(f"singular Jacobian: {exc}", residual=norm) from exc
-        lam = 1.0
-        while lam > 2.0**-30:
-            candidate = theta + lam * step
-            try:
-                r_new = residual(candidate)
-            except (ValueError, DegenerateError):
-                lam *= 0.5
-                continue
-            if np.max(np.abs(r_new)) < norm:
-                theta, r = candidate, r_new
-                break
-            lam *= 0.5
-        else:
-            raise NoSolutionError(
-                "damped Newton made no progress", residual=norm
+            accepted = _damped_step(
+                residual, theta, r, jac, _MIN_LAM_FRESH if fresh else _MIN_LAM_UPDATED
             )
+        except np.linalg.LinAlgError as exc:
+            if fresh:
+                raise NoSolutionError(f"singular Jacobian: {exc}", residual=norm) from exc
+            accepted = None
+        if accepted is None:
+            if fresh:
+                raise NoSolutionError("damped Newton made no progress", residual=norm)
+            jac = None
+            continue
+        theta_new, r_new = accepted
+        s = theta_new - theta
+        jac = jac + np.outer(r_new - r - jac @ s, s) / (s @ s)
+        theta, r = theta_new, r_new
     raise NoSolutionError(
         "iteration cap reached", residual=float(np.max(np.abs(r)))
     )

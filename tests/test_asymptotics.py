@@ -195,7 +195,51 @@ def _winsorized_exp1_variance(a, b):
     return (1.0 - a) * (1.0 - r * r + 2.0 * r_log_r) + a * (1.0 - a) * (1.0 - r) ** 2
 
 
+def _j_oracle(a, b):
+    """J(a, 1-b) from its closed log form in 50-digit arithmetic, at the exact a and b."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a, b = mp.mpf(a), mp.mpf(b)
+        r = b / (1 - a)
+        r_log_r = r * mp.log(r) if r > 0 else 0
+        return float((1 - a) * (1 - r * r + 2 * r_log_r) + a * (1 - a) * (1 - r) ** 2)
+
+
 class TestTrimmedIntegrals:
+    def test_closed_form_j_matches_50_digit_oracle_on_default_grid(self):
+        grid = default_grid()
+        for a in grid:
+            for b in grid:
+                if a + b < 1.0:
+                    assert asymptotics._mtm_j(a, b) == pytest.approx(
+                        _j_oracle(a, b), rel=1e-13, abs=0.0
+                    ), (a, b)
+
+    @pytest.mark.parametrize("a", [0.0, 0.05, 0.3, 0.49, 0.85])
+    def test_closed_form_j_keeps_its_digits_as_r_tends_to_one(self, a):
+        # r = b/(1-a) -> 1 is where 1 - r^2 + 2 r log r cancels, and where
+        # 1 - r must come from 1 - a - b without the rounding of 1 - a
+        for one_minus_r in np.logspace(-8.0, 0.0, 81):
+            b = (1.0 - a) * (1.0 - one_minus_r)
+            assert asymptotics._mtm_j(a, b) == pytest.approx(
+                _j_oracle(a, b), rel=1e-13, abs=0.0
+            ), (a, b)
+
+    def test_are_mtm_makes_no_dblquad_call(self, monkeypatch):
+        grid = default_grid()
+        pairs = [(a, b) for a in grid for b in grid if a + b < 1.0]
+        cross_check = {
+            (a, b): mtm_integral_I(a, 1.0 - b) ** 2 / mtm_integral_J(a, 1.0 - b) for a, b in pairs
+        }
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("are_mtm called dblquad")
+
+        monkeypatch.setattr(integrate, "dblquad", refuse)
+        for a, b in pairs:
+            # criterion 02's tolerance on the J quadrature
+            assert are_mtm(a, b) == pytest.approx(cross_check[a, b], abs=1e-6)
+
     def test_j_is_winsorized_exp1_variance(self):
         grid = default_grid()
         for a in grid:

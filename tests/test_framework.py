@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from severfit import framework
 from severfit.dist import ExponentialModel, RandomSource, ThresholdPair, sample
 from severfit.errors import EmptyWindowError, NoSolutionError
 from severfit.framework import (
@@ -48,6 +49,10 @@ def identity(x):
 
 def square(x):
     return x * x
+
+
+def _exp_family(theta_vec):
+    return adapter_from_model(ExponentialModel(float(theta_vec[0])))
 
 
 class TestOverlapWindow:
@@ -331,6 +336,76 @@ class TestMomentSystemSolver:
             lambda v: np.array([v[0] ** 2 + v[1], 3.0 * v[1]]), [2.0, 5.0]
         )
         assert np.allclose(jac, [[4.0, 1.0], [0.0, 3.0]], atol=1e-6)
+
+    def test_finite_difference_jacobian_calls_g_twice_per_coordinate(self):
+        points = []
+
+        def g(v):
+            points.append(v.copy())
+            return np.array([v[0] * v[1], v[0] - v[1], v[1] ** 2])
+
+        jac = finite_difference_jacobian(g, [2.0, 5.0])
+        assert jac.shape == (3, 2)
+        assert np.allclose(jac, [[5.0, 2.0], [1.0, -1.0], [0.0, 10.0]], atol=1e-6)
+        assert len(points) == 4
+        assert not any(np.array_equal(p, [2.0, 5.0]) for p in points)
+
+    def test_benchmark_shaped_roots_take_few_residuals(self, monkeypatch):
+        # Broyden updates replace the per-step finite-difference Jacobian:
+        # one Jacobian (2 residuals) and then one residual per accepted step
+        calls = []
+
+        def counted(F, spec):
+            calls.append(1)
+            return population_moment_vector(F, spec)
+
+        monkeypatch.setattr(framework, "population_moment_vector", counted)
+        s = spec_of((identity, T_MAIN))
+        thetas = 5.0 + 15.0 * np.random.default_rng(7).random(25)
+        for theta in thetas:
+            target = mu_mtum(theta, T_MAIN)
+            root = solve_moment_system(_exp_family, s, [target], [target - T_MAIN.d])
+            assert root[0] == pytest.approx(theta, rel=1e-10, abs=0.0)
+        assert len(calls) / thetas.size <= 10.0
+
+    def test_refresh_rescues_a_failed_updated_step(self, monkeypatch):
+        # the window mean is hump(theta) + 1/2, with hump rising to 4 at
+        # theta = 2 and falling after it; from 0.05 the first step jumps the
+        # hump, so the secant slope keeps the sign of the rising side and
+        # every damped step on it climbs back up the hump
+        def hump(theta):
+            return theta * theta * math.exp(2.0 - theta)
+
+        def family(theta_vec):
+            m = hump(float(theta_vec[0]))
+            return DistributionAdapter(
+                cdf=lambda x: min(max(x - m, 0.0), 1.0),
+                pdf=lambda x: 1.0 if m <= x <= m + 1.0 else 0.0,
+                quantile=lambda v: m + v,
+                support=(m, m + 1.0),
+            )
+
+        jacobians = []
+        residuals = []
+
+        def counted(g, theta, rel_step=1e-6):
+            jacobians.append(float(theta[0]))
+            return finite_difference_jacobian(g, theta, rel_step)
+
+        def counted_residual(F, spec):
+            residuals.append(1)
+            return population_moment_vector(F, spec)
+
+        monkeypatch.setattr(framework, "finite_difference_jacobian", counted)
+        monkeypatch.setattr(framework, "population_moment_vector", counted_residual)
+        s = spec_of((identity, ThresholdPair(0.0, 100.0)))
+        root = solve_moment_system(family, s, [2.5], [0.05])
+        assert len(jacobians) == 2
+        assert jacobians[0] == 0.05 and 2.0 < jacobians[1] < root[0]
+        assert hump(root[0]) == pytest.approx(2.0, abs=1e-10)
+        # the failed search on the updated Jacobian gives up after a few
+        # halvings (15 residuals in all), not the 30 of a fresh one (41)
+        assert len(residuals) <= 20
 
 
 class TestAsymptoticReport:
