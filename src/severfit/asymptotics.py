@@ -13,7 +13,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .dist import ExponentialModel, ThresholdPair, exp_quantile
 from .errors import DegenerateError, QuadratureError
@@ -141,6 +140,8 @@ def mtm_integral_J(a: float, one_minus_b: float) -> float:
     def integrand(w: float, v: float) -> float:
         return (min(v, w) - v * w) / ((1.0 - v) * (1.0 - w))
 
+    from scipy import integrate  # imported on first use, as in framework._integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
         value, abserr = integrate.dblquad(
@@ -199,6 +200,8 @@ def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[fl
 
 def _centred_winsorized(F: DistributionAdapter, a: float, b: float, d: float, u: float, x):
     """clip(x, d, u) - W, W = a d + b u + integral of F^{-1} over (a, 1-b), for any x."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
         integral, abserr = integrate.quad(F.quantile, a, 1.0 - b, **_IF_QUAD_OPTS)

@@ -21,7 +21,15 @@ import numpy as np
 from . import asymptotics
 from .dist import ThresholdPair
 from .errors import DegenerateError, EmptyWindowError, SolverStallError
-from .moments import _log_thresholds, mu_mcm, mu_mtcm, mu_mtum
+from .moments import (
+    _log_thresholds,
+    _mcm_slope,
+    _mtcm_slope,
+    _mtum_slope,
+    mu_mcm,
+    mu_mtcm,
+    mu_mtum,
+)
 
 __all__ = [
     "SampleMoments",
@@ -93,63 +101,74 @@ def _as_data(data: Sequence[float]) -> np.ndarray:
 
 
 def _window(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row of ``x``: the count above d, the count inside (d, u] and the sum inside."""
+    """The one pass over the data: per row of ``x``, the count above d, the
+    count inside (d, u] and the sum inside.
+
+    The sum adds every value times its 0/1 indicator, so it adds the same
+    non-negative terms as a masked sum, plus zeros.
+    """
     above_d = x > t.d
     inside = above_d if t.upper_is_infinite else above_d & (x <= t.u)
-    total = x.sum(axis=1, where=inside)
+    total = (x * inside).sum(axis=1)
     return np.count_nonzero(above_d, axis=1), np.count_nonzero(inside, axis=1), total
 
 
-# Row-wise statistics: (mu_hat, count of observations averaged) for each row
-# of a (rows, n) array; mu_hat is NaN where the count is 0.
+# Row-wise statistics from a ``_window`` triple of rows of n values:
+# (mu_hat, count of observations averaged); mu_hat is NaN where the count is 0.
 
 
-def _mtum_statistic(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
+def _mtum_statistic(window, n: int, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
     """Mean of the observations inside (d, u]."""
-    _, count, total = _window(x, t)
+    _, count, total = window
     with np.errstate(invalid="ignore"):
         return total / count, count
 
 
-def _mcm_statistic(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
+def _mcm_statistic(window, n: int, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
     """Mean over all n observations with values clamped to the thresholds."""
-    above_d, inside, total = _window(x, t)
-    n = x.shape[1]
+    above_d, inside, total = window
     above_u = 0.0 if t.upper_is_infinite else t.u * (above_d - inside)
-    return (t.d * (n - above_d) + total + above_u) / n, np.full(len(x), n)
+    return (t.d * (n - above_d) + total + above_u) / n, np.full(len(total), n)
 
 
-def _mtcm_statistic(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
+def _mtcm_statistic(window, n: int, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray]:
     """Payment-type statistic: censored-above sum over the count above d."""
-    above_d, inside, total = _window(x, t)
+    above_d, inside, total = window
     if not t.upper_is_infinite:
         total = total + t.u * (above_d - inside)
     with np.errstate(invalid="ignore"):
         return total / above_d, above_d
 
 
+def _sample_statistic(
+    method: str, data: Sequence[float], t: ThresholdPair
+) -> tuple[float, int, int]:
+    """(mu_hat, count averaged, n) of one sample by ``method``'s statistic."""
+    x = _as_data(data).reshape(1, -1)
+    mu_hat, count = _METHODS[method].statistic(_window(x, t), x.shape[1], t)
+    return float(mu_hat[0]), int(count[0]), x.shape[1]
+
+
 def sample_mtum(data: Sequence[float], t: ThresholdPair) -> SampleMoments:
     """Mean of the observations inside (d, u]."""
-    x = _as_data(data)
-    mu_hat, count = _mtum_statistic(x.reshape(1, -1), t)
-    if count[0] == 0:
+    mu_hat, count, n = _sample_statistic("mtum", data, t)
+    if count == 0:
         raise EmptyWindowError(f"no observations in ({t.d}, {t.u}]")
-    return SampleMoments(mu_hat=float(mu_hat[0]), n=x.size, n_window=int(count[0]))
+    return SampleMoments(mu_hat=mu_hat, n=n, n_window=count)
 
 
 def sample_mcm(data: Sequence[float], t: ThresholdPair) -> SampleMoments:
     """Mean over all n observations with values clamped to the thresholds."""
-    x = _as_data(data)
-    return SampleMoments(mu_hat=float(_mcm_statistic(x.reshape(1, -1), t)[0][0]), n=x.size)
+    mu_hat, _, n = _sample_statistic("mcm", data, t)
+    return SampleMoments(mu_hat=mu_hat, n=n)
 
 
 def sample_mtcm(data: Sequence[float], t: ThresholdPair) -> SampleMoments:
     """Payment-type statistic: censored-above sum over the count above d."""
-    x = _as_data(data)
-    mu_hat, above_d = _mtcm_statistic(x.reshape(1, -1), t)
-    if above_d[0] == 0:
+    mu_hat, above_d, n = _sample_statistic("mtcm", data, t)
+    if above_d == 0:
         raise EmptyWindowError(f"no observations above {t.d}")
-    return SampleMoments(mu_hat=float(mu_hat[0]), n=x.size, n_above_d=int(above_d[0]))
+    return SampleMoments(mu_hat=mu_hat, n=n, n_above_d=above_d)
 
 
 def mle_exp(data: Sequence[float]) -> EstimateResult:
@@ -172,6 +191,7 @@ def mle_pareto1(data: Sequence[float], x0: float) -> EstimateResult:
 
 def _solve_increasing(
     forward,
+    slope,
     target: np.ndarray,
     theta0: np.ndarray,
     *,
@@ -179,13 +199,31 @@ def _solve_increasing(
     max_iter: int = _MAX_SOLVER_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Roots of forward(theta) = target, elementwise, for a strictly increasing
-    forward map that takes and returns arrays.
+    forward map and its derivative ``slope``, both taking and returning arrays.
 
-    Each element is bracketed by doubling/halving from its theta0, then runs a
-    safeguarded secant/bisection hybrid until its theta bracket is relatively
-    tight and its residual is below resid_tol.  Returns the roots, the
-    iterations of each and the bracket (lo, hi) that enclosed each root before
-    it was refined; raises ``SolverStallError`` when any element stalls.
+    With f = forward - target, each element is first bracketed by
+    halving/doubling from its theta0 until f(lo) < 0 <= f(hi).  Refinement
+    then evaluates one point per iteration, and each point replaces the
+    bracket end on its side; f == 0 counts as the upper side, as in plain
+    bisection, so on a plateau of computed zeros the bracket closes on the
+    plateau's lower edge.  The first point is the secant point of the
+    bracket, each later one a safeguarded Newton step from the latest point
+    (``rtsafe``, Press et al., *Numerical Recipes*, sec. 9.4), and the
+    bisection point when the Newton point is not strictly inside the bracket.
+    Newton steps close in on a root from one side: a step shorter than the
+    bracket tolerance 1e-12 lo is lengthened by a quarter of that tolerance,
+    so the point lands past the root and closes the bracket from the other
+    side.  Where rounding flattens the computed map, the point may land on
+    the same side; then the walk goes on from it, four times as far past each
+    time, until a point crosses or would leave the bracket.  From then on
+    the element bisects.
+    An element stops when hi - lo <= 1e-12 lo and |f| <= resid_tol at the
+    latest point, or when lo and hi are adjacent doubles; its root is the
+    bracket midpoint.
+
+    Returns the roots, the iterations of each (bracketing steps included)
+    and the bracket (lo, hi) that enclosed each root before it was refined;
+    raises ``SolverStallError`` when any element stalls.
     """
     target = np.asarray(target, dtype=float)
     theta = np.full(target.shape, np.nan)
@@ -195,7 +233,7 @@ def _solve_increasing(
     f_lo = forward(lo) - target
     f_hi = f_lo.copy()
     for x, fx, step, outside, side in (
-        (lo, f_lo, 0.5, np.greater, "below"), (hi, f_hi, 2.0, np.less, "above")
+        (lo, f_lo, 0.5, np.greater_equal, "below"), (hi, f_hi, 2.0, np.less, "above")
     ):
         idx = np.flatnonzero(outside(fx, 0.0))
         while idx.size:
@@ -206,38 +244,50 @@ def _solve_increasing(
                 raise SolverStallError(f"bracketing {side} failed")
             idx = idx[outside(fx[idx], 0.0)]
     bracket_lo, bracket_hi = lo.copy(), hi.copy()
-    theta[f_hi == 0.0] = hi[f_hi == 0.0]
-    theta[f_lo == 0.0] = lo[f_lo == 0.0]
 
-    # Refine the rest on compacted copies; ``idx`` maps them back.
-    idx = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0))
-    lo, hi, f_lo, f_hi, target, iters = (
-        a[idx] for a in (lo, hi, f_lo, f_hi, target, iterations)
-    )
-    use_secant = True
+    # Refine on compacted copies; ``idx`` maps them back.
+    idx = np.arange(target.size)
+    iters = iterations.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
+    # the side a lengthened step should land on (-1 below, 1 above, 0 none),
+    # how far past the Newton point it goes, in bracket tolerances, and
+    # whether a walk has ended, after which the element only bisects
+    expect = np.zeros(target.shape, dtype=int)
+    reach = np.full(target.shape, 0.25)
+    bisecting = np.zeros(target.shape, dtype=bool)
     while idx.size:
         if iters.max() >= max_iter:
             raise SolverStallError(f"no convergence after {max_iter} iterations")
         iters += 1
-        x = 0.5 * (lo + hi)
-        if use_secant:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-            x = np.where((f_hi != f_lo) & (lo < secant) & (secant < hi), secant, x)
-        use_secant = not use_secant  # alternate so the bracket provably shrinks
         fx = forward(x) - target
         below = fx < 0.0
-        lo, f_lo = np.where(below, x, lo), np.where(below, fx, f_lo)
-        hi, f_hi = np.where(below, hi, x), np.where(below, f_hi, fx)
-        root = fx == 0.0
-        finished = root | ((hi - lo <= 1e-12 * lo) & (np.abs(fx) <= resid_tol))
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        tol = 1e-12 * lo
+        mid = 0.5 * (lo + hi)
+        # lo and hi adjacent doubles: the bracket cannot shrink further
+        finished = ((hi - lo <= tol) & (np.abs(fx) <= resid_tol)) | (mid == lo) | (mid == hi)
         if finished.any():
-            theta[idx[finished]] = np.where(root, x, 0.5 * (lo + hi))[finished]
+            theta[idx[finished]] = mid[finished]
             iterations[idx[finished]] = iters[finished]
             keep = ~finished
-            idx, lo, hi, f_lo, f_hi, target, iters = (
-                a[keep] for a in (idx, lo, hi, f_lo, f_hi, target, iters)
+            state = (idx, lo, hi, mid, x, fx, below, tol, target, iters, expect, reach, bisecting)
+            idx, lo, hi, mid, x, fx, below, tol, target, iters, expect, reach, bisecting = (
+                a[keep] for a in state
             )
+        landed = np.where(below, -1, 1)
+        missed = expect == -landed
+        bisecting |= (expect == landed) & (reach > 0.25)
+        reach = np.where(missed, 4.0 * reach, 0.25)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = fx / slope(x)
+        lengthen = missed | (np.abs(step) < tol)
+        newton = x - step - landed * reach * (lengthen * tol)
+        take = (lo < newton) & (newton < hi) & ~bisecting
+        bisecting |= missed & ~take
+        x = np.where(take, newton, mid)
+        expect = np.where(take & lengthen, -landed, 0)
     return theta, iterations, bracket_lo, bracket_hi
 
 
@@ -249,12 +299,14 @@ def _nonexistent(method: str, reason: str) -> EstimateResult:
 
 @dataclass(frozen=True)
 class _Method:
-    """A row-wise window statistic, its population map (increasing in theta
-    from d up to ``sup(t)``, on floats or arrays) and theta in closed form when
-    u is infinite (None: solve)."""
+    """A row-wise statistic of the ``_window`` triple, its population map
+    (increasing in theta from d up to ``sup(t)``, on floats or arrays), the
+    map's slope on arrays, and theta in closed form when u is infinite
+    (None: solve)."""
 
-    statistic: Callable[[np.ndarray, ThresholdPair], tuple[np.ndarray, np.ndarray]]
+    statistic: Callable[[tuple, int, ThresholdPair], tuple[np.ndarray, np.ndarray]]
     forward: Callable[[np.ndarray, ThresholdPair], np.ndarray]
+    slope: Callable[[np.ndarray, ThresholdPair], np.ndarray]
     sup: Callable[[ThresholdPair], float]
     closed: Callable[[np.ndarray, ThresholdPair], np.ndarray | None]
 
@@ -263,15 +315,15 @@ class _Method:
 # ``estimators.mu_*`` sees every call.
 _METHODS = {
     "mtum": _Method(
-        _mtum_statistic, lambda theta, t: mu_mtum(theta, t),
+        _mtum_statistic, lambda theta, t: mu_mtum(theta, t), _mtum_slope,
         sup=lambda t: 0.5 * (t.d + t.u), closed=lambda mu_hat, t: mu_hat - t.d,
     ),
     "mcm": _Method(
-        _mcm_statistic, lambda theta, t: mu_mcm(theta, t),
+        _mcm_statistic, lambda theta, t: mu_mcm(theta, t), _mcm_slope,
         sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat if t.d == 0.0 else None,
     ),
     "mtcm": _Method(
-        _mtcm_statistic, lambda theta, t: mu_mtcm(theta, t),
+        _mtcm_statistic, lambda theta, t: mu_mtcm(theta, t), _mtcm_slope,
         sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat - t.d,
     ),
 }
@@ -323,7 +375,8 @@ def _root(method: str, mu_hat, t: ThresholdPair) -> _Roots:
         estimate[inside] = closed
     else:
         estimate[inside], iterations[inside], lo[inside], hi[inside] = _solve_increasing(
-            lambda theta: spec.forward(theta, t), mu[inside], mu[inside] - t.d,
+            lambda theta: spec.forward(theta, t), lambda theta: spec.slope(theta, t),
+            mu[inside], mu[inside] - t.d,
             resid_tol=1e-10 * max(1.0, scale),
         )
     reason = np.where(below, BELOW_LOWER_BOUND, np.where(above, ABOVE_UPPER_BOUND, None))
@@ -337,17 +390,27 @@ def _with_avar(result: EstimateResult, t: ThresholdPair) -> EstimateResult:
     return replace(result, avar=asymptotics.avar(result.method, result.estimate, t))
 
 
-def _estimates(method: str, x: np.ndarray, t: ThresholdPair | None) -> np.ndarray:
-    """Theta for each row of ``x`` (rows, n), without avar; NaN where a row has
-    none (an empty window or a statistic outside the attainable interval).
-    The MLE is the row mean."""
-    if method == "mle":
-        return x.sum(axis=1) / x.shape[1]
-    mu_hat, count = _METHODS[method].statistic(x, t)
-    estimate = np.full(len(x), np.nan)
-    filled = count > 0
-    estimate[filled] = _root(method, mu_hat[filled], t).estimate
-    return estimate
+def _estimates(
+    methods: Sequence[str], x: np.ndarray, t: ThresholdPair | None
+) -> dict[str, np.ndarray]:
+    """Theta for each row of ``x`` (rows, n) by each of ``methods``, without
+    avar; NaN where a row has none (an empty window or a statistic outside the
+    attainable interval).  One ``_window`` pass serves every method; the MLE
+    is the row mean."""
+    estimates = {}
+    window = None
+    for method in methods:
+        if method == "mle":
+            estimates[method] = x.sum(axis=1) / x.shape[1]
+            continue
+        if window is None:
+            window = _window(x, t)
+        mu_hat, count = _METHODS[method].statistic(window, x.shape[1], t)
+        estimate = np.full(len(x), np.nan)
+        filled = count > 0
+        estimate[filled] = _root(method, mu_hat[filled], t).estimate
+        estimates[method] = estimate
+    return estimates
 
 
 def _on_pareto_scale(result: EstimateResult) -> EstimateResult:

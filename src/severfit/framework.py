@@ -20,7 +20,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .dist import (
     ExponentialModel,
@@ -179,6 +178,10 @@ def overlap_window(spec: TruncatedSpec, j: int, jp: int) -> ThresholdPair | None
 def _integrate(fn: Callable[[float], float], lo: float, hi: float) -> float:
     if hi <= lo:
         return 0.0
+    # imported here: scipy.integrate costs about 50 MB of resident memory, and
+    # nothing on the fit or Monte Carlo path integrates
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
         value, abserr = integrate.quad(fn, lo, hi, **_QUAD_OPTS)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import asymptotics, estimators
 from .asymptotics import _fmt
-from .dist import ExponentialModel, ParetoIModel, RandomSource, ThresholdPair, sample
+from .dist import ExponentialModel, RandomSource, ThresholdPair, sample
 from .errors import ConfigError
 
 __all__ = [
@@ -151,18 +151,15 @@ def _chunks(rows: int, n: int) -> list[int]:
 
 def _run_block(cell: SimCell, block_index: int) -> tuple[int, int, float, float]:
     """(successes, failures, sum of theta_hat/theta, sum of squared errors)."""
-    if cell.model == "pareto1":
-        model = ParetoIModel(alpha=1.0 / cell.theta_true, x0=cell.x0)
-    else:
-        model = ExponentialModel(cell.theta_true)
+    # A Pareto I(1/theta, x0) cell is fitted on log(y/x0), which is
+    # Exp(theta) on the log-scale thresholds: it draws its exponential twin.
+    model = ExponentialModel(cell.theta_true)
     theta = cell.theta_true
     rs = derive_stream(cell.seed, cell.cell_index, block_index)
     parts = []
     for rows in _chunks(cell.replications_per_block, cell.n):
         draws = sample(model, (rows, cell.n), rs)
-        if cell.model == "pareto1":
-            draws = np.log(draws / cell.x0)
-        parts.append(estimators._estimates(cell.method, draws, cell.thresholds))
+        parts.append(estimators._estimates((cell.method,), draws, cell.thresholds)[cell.method])
     estimates = np.concatenate(parts)
     found = estimates[~np.isnan(estimates)]
     return (
@@ -430,8 +427,8 @@ def histogram_study(
         chunks = {method: [] for method in methods}
         for rows in _chunks(count, n):
             draws = sample(model, (rows, n), rs)
-            for method in methods:
-                chunks[method].append(estimators._estimates(method, draws, thresholds))
+            for method, estimates in estimators._estimates(methods, draws, thresholds).items():
+                chunks[method].append(estimates)
         for method in methods:
             all_estimates = np.concatenate(chunks[method])
             est = all_estimates[~np.isnan(all_estimates)]

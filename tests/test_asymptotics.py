@@ -335,7 +335,7 @@ class TestInfluenceOracle:
             calls.append(args[1:3])
             return real_quad(*args, **kwargs)
 
-        monkeypatch.setattr(asymptotics.integrate, "quad", counting_quad)
+        monkeypatch.setattr(integrate, "quad", counting_quad)
         grid = np.linspace(0.0, ADAPTER.quantile(0.999), 1001)
         influence_curve(ADAPTER, "mtm", 0.05, 0.05, grid)
         assert len(calls) == 1

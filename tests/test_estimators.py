@@ -43,6 +43,7 @@ from severfit.estimators import (
     solve_mtum_exp,
     solve_mtum_pareto1,
     _root,
+    _window,
 )
 from severfit.moments import (
     mu_mcm,
@@ -108,6 +109,56 @@ class TestSampleStatistics:
         assert sample_mtcm(x, T_MAIN).mu_hat == pytest.approx(
             mu_mtcm(THETA, T_MAIN), abs=0.03
         )
+
+
+def _masked_statistics(x, t):
+    """The row-wise statistics as masked sums (``sum(where=)``), the way they
+    were computed before the window triple: the oracle for ``_window``."""
+    n = x.shape[1]
+    above_d = x > t.d
+    inside = above_d if t.upper_is_infinite else above_d & (x <= t.u)
+    total = x.sum(axis=1, where=inside)
+    n_above, n_inside = np.count_nonzero(above_d, axis=1), np.count_nonzero(inside, axis=1)
+    above_u = 0.0 if t.upper_is_infinite else t.u * (n_above - n_inside)
+    with np.errstate(invalid="ignore"):
+        return {
+            "mtum": (total / n_inside, n_inside),
+            "mcm": ((t.d * (n - n_above) + total + above_u) / n, np.full(len(x), n)),
+            "mtcm": ((total + above_u) / n_above, n_above),
+        }
+
+
+class TestWindowStatistics:
+    @given(
+        d=st.floats(0.0, 50.0),
+        width=st.floats(1e-3, 50.0),
+        infinite=st.booleans(),
+        rows=st.integers(1, 6),
+        n=st.integers(1, 40),
+        empty_first_row=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_triple_statistics_match_masked_sums(
+        self, d, width, infinite, rows, n, empty_first_row, data
+    ):
+        t = ThresholdPair(d, math.inf if infinite else d + width)
+        # values tied with d and u, zeros, and any value up to well past u
+        ties = [0.0, t.d] if infinite else [0.0, t.d, t.u]
+        value = st.one_of(st.sampled_from(ties), st.floats(0.0, 200.0))
+        x = np.array(data.draw(st.lists(value, min_size=rows * n, max_size=rows * n)))
+        x = x.reshape(rows, n)
+        if empty_first_row:
+            x[0] = np.minimum(x[0], t.d)
+        expected = _masked_statistics(x, t)
+        window = _window(x, t)
+        for method, spec in _METHODS.items():
+            mu_hat, count = spec.statistic(window, n, t)
+            want_mu, want_count = expected[method]
+            assert np.array_equal(count, want_count), method
+            assert np.allclose(mu_hat, want_mu, rtol=1e-12, atol=0.0, equal_nan=True), method
+        if empty_first_row:
+            assert np.isnan(expected["mtum"][0][0]) and np.isnan(expected["mtcm"][0][0])
 
 
 class TestMle:
@@ -454,6 +505,42 @@ class TestBatchRoots:
             for target, root in zip(targets, roots.estimate):
                 reference = _bisect(lambda theta: forward(theta, t), target)
                 assert root == pytest.approx(reference, rel=1e-10), (method, target)
+
+    @pytest.mark.parametrize(
+        "method,t,mu",
+        [
+            # one rounding step above d: mu_mtum(theta) = d + theta rounds to
+            # a staircase in theta, with steps 1e12 bracket tolerances wide
+            ("mtum", ThresholdPair(853.2353412984122, 853.2353412984122 + 1e-6),
+             853.2353412984123),
+            ("mtum", ThresholdPair(32.0, 32.0 + 1e-6), 32.0000000000005),
+            # one rounding step of mu (1.2e-10) exceeds resid_tol: only
+            # f == 0 meets it, so the bracket must close on adjacent doubles
+            ("mcm", ThresholdPair(1.0, math.inf), 750001.0),
+        ],
+    )
+    def test_root_where_the_map_rounds_to_plateaus(self, method, t, mu):
+        forward = _METHODS[method].forward
+        roots = _root(method, np.array([mu]), t)
+        assert roots.reason[0] is None
+        assert roots.iterations[0] < 100
+        reference = _bisect(lambda theta: forward(theta, t), mu, lo=1e-300)
+        assert roots.estimate[0] == pytest.approx(reference, rel=1e-10)
+
+    @given(seed=st.integers(0, 2**63), n=st.sampled_from([30, 100, 500]))
+    @settings(max_examples=10, deadline=None)
+    def test_few_iterations_per_root_on_bench_windows(self, seed, n):
+        # statistics of Exp(THETA) samples, bracketing steps included; the
+        # secant/bisection hybrid this solver replaced took 15-17 on average
+        x = sample(ExponentialModel(THETA), (200, n), RandomSource(seed=seed))
+        iterations = []
+        for t in BENCH_WINDOWS:
+            window = _window(x, t)
+            for method, spec in _METHODS.items():
+                mu_hat, count = spec.statistic(window, n, t)
+                roots = _root(method, mu_hat[count > 0], t)
+                iterations.append(roots.iterations[~np.isnan(roots.lo)])
+        assert np.concatenate(iterations).mean() <= 9.0
 
     @given(
         method=st.sampled_from(sorted(_METHODS)),

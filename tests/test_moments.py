@@ -10,6 +10,9 @@ from scipy.integrate import quad
 
 from severfit.dist import ThresholdPair
 from severfit.moments import (
+    _mcm_slope,
+    _mtcm_slope,
+    _mtum_slope,
     mcm_second_moment,
     mtcm_w_summary,
     mu_mcm,
@@ -556,3 +559,40 @@ class TestArrayForwardMaps:
         lower, upper = pareto_g_limits(t, x0)
         assert upper == pytest.approx(0.5 * (math.log(100.0) + math.log(100.001)), rel=1e-15)
         assert pareto_g_du(1e-15, t, x0) <= upper
+
+
+class TestArraySlopes:
+    """The root solver's slopes: array versions of the derivatives."""
+
+    @given(t=WINDOWS)
+    @settings(max_examples=60, deadline=None)
+    def test_match_the_scalar_derivatives(self, t):
+        # theta/(u - d) over 16 decades, across both series branches
+        scale = (t.u - t.d) if not t.upper_is_infinite else max(1.0, t.d)
+        theta = scale * np.geomspace(1e-8, 1e8, 321)
+        for array_slope, scalar in ((_mtum_slope, mu_mtum_dtheta), (_mtcm_slope, mu_mtcm_dtheta)):
+            expected = np.array([scalar(x, t) for x in theta])
+            assert np.allclose(array_slope(theta, t), expected, rtol=1e-14, atol=0.0), scalar
+
+    @pytest.mark.parametrize(
+        "t",
+        [T_MAIN, ThresholdPair(2.0, math.inf), ThresholdPair(0.0, 5.0),
+         ThresholdPair(100.0, 100.001)],
+        ids=str,
+    )
+    def test_mcm_slope_matches_50_digit_oracle(self, t):
+        # p + (d/theta) tau - (u/theta) b, with d/theta up to 200
+        mp = pytest.importorskip("mpmath")
+        theta = np.geomspace(max(t.d, 1.0) / 200.0, 1e8, 181)
+
+        def oracle(x):
+            x = mp.mpf(x)
+            tau = mp.exp(-mp.mpf(t.d) / x)
+            if t.upper_is_infinite:
+                return float(tau + t.d / x * tau)
+            b = mp.exp(-mp.mpf(t.u) / x)
+            return float(tau - b + t.d / x * tau - mp.mpf(t.u) / x * b)
+
+        with mp.workdps(50):
+            expected = np.array([oracle(x) for x in theta])
+        assert np.allclose(_mcm_slope(theta, t), expected, rtol=1e-12, atol=0.0)
