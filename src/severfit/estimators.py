@@ -23,9 +23,6 @@ from .dist import ThresholdPair
 from .errors import DegenerateError, EmptyWindowError, SolverStallError
 from .moments import (
     _log_thresholds,
-    _mcm_slope,
-    _mtcm_slope,
-    _mtum_slope,
     mu_mcm,
     mu_mtcm,
     mu_mtum,
@@ -191,7 +188,6 @@ def mle_pareto1(data: Sequence[float], x0: float) -> EstimateResult:
 
 def _solve_increasing(
     forward,
-    slope,
     target: np.ndarray,
     theta0: np.ndarray,
     *,
@@ -199,24 +195,22 @@ def _solve_increasing(
     max_iter: int = _MAX_SOLVER_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Roots of forward(theta) = target, elementwise, for a strictly increasing
-    forward map and its derivative ``slope``, both taking and returning arrays.
+    forward map taking and returning arrays.
 
     With f = forward - target, each element is first bracketed by
     halving/doubling from its theta0 until f(lo) < 0 <= f(hi).  Refinement
-    then evaluates one point per iteration, and each point replaces the
-    bracket end on its side; f == 0 counts as the upper side, as in plain
-    bisection, so on a plateau of computed zeros the bracket closes on the
-    plateau's lower edge.  The first point is the secant point of the
-    bracket, each later one a safeguarded Newton step from the latest point
-    (``rtsafe``, Press et al., *Numerical Recipes*, sec. 9.4), and the
-    bisection point when the Newton point is not strictly inside the bracket.
-    Newton steps close in on a root from one side: a step shorter than the
-    bracket tolerance 1e-12 lo is lengthened by a quarter of that tolerance,
-    so the point lands past the root and closes the bracket from the other
-    side.  Where rounding flattens the computed map, the point may land on
-    the same side; then the walk goes on from it, four times as far past each
-    time, until a point crosses or would leave the bracket.  From then on
-    the element bisects.
+    then takes Chandrupatla's derivative-free steps (T. R. Chandrupatla,
+    *Adv. Eng. Softw.* 28(3), 1997) and evaluates one point per iteration.
+    Each element keeps its newest point ``a``, the bracket end ``b`` across
+    the root from it, and the end ``c`` dropped last; f == 0 counts as the
+    upper side, as in plain bisection, so on a plateau of computed zeros the
+    bracket closes on the plateau's lower edge.  The next point is
+    a + t (b - a): the first t is the bracket's secant point, each later one
+    the inverse quadratic interpolation through a, b and c where
+    Chandrupatla's test finds it safe, else 1/2.  t is kept a quarter of the
+    bracket tolerance 1e-12 lo away from both ends, so where a point lands
+    close to the root the next one crosses it and the bracket closes from
+    both sides.
     An element stops when hi - lo <= 1e-12 lo and |f| <= resid_tol at the
     latest point, or when lo and hi are adjacent doubles; its root is the
     bracket midpoint.
@@ -248,46 +242,40 @@ def _solve_increasing(
     # Refine on compacted copies; ``idx`` maps them back.
     idx = np.arange(target.size)
     iters = iterations.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-    # the side a lengthened step should land on (-1 below, 1 above, 0 none),
-    # how far past the Newton point it goes, in bracket tolerances, and
-    # whether a walk has ended, after which the element only bisects
-    expect = np.zeros(target.shape, dtype=int)
-    reach = np.full(target.shape, 0.25)
-    bisecting = np.zeros(target.shape, dtype=bool)
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    t = f_lo / (f_lo - f_hi)
     while idx.size:
         if iters.max() >= max_iter:
             raise SolverStallError(f"no convergence after {max_iter} iterations")
         iters += 1
+        # t's distance from either end: a quarter of the bracket tolerance
+        tl = np.minimum(0.25 * 1e-12 * np.minimum(a, b) / np.abs(b - a), 0.5)
+        x = a + np.clip(t, tl, 1.0 - tl) * (b - a)
         fx = forward(x) - target
-        below = fx < 0.0
-        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-        tol = 1e-12 * lo
+        same = (fx < 0.0) == (fa < 0.0)
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
+        a, fa = x, fx
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
         mid = 0.5 * (lo + hi)
+        converged = (hi - lo <= 1e-12 * lo) & (np.abs(fa) <= resid_tol)
         # lo and hi adjacent doubles: the bracket cannot shrink further
-        finished = ((hi - lo <= tol) & (np.abs(fx) <= resid_tol)) | (mid == lo) | (mid == hi)
+        finished = converged | (mid == lo) | (mid == hi)
         if finished.any():
             theta[idx[finished]] = mid[finished]
             iterations[idx[finished]] = iters[finished]
             keep = ~finished
-            state = (idx, lo, hi, mid, x, fx, below, tol, target, iters, expect, reach, bisecting)
-            idx, lo, hi, mid, x, fx, below, tol, target, iters, expect, reach, bisecting = (
-                a[keep] for a in state
-            )
-        landed = np.where(below, -1, 1)
-        missed = expect == -landed
-        bisecting |= (expect == landed) & (reach > 0.25)
-        reach = np.where(missed, 4.0 * reach, 0.25)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = fx / slope(x)
-        lengthen = missed | (np.abs(step) < tol)
-        newton = x - step - landed * reach * (lengthen * tol)
-        take = (lo < newton) & (newton < hi) & ~bisecting
-        bisecting |= missed & ~take
-        x = np.where(take, newton, mid)
-        expect = np.where(take & lengthen, -landed, 0)
+            state = (idx, a, fa, b, fb, c, fc, target, iters)
+            idx, a, fa, b, fb, c, fc, target, iters = (v[keep] for v in state)
+        # 0/0 and overflow where points share a value: the test below then
+        # fails and the element bisects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+            iqi = (fa / (fb - fa) * fc / (fb - fc)
+                   + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+            t = np.where(quadratic, iqi, 0.5)
     return theta, iterations, bracket_lo, bracket_hi
 
 
@@ -300,13 +288,11 @@ def _nonexistent(method: str, reason: str) -> EstimateResult:
 @dataclass(frozen=True)
 class _Method:
     """A row-wise statistic of the ``_window`` triple, its population map
-    (increasing in theta from d up to ``sup(t)``, on floats or arrays), the
-    map's slope on arrays, and theta in closed form when u is infinite
-    (None: solve)."""
+    (increasing in theta from d up to ``sup(t)``, on floats or arrays) and
+    theta in closed form when u is infinite (None: solve)."""
 
     statistic: Callable[[tuple, int, ThresholdPair], tuple[np.ndarray, np.ndarray]]
     forward: Callable[[np.ndarray, ThresholdPair], np.ndarray]
-    slope: Callable[[np.ndarray, ThresholdPair], np.ndarray]
     sup: Callable[[ThresholdPair], float]
     closed: Callable[[np.ndarray, ThresholdPair], np.ndarray | None]
 
@@ -315,15 +301,15 @@ class _Method:
 # ``estimators.mu_*`` sees every call.
 _METHODS = {
     "mtum": _Method(
-        _mtum_statistic, lambda theta, t: mu_mtum(theta, t), _mtum_slope,
+        _mtum_statistic, lambda theta, t: mu_mtum(theta, t),
         sup=lambda t: 0.5 * (t.d + t.u), closed=lambda mu_hat, t: mu_hat - t.d,
     ),
     "mcm": _Method(
-        _mcm_statistic, lambda theta, t: mu_mcm(theta, t), _mcm_slope,
+        _mcm_statistic, lambda theta, t: mu_mcm(theta, t),
         sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat if t.d == 0.0 else None,
     ),
     "mtcm": _Method(
-        _mtcm_statistic, lambda theta, t: mu_mtcm(theta, t), _mtcm_slope,
+        _mtcm_statistic, lambda theta, t: mu_mtcm(theta, t),
         sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat - t.d,
     ),
 }
@@ -375,8 +361,7 @@ def _root(method: str, mu_hat, t: ThresholdPair) -> _Roots:
         estimate[inside] = closed
     else:
         estimate[inside], iterations[inside], lo[inside], hi[inside] = _solve_increasing(
-            lambda theta: spec.forward(theta, t), lambda theta: spec.slope(theta, t),
-            mu[inside], mu[inside] - t.d,
+            lambda theta: spec.forward(theta, t), mu[inside], mu[inside] - t.d,
             resid_tol=1e-10 * max(1.0, scale),
         )
     reason = np.where(below, BELOW_LOWER_BOUND, np.where(above, ABOVE_UPPER_BOUND, None))

@@ -100,7 +100,7 @@ class SimReport:
     """Aggregated cell statistics; ratio and RE are withheld when any
     replication failed its existence condition (mirroring how unreliable
     cells are left blank in reported tables) unless conditional reporting
-    was requested."""
+    was requested, and always when a block has no successful replication."""
 
     mean_ratio: float | None
     se_mean_ratio: float | None
@@ -204,22 +204,13 @@ def _report(
     theta = cell.theta_true
     total = cell.blocks * cell.replications_per_block
     failure_count = sum(r[1] for r in results)
-    if failure_count > 0 and not conditional:
+    if (failure_count > 0 and not conditional) or any(r[0] == 0 for r in results):
         return SimReport(
             mean_ratio=None, se_mean_ratio=None, re=None, se_re=None,
             failure_count=failure_count, total_samples=total,
         )
-    ratios = []
-    res = []
-    for successes, _, sum_ratio, sum_sq in results:
-        if successes == 0:
-            return SimReport(
-                mean_ratio=None, se_mean_ratio=None, re=None, se_re=None,
-                failure_count=failure_count, total_samples=total,
-            )
-        ratios.append(sum_ratio / successes)
-        mse = sum_sq / successes
-        res.append((theta * theta / cell.n) / mse)
+    ratios = [sum_ratio / successes for successes, _, sum_ratio, _ in results]
+    res = [(theta * theta / cell.n) / (sum_sq / successes) for successes, _, _, sum_sq in results]
     mean_ratio, se_ratio = _mean_se(ratios)
     re, se_re = _mean_se(res)
     return SimReport(

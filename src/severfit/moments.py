@@ -107,15 +107,6 @@ def _taylor_tail(x: float, first: int, step: int) -> float:
     return total
 
 
-def _taylor_tail_array(x: np.ndarray, first: int, step: int, last: int) -> np.ndarray:
-    """``_taylor_tail`` on an array of x in [0, 1], through the term x^last / last!."""
-    stride = x**step
-    total = np.zeros_like(x)
-    for n in reversed(range(first, last + 1, step)):
-        total = total * stride + 1.0 / math.factorial(n)
-    return total * x**first
-
-
 def _censored_slope(x: float) -> float:
     """1 - (1 + x) e^{-x} = e^{-x} (e^x - 1 - x), for x = (u-d)/theta in [0, inf]."""
     if x <= 1.0:  # the closed form loses about log10(1/x) digits here
@@ -123,16 +114,6 @@ def _censored_slope(x: float) -> float:
     if math.isinf(x):
         return 1.0
     return -math.expm1(-x) - x * math.exp(-x)
-
-
-def _censored_slope_array(x: np.ndarray) -> np.ndarray:
-    """``_censored_slope`` on an array, with the same series branch."""
-    with np.errstate(invalid="ignore"):  # inf * 0 where x is infinite
-        value = np.where(np.isinf(x), 1.0, -np.expm1(-x) - x * np.exp(-x))
-    small = x <= 1.0
-    if small.any():
-        value[small] = np.exp(-x[small]) * _taylor_tail_array(x[small], 2, 1, 20)
-    return value
 
 
 def _censored_var(x: float) -> float:
@@ -214,37 +195,12 @@ def mu_mtum_dtheta(theta: float, t: ThresholdPair) -> float:
     return (excess / s) * ((s + y) / s)
 
 
-def _mtum_slope(theta: np.ndarray, t: ThresholdPair) -> np.ndarray:
-    """``mu_mtum_dtheta`` on an array of theta, with the same branches."""
-    if t.upper_is_infinite:
-        return np.ones_like(theta)
-    y = (t.u - t.d) / (2.0 * theta)
-    with np.errstate(over="ignore"):
-        s = np.sinh(y)
-    excess = s - y
-    small = y <= 1.0
-    if small.any():
-        excess[small] = _taylor_tail_array(y[small], 3, 2, 19)
-    with np.errstate(invalid="ignore"):  # inf / inf where sinh overflows
-        return np.where(y > 350.0, 1.0, (excess / s) * ((s + y) / s))
-
-
 def mu_mcm(theta, t: ThresholdPair):
     """Censored mean E[min(max(d, X), u)] = d + theta p, for a float or an array of theta."""
     th = _positive_array(theta, "theta")
     tau = np.exp(-t.d / th)
     p = tau if t.upper_is_infinite else -tau * np.expm1(-(t.u - t.d) / th)
     return _like(theta, t.d + th * p)
-
-
-def _mcm_slope(theta: np.ndarray, t: ThresholdPair) -> np.ndarray:
-    """d mu_MCM / d theta = p + (d/theta) tau - (u/theta) b on an array of theta.
-
-    With x = (u-d)/theta it equals tau (h(x) + (d/theta)(1 - e^{-x})),
-    h(x) = 1 - (1 + x) e^{-x}: a sum of non-negative terms, evaluated so.
-    """
-    x = (t.u - t.d) / theta
-    return np.exp(-t.d / theta) * (_censored_slope_array(x) - (t.d / theta) * np.expm1(-x))
 
 
 def mcm_second_moment(theta: float, t: ThresholdPair) -> float:
@@ -282,11 +238,6 @@ def mu_mtcm_dtheta(theta: float, t: ThresholdPair) -> float:
     """
     _check_theta(theta)
     return _censored_slope((t.u - t.d) / theta)
-
-
-def _mtcm_slope(theta: np.ndarray, t: ThresholdPair) -> np.ndarray:
-    """``mu_mtcm_dtheta`` on an array of theta, with the same series branch."""
-    return _censored_slope_array((t.u - t.d) / theta)
 
 
 def sigma_mtcm2(theta: float, t: ThresholdPair) -> float:

@@ -14,6 +14,7 @@ from severfit.mc import (
     DEFAULT_SEED,
     SimCell,
     SimConfig,
+    SimReport,
     build_cells,
     cell_from_quantiles,
     derive_stream,
@@ -126,6 +127,20 @@ class TestRunCell:
         conditional = run_cell(cell, conditional=True, workers=1)
         assert conditional.failure_count == report.failure_count
         assert conditional.re is not None
+
+    def test_block_without_successes_withholds_conditional_statistics(self):
+        # one replication per block: a failed one leaves its block empty
+        cell = cell_from_quantiles(
+            0.10, 0.70, 10.0, 100, "mtum", replications_per_block=1, blocks=4, seed=2,
+        )
+        blocks = [mc._run_block(cell, b) for b in range(cell.blocks)]
+        assert any(successes == 0 for successes, *_ in blocks)
+        assert any(successes > 0 for successes, *_ in blocks)
+        report = run_cell(cell, conditional=True, workers=1)
+        assert report == SimReport(
+            mean_ratio=None, se_mean_ratio=None, re=None, se_re=None,
+            failure_count=sum(failures for _, failures, *_ in blocks), total_samples=4,
+        )
 
     def test_chunk_size_changes_nothing(self, monkeypatch):
         # draws continue one stream across chunks, and the block sums are
