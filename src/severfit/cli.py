@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a loss data file")
-    p_fit.add_argument("--method", required=True, choices=["mle", "mtum", "mcm", "mtcm"])
+    p_fit.add_argument("--method", required=True, choices=estimators.FIT_METHODS)
     p_fit.add_argument("--model", required=True, choices=["exp", "pareto1"])
     p_fit.add_argument("--data", required=True, help="CSV of losses (column 'loss' or single column)")
     p_fit.add_argument("--d", type=_float_or_inf, default=None, help="lower threshold")

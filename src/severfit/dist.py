@@ -155,26 +155,34 @@ def pareto1_quantile(m: ParetoIModel, v: float) -> float:
     return m.x0 * math.exp(-math.log1p(-v) / m.alpha)
 
 
+def _taylor_tail(x: float, first: int, step: int) -> float:
+    """Sum of x^n / n! over n = first, first + step, ... for 0 <= x <= 1.
+
+    These are the leading terms closed forms in e^x cancel away:
+    expm1(x) - x is the tail from n = 2, sinh(x) - x the odd tail from n = 3.
+    """
+    total, term, n = 0.0, x**first / math.factorial(first), first
+    while total + term != total:
+        total += term
+        for _ in range(step):
+            n += 1
+            term *= x / n
+    return total
+
+
 def regularized_incomplete_gamma3(x: float) -> float:
     """Regularized lower incomplete gamma with shape 3.
 
-    Closed form 1 - exp(-x) (1 + x + x^2/2); evaluated by its alternating
-    series below x = 1 where the subtraction would lose relative precision.
+    Closed form 1 - exp(-x) (1 + x + x^2/2); below x = 1, where the
+    subtraction would lose relative precision, exp(-x) times the Taylor tail
+    of e^x from n = 3.
     """
     if math.isnan(x) or x < 0:
         raise ValueError(f"incomplete gamma requires x >= 0, got {x!r}")
     if math.isinf(x):
         return 1.0
     if x < 1.0:
-        # sum_{n>=0} (-1)^n x^{n+3} / (2 n! (n+3)), term ratio -x (n+3)/((n+1)(n+4))
-        term = x**3 / 6.0
-        total = term
-        n = 0
-        while abs(term) > 1e-18 * abs(total):
-            term *= -x * (n + 3) / ((n + 1) * (n + 4))
-            total += term
-            n += 1
-        return total
+        return math.exp(-x) * _taylor_tail(x, 3, 1)
     return 1.0 - math.exp(-x) * (1.0 + x + 0.5 * x * x)
 
 

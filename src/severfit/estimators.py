@@ -189,18 +189,23 @@ def mle_pareto1(data: Sequence[float], x0: float) -> EstimateResult:
 def _solve_increasing(
     forward,
     target: np.ndarray,
-    theta0: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    floor: float,
     *,
     resid_tol: float,
     max_iter: int = _MAX_SOLVER_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Roots of forward(theta) = target, elementwise, for a strictly increasing
-    forward map taking and returning arrays.
+    forward map on arrays that tends to ``floor`` as theta -> 0, given
+    brackets lo <= root <= hi in exact arithmetic.
 
-    With f = forward - target, each element is first bracketed by
-    halving/doubling from its theta0 until f(lo) < 0 <= f(hi).  Refinement
-    then takes Chandrupatla's derivative-free steps (T. R. Chandrupatla,
-    *Adv. Eng. Softw.* 28(3), 1997) and evaluates one point per iteration.
+    With f = forward - target, rounding can put a bracket end's computed f on
+    the root's side of zero.  Where f(hi) < 0, or lo == hi, the root is hi;
+    where f(lo) >= 0 the bracket is (0, lo) with f(0) = floor - target, and
+    theta = 0 is never evaluated.  Refinement takes Chandrupatla's
+    derivative-free steps (T. R. Chandrupatla, *Adv. Eng. Softw.* 28(3),
+    1997) and evaluates one point per iteration.
     Each element keeps its newest point ``a``, the bracket end ``b`` across
     the root from it, and the end ``c`` dropped last; f == 0 counts as the
     upper side, as in plain bisection, so on a plateau of computed zeros the
@@ -215,35 +220,23 @@ def _solve_increasing(
     latest point, or when lo and hi are adjacent doubles; its root is the
     bracket midpoint.
 
-    Returns the roots, the iterations of each (bracketing steps included)
-    and the bracket (lo, hi) that enclosed each root before it was refined;
-    raises ``SolverStallError`` when any element stalls.
+    Returns the roots, the iterations of each (the evaluation at hi counts as
+    the first) and the bracket (lo, hi) that enclosed each root before it was
+    refined; raises ``SolverStallError`` when any element stalls.
     """
-    target = np.asarray(target, dtype=float)
-    theta = np.full(target.shape, np.nan)
-    iterations = np.zeros(target.shape, dtype=int)
-    lo = np.maximum(theta0, 1e-6)
-    hi = lo.copy()
-    f_lo = forward(lo) - target
-    f_hi = f_lo.copy()
-    for x, fx, step, outside, side in (
-        (lo, f_lo, 0.5, np.greater_equal, "below"), (hi, f_hi, 2.0, np.less, "above")
-    ):
-        idx = np.flatnonzero(outside(fx, 0.0))
-        while idx.size:
-            x[idx] *= step
-            fx[idx] = forward(x[idx]) - target[idx]
-            iterations[idx] += 1
-            if np.any(iterations[idx] > max_iter):
-                raise SolverStallError(f"bracketing {side} failed")
-            idx = idx[outside(fx[idx], 0.0)]
-    bracket_lo, bracket_hi = lo.copy(), hi.copy()
+    f_lo, f_hi = forward(lo) - target, forward(hi) - target
+    at_hi = (f_hi < 0.0) | (lo == hi)
+    theta = np.where(at_hi, hi, np.nan)
+    iterations = np.ones(target.shape, dtype=int)
+    swap = ~at_hi & (f_lo >= 0.0)
+    lo, hi = np.where(swap, 0.0, lo), np.where(swap, lo, hi)
+    f_lo, f_hi = np.where(swap, floor - target, f_lo), np.where(swap, f_lo, f_hi)
 
     # Refine on compacted copies; ``idx`` maps them back.
-    idx = np.arange(target.size)
-    iters = iterations.copy()
-    a, fa, b, fb = lo, f_lo, hi, f_hi
-    t = f_lo / (f_lo - f_hi)
+    idx = np.flatnonzero(~at_hi)
+    iters = iterations[idx]
+    a, fa, b, fb, target = lo[idx], f_lo[idx], hi[idx], f_hi[idx], target[idx]
+    t = fa / (fa - fb)
     while idx.size:
         if iters.max() >= max_iter:
             raise SolverStallError(f"no convergence after {max_iter} iterations")
@@ -256,11 +249,11 @@ def _solve_increasing(
         c, fc = np.where(same, a, b), np.where(same, fa, fb)
         b, fb = np.where(same, b, a), np.where(same, fb, fa)
         a, fa = x, fx
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        mid = 0.5 * (lo + hi)
-        converged = (hi - lo <= 1e-12 * lo) & (np.abs(fa) <= resid_tol)
-        # lo and hi adjacent doubles: the bracket cannot shrink further
-        finished = converged | (mid == lo) | (mid == hi)
+        left, right = np.minimum(a, b), np.maximum(a, b)
+        mid = 0.5 * (left + right)
+        converged = (right - left <= 1e-12 * left) & (np.abs(fa) <= resid_tol)
+        # left and right adjacent doubles: the bracket cannot shrink further
+        finished = converged | (mid == left) | (mid == right)
         if finished.any():
             theta[idx[finished]] = mid[finished]
             iterations[idx[finished]] = iters[finished]
@@ -276,7 +269,7 @@ def _solve_increasing(
             iqi = (fa / (fb - fa) * fc / (fb - fc)
                    + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
             t = np.where(quadratic, iqi, 0.5)
-    return theta, iterations, bracket_lo, bracket_hi
+    return theta, iterations, lo, hi
 
 
 def _nonexistent(method: str, reason: str) -> EstimateResult:
@@ -288,38 +281,44 @@ def _nonexistent(method: str, reason: str) -> EstimateResult:
 @dataclass(frozen=True)
 class _Method:
     """A row-wise statistic of the ``_window`` triple, its population map
-    (increasing in theta from d up to ``sup(t)``, on floats or arrays) and
-    theta in closed form when u is infinite (None: solve)."""
+    (increasing in theta from d up to ``sup(t)``, on floats or arrays) and an
+    upper bound on the root of map = d + m, on arrays of m."""
 
     statistic: Callable[[tuple, int, ThresholdPair], tuple[np.ndarray, np.ndarray]]
     forward: Callable[[np.ndarray, ThresholdPair], np.ndarray]
     sup: Callable[[ThresholdPair], float]
-    closed: Callable[[np.ndarray, ThresholdPair], np.ndarray | None]
+    upper: Callable[[np.ndarray, ThresholdPair], np.ndarray]
 
 
 # Rows reach the maps through their module names, so a wrapper installed on
-# ``estimators.mu_*`` sees every call.
+# ``estimators.mu_*`` sees every call.  Each map is at most d + theta, so
+# m = mu_hat - d bounds its root below.  ``upper`` inverts a lower bound on
+# the map (w = u - d, x = w/theta); with u infinite it is the root in closed
+# form, m for MTuM and MTCM and mu_hat for MCM with d = 0:
+#   MTuM  (mu - d)/w = 1/x - 1/(e^x - 1) >= max(1/(x + 2), 1/2 - x/12)
+#   MCM   mu - d = theta p >= (theta - d) x/(1 + x)
+#   MTCM  (mu - d)/theta = 1 - e^-x >= max(x/(1 + x), x - x^2/2)
 _METHODS = {
     "mtum": _Method(
-        _mtum_statistic, lambda theta, t: mu_mtum(theta, t),
-        sup=lambda t: 0.5 * (t.d + t.u), closed=lambda mu_hat, t: mu_hat - t.d,
+        _mtum_statistic, lambda theta, t: mu_mtum(theta, t), sup=lambda t: 0.5 * (t.d + t.u),
+        upper=lambda m, t: np.minimum(m, (t.u - t.d) / 6.0) / (1.0 - 2.0 * m / (t.u - t.d)),
     ),
     "mcm": _Method(
-        _mcm_statistic, lambda theta, t: mu_mcm(theta, t),
-        sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat if t.d == 0.0 else None,
+        _mcm_statistic, lambda theta, t: mu_mcm(theta, t), sup=lambda t: t.u,
+        upper=lambda m, t: (m + t.d) / (1.0 - m / (t.u - t.d)),
     ),
     "mtcm": _Method(
-        _mtcm_statistic, lambda theta, t: mu_mtcm(theta, t),
-        sup=lambda t: t.u, closed=lambda mu_hat, t: mu_hat - t.d,
+        _mtcm_statistic, lambda theta, t: mu_mtcm(theta, t), sup=lambda t: t.u,
+        upper=lambda m, t: np.minimum(m, (t.u - t.d) / 2.0) / (1.0 - m / (t.u - t.d)),
     ),
 }
+FIT_METHODS = ("mle", *_METHODS)
 
 
 @dataclass(frozen=True)
 class _Roots:
-    """Thetas matching a batch of statistics: ``estimate`` is NaN where
-    ``reason`` names why there is none, and the bracket is NaN where the root
-    came in closed form."""
+    """Thetas matching a batch of statistics: ``estimate`` and the bracket
+    are NaN where ``reason`` names why there is none."""
 
     estimate: np.ndarray
     reason: np.ndarray
@@ -331,10 +330,9 @@ class _Roots:
         """Element ``i`` as an ``EstimateResult`` without avar."""
         if self.reason[i] is not None:
             return _nonexistent(method, self.reason[i])
-        bracket = None if math.isnan(self.lo[i]) else (float(self.lo[i]), float(self.hi[i]))
         return EstimateResult(
             method, "exp", True, float(self.estimate[i]), None,
-            iterations=int(self.iterations[i]), bracket=bracket,
+            iterations=int(self.iterations[i]), bracket=(float(self.lo[i]), float(self.hi[i])),
         )
 
 
@@ -342,7 +340,8 @@ def _root(method: str, mu_hat, t: ThresholdPair) -> _Roots:
     """Thetas matching each of ``mu_hat`` (a float or an array), without avar.
 
     A statistic within a guard band (relative to the window width) of the
-    attainable interval's ends has no root.
+    attainable interval's ends has no root.  Every other one is bracketed
+    by [mu_hat - d, upper] before its first refinement step.
     """
     mu = np.atleast_1d(np.asarray(mu_hat, dtype=float))
     if not np.all(np.isfinite(mu)):
@@ -356,14 +355,10 @@ def _root(method: str, mu_hat, t: ThresholdPair) -> _Roots:
     estimate = np.full(mu.shape, np.nan)
     iterations = np.zeros(mu.shape, dtype=int)
     lo, hi = estimate.copy(), estimate.copy()
-    closed = spec.closed(mu[inside], t) if t.upper_is_infinite else None
-    if closed is not None:
-        estimate[inside] = closed
-    else:
-        estimate[inside], iterations[inside], lo[inside], hi[inside] = _solve_increasing(
-            lambda theta: spec.forward(theta, t), mu[inside], mu[inside] - t.d,
-            resid_tol=1e-10 * max(1.0, scale),
-        )
+    estimate[inside], iterations[inside], lo[inside], hi[inside] = _solve_increasing(
+        lambda theta: spec.forward(theta, t), mu[inside], mu[inside] - t.d,
+        spec.upper(mu[inside] - t.d, t), t.d, resid_tol=1e-10 * max(1.0, scale),
+    )
     reason = np.where(below, BELOW_LOWER_BOUND, np.where(above, ABOVE_UPPER_BOUND, None))
     return _Roots(estimate, reason, iterations, lo, hi)
 
@@ -372,7 +367,11 @@ def _with_avar(result: EstimateResult, t: ThresholdPair) -> EstimateResult:
     """Attach the asymptotic variance at the estimate to an existing root."""
     if not result.exists:
         return result
-    return replace(result, avar=asymptotics.avar(result.method, result.estimate, t))
+    try:
+        avar = asymptotics.avar(result.method, result.estimate, t)
+    except DegenerateError:  # the window's mass underflows: beyond the float range
+        avar = math.inf
+    return replace(result, avar=avar)
 
 
 def _estimates(
@@ -451,7 +450,7 @@ def fit(
     delta-method variance alpha^4 * avar(theta).  The MLE path ignores
     thresholds.  An empty window gives ``exists=False``.
     """
-    if method not in ("mle", "mtum", "mcm", "mtcm"):
+    if method not in FIT_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if model not in ("exp", "pareto1"):
         raise ValueError(f"unknown model {model!r}")

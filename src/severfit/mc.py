@@ -60,7 +60,7 @@ DEFAULT_N_LIST = (50, 100, 250, 500, 1000)
 
 
 def _check_method(method: str) -> None:
-    if method not in ("mle", "mtum", "mcm", "mtcm"):
+    if method not in estimators.FIT_METHODS:
         raise ConfigError("methods", f"unknown method {method!r}")
 
 

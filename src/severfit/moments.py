@@ -16,6 +16,7 @@ import numpy as np
 from .dist import (
     ParetoIModel,
     ThresholdPair,
+    _taylor_tail,
     log_transform_pareto_to_exp,
     regularized_incomplete_gamma3,
 )
@@ -90,21 +91,6 @@ def tail_quantities(theta: float, t: ThresholdPair) -> TailQuantities:
     b = tau * s
     p = -tau * math.expm1(-w) if not math.isinf(w) else tau
     return TailQuantities(a=a, b=b, tau=tau, p=p)
-
-
-def _taylor_tail(x: float, first: int, step: int) -> float:
-    """Sum of x^n / n! over n = first, first + step, ... for 0 <= x <= 1.
-
-    These are the leading terms the closed forms below cancel away:
-    expm1(x) - x is the tail from n = 2, sinh(x) - x the odd tail from n = 3.
-    """
-    total, term, n = 0.0, x**first / math.factorial(first), first
-    while total + term != total:
-        total += term
-        for _ in range(step):
-            n += 1
-            term *= x / n
-    return total
 
 
 def _censored_slope(x: float) -> float:

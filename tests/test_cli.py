@@ -86,15 +86,31 @@ class TestFitCommand:
 
     def test_unevaluable_efficiency_exit_code(self, tmp_path, capsys):
         # truncated mean 1e-10 above d = 5: a root theta ~ 1e-10 exists, but the
-        # survival at d underflows, so its avar cannot be evaluated
+        # survival at d underflows, so its avar is beyond the float range: inf
         path = tmp_path / "edge.csv"
         path.write_text("5.0000000001\n", encoding="utf-8")
         code = main(
             ["fit", "--method", "mtum", "--model", "exp", "--data", str(path),
              "--d", "5", "--u", "6"]
         )
-        assert code == EXIT_INPUT_ERROR
-        assert "degenerate" in capsys.readouterr().err
+        assert code == EXIT_OK
+        assert "exists=true se=inf" in capsys.readouterr().out
+
+    def test_underflowing_survival_reports_infinite_se(self, tmp_path, capsys):
+        # a truncated mean of 1000.45 in (1000, 2000]: theta ~ 0.45 lies strictly
+        # inside the attainable interval, but exp(-d/theta) underflows
+        path = tmp_path / "far.csv"
+        path.write_text("1000.3\n1000.6\n5.0\n", encoding="utf-8")
+        code = main(
+            ["fit", "--method", "mtum", "--model", "exp", "--data", str(path),
+             "--d", "1000", "--u", "2000"]
+        )
+        assert code == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "estimate=0.45 exists=true se=inf"
+        row = out[-1].split(",")
+        assert row[3:] == ["true", row[4], "inf", "inf", ""]
+        assert float(row[4]) == pytest.approx(0.45, rel=1e-12)
 
     def test_large_theta_efficiency_exit_code(self, tmp_path, capsys):
         # payment mean 10.9999999 in (1, 11]: root theta ~ 5e8, where the old

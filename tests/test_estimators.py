@@ -533,18 +533,57 @@ class TestBatchRoots:
     @given(seed=st.integers(0, 2**63), n=st.sampled_from([30, 100, 500]))
     @settings(max_examples=10, deadline=None)
     def test_few_iterations_per_root_on_bench_windows(self, seed, n):
-        # statistics of Exp(THETA) samples, bracketing steps included: about
-        # 8 on average, while bisecting every step takes about 41, so the
-        # bound fails a refinement whose interpolation steps stop being taken
-        x = sample(ExponentialModel(THETA), (200, n), RandomSource(seed=seed))
-        iterations = []
-        for t in BENCH_WINDOWS:
-            window = _window(x, t)
-            for method, spec in _METHODS.items():
-                mu_hat, count = spec.statistic(window, n, t)
-                roots = _root(method, mu_hat[count > 0], t)
-                iterations.append(roots.iterations[~np.isnan(roots.lo)])
-        assert np.concatenate(iterations).mean() <= 9.0
+        # statistics of Exp(THETA) and Exp(10 THETA) samples, the evaluation
+        # at the upper bound counted as one: about 6 and 7.5 on average, while
+        # bisecting every step takes about 41, so the bounds fail a refinement
+        # whose interpolation steps stop being taken.  At 10 THETA the roots
+        # lie far above the windows, so the second bound also fails a bracket
+        # search that doubles up from mu_hat - d (over 10 on average there).
+        for theta, bound in ((THETA, 9.0), (10.0 * THETA, 9.5)):
+            x = sample(ExponentialModel(theta), (200, n), RandomSource(seed=seed))
+            iterations = []
+            for t in BENCH_WINDOWS:
+                window = _window(x, t)
+                for method, spec in _METHODS.items():
+                    mu_hat, count = spec.statistic(window, n, t)
+                    roots = _root(method, mu_hat[count > 0], t)
+                    iterations.append(roots.iterations[~np.isnan(roots.lo)])
+            assert np.concatenate(iterations).mean() <= bound, theta
+
+    @given(
+        method=st.sampled_from(sorted(_METHODS)),
+        d=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+        log_width=st.floats(-3.0, 3.0),
+        infinite=st.booleans(),
+        # theta over many decades relative to the window width, or to
+        # max(1, d) when u is infinite
+        log_ratio=st.floats(-6.0, 6.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_root_within_closed_form_bracket(self, method, d, log_width, infinite, log_ratio):
+        spec = _METHODS[method]
+        t = ThresholdPair(d, math.inf if infinite else d + 10.0**log_width)
+        theta = 10.0**log_ratio * (max(1.0, d) if infinite else t.u - t.d)
+        mu = spec.forward(theta, t)
+        roots = _root(method, mu, t)
+        if roots.reason[0] is not None:  # within the guard band
+            return
+        # mu is forward(theta) rounded: widen both bounds by a few of its ulps
+        slack = 4.0 * np.spacing(mu)
+        with np.errstate(divide="ignore"):
+            upper = spec.upper(np.array([mu + slack]), t)[0]
+        if not upper > 0:  # mu + slack reaches the map's supremum
+            upper = math.inf
+        assert (mu - slack) - t.d <= theta * (1.0 + 1e-12)
+        assert theta <= upper * (1.0 + 1e-12)
+        assert roots.lo[0] <= roots.estimate[0] <= roots.hi[0]
+        # where the map is flat, every theta over which it moves by less than
+        # the slack is a root of the rounded statistic
+        h = 1e-3
+        rise = spec.forward(theta * (1 + h), t) - spec.forward(theta * (1 - h), t)
+        slope = rise / (2 * h * theta)
+        spread = slack / slope if slope > 0 else math.inf
+        assert abs(roots.estimate[0] - theta) <= 1e-10 * theta + spread
 
     @given(
         method=st.sampled_from(sorted(_METHODS)),
