@@ -28,7 +28,9 @@ class SolverStallError(SeverfitError):
 
 
 class QuadratureError(SeverfitError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """Numerical quadrature could not reach the requested tolerance, or its
+    estimate is not finite (as for a divergent moment); ``achieved`` is the
+    error estimate."""
 
     def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)

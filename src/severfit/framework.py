@@ -2,20 +2,21 @@
 
 Given a parametric cdf (wrapped in a :class:`DistributionAdapter`) and k
 window/statistic pairs, this module computes the population quantities by
-quadrature in the quantile domain, assembles the 2k x 2k covariance of the
-underlying sums-and-counts vector, reduces it to the k x k covariance of the
-moment ratios, and propagates through a parameter Jacobian.  The matching
-system is solved by damped Broyden with finite-difference refresh: one
-finite-difference Jacobian at the start, rank-one secant updates after each
-step, and a fresh finite-difference Jacobian whenever an updated one fails.
-The solver needs a starting point and offers no global guarantee, because
-the system may simply have no solution.
+tanh-sinh quadrature in the quantile domain, calling ``h`` and the quantile
+on arrays of nodes (a scalar-only callable is evaluated node by node).  It
+assembles the 2k x 2k covariance of the underlying sums-and-counts vector,
+reduces it to the k x k covariance of the moment ratios, and propagates
+through a parameter Jacobian.  The matching system is solved by damped
+Broyden with finite-difference refresh: one finite-difference Jacobian at
+the start, rank-one secant updates after each step, and a fresh
+finite-difference Jacobian whenever an updated one fails.  The solver needs
+a starting point and offers no global guarantee, because the system may
+simply have no solution.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -60,8 +61,8 @@ __all__ = [
     "asymptotic_report",
 ]
 
-_QUAD_OPTS = {"epsabs": 1e-12, "epsrel": 1e-12, "limit": 300}
 _QUAD_ERR_CAP = 1e-9
+_QUAD_REL_CAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,24 @@ class DistributionAdapter:
 
     The cdf must accept any real (clamping to 0/1 outside the support) and
     ``+inf``; the quantile must invert the cdf on the support interior.
+    Quadrature calls the quantile once with an ndarray of nodes strictly
+    inside (0, 1); a scalar-only quantile (one that raises ``TypeError`` or
+    ``ValueError`` on an array) is called node by node on the same nodes.
+    The optional ``complement_quantile`` maps an ndarray of ``c = 1 - v`` to
+    ``F^{-1}(1 - c)``; with it, nodes near ``v = 1`` keep the digits that
+    forming ``v`` would round away, which heavy upper tails need.
     """
 
     cdf: Callable[[float], float]
     pdf: Callable[[float], float]
     quantile: Callable[[float], float]
     support: tuple[float, float] = (0.0, math.inf)
+    complement_quantile: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def _floats_or_nodes(scalar: Callable[[float], float], nodes: Callable[[np.ndarray], np.ndarray]):
+    """``scalar`` on a float (which it checks), ``nodes`` on an ndarray of quadrature nodes."""
+    return lambda v: nodes(v) if isinstance(v, np.ndarray) else scalar(v)
 
 
 def adapter_from_model(model: ExponentialModel | ParetoIModel) -> DistributionAdapter:
@@ -91,15 +104,22 @@ def adapter_from_model(model: ExponentialModel | ParetoIModel) -> DistributionAd
         return DistributionAdapter(
             cdf=cdf,
             pdf=lambda x: exp_pdf(model, x) if x >= 0 else 0.0,
-            quantile=lambda v: exp_quantile(model, v),
+            quantile=_floats_or_nodes(
+                lambda v: exp_quantile(model, v), lambda v: -theta * np.log1p(-v)
+            ),
             support=(0.0, math.inf),
+            complement_quantile=lambda c: -theta * np.log(c),
         )
     if isinstance(model, ParetoIModel):
+        alpha, x0 = model.alpha, model.x0
         return DistributionAdapter(
             cdf=lambda y: pareto1_cdf(model, y),
             pdf=lambda y: pareto1_pdf(model, y),
-            quantile=lambda v: pareto1_quantile(model, v),
-            support=(model.x0, math.inf),
+            quantile=_floats_or_nodes(
+                lambda v: pareto1_quantile(model, v), lambda v: x0 * np.exp(-np.log1p(-v) / alpha)
+            ),
+            support=(x0, math.inf),
+            complement_quantile=lambda c: x0 * np.exp(-np.log(c) / alpha),
         )
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
@@ -108,11 +128,13 @@ def adapter_from_model(model: ExponentialModel | ParetoIModel) -> DistributionAd
 class MomentEquation:
     """One matching equation: statistic ``h`` restricted to ``window``.
 
-    The population side calls ``h`` with one float at a time;
-    :func:`sample_moment_vector` calls it once with the ndarray of the
-    window's observations, so there it must accept an ndarray (NumPy
-    ufuncs and arithmetic do; ``math`` functions do not).  A constant,
-    such as ``lambda _: 1.0``, is broadcast to the window.
+    ``h`` is called with ndarrays: by quadrature on the population side,
+    with the array of quantiles at the nodes, and by
+    :func:`sample_moment_vector` once with the window's observations.
+    NumPy ufuncs and arithmetic accept arrays; a scalar-only ``h`` (such as
+    ``math.log1p``) is evaluated node by node on the population side but
+    fails on the sample side.  A constant, such as ``lambda _: 1.0``, is
+    broadcast.
     """
 
     h: Callable[[float | np.ndarray], float | np.ndarray]
@@ -175,25 +197,137 @@ def overlap_window(spec: TruncatedSpec, j: int, jp: int) -> ThresholdPair | None
     return ThresholdPair(d, u)
 
 
-def _integrate(fn: Callable[[float], float], lo: float, hi: float) -> float:
+# Tanh-sinh quadrature (H. Takahasi and M. Mori, Publ. RIMS 9, 1974) on
+# (lo, hi) = (mid - r, mid + r): the nodes are v = mid -+ r tanh(pi/2 sinh t)
+# at t = j 2^-L, with weights r (pi/2) cosh t / cosh^2(pi/2 sinh t) times the
+# step 2^-L.  Level 0 holds t = 0, 1, 2, ...; level L > 0 adds the odd
+# multiples of 2^-L.  A node t stands for the pair v = lo + r e and
+# v = hi - r e, kept as its distance e = 1 - tanh(pi/2 sinh t) from the ends
+# (t = 0 is a pair at half weight).  e is formed without tanh, so nodes near
+# an end keep their digits, and the table runs out to where e underflows.
+_FIRST_LEVEL = 4  # levels 0.._FIRST_LEVEL are evaluated in one call
+_LAST_LEVEL = 8
+_AGREE = 1e-13  # successive levels agreeing to this, relative, end the refinement
+
+
+def _nodes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, weight) at the increasing t >= 0, up to where e underflows."""
+    with np.errstate(under="ignore"):
+        q = np.exp(-np.pi * np.sinh(t))  # exp(-2 s) with s = pi/2 sinh t
+        e = 2.0 * q / (1.0 + q)
+        w = 0.5 * np.pi * np.cosh(t) * e * (2.0 - e)  # (pi/2) cosh t (1 - tanh^2 s)
+    w[t == 0.0] *= 0.5
+    return e[e > 0.0], w[e > 0.0]
+
+
+def _first_block() -> tuple[np.ndarray, np.ndarray]:
+    """Levels 0.._FIRST_LEVEL: e, and the weight rows (times the step) of the
+    estimates at levels _FIRST_LEVEL and _FIRST_LEVEL - 1."""
+    step = 2.0**-_FIRST_LEVEL
+    e, w = _nodes(np.arange(0.0, 7.0, step))
+    coarser = np.arange(e.size) % 2 == 0  # every other node: the coarser level's
+    return e, np.stack([step * w, 2.0 * step * w * coarser])
+
+
+def _refinement(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes a later level adds: e, and its weight row times the step."""
+    step = 2.0**-level
+    e, w = _nodes(np.arange(step, 7.0, 2.0 * step))
+    return e, step * w[None, :]
+
+
+_FIRST = _first_block()
+_LATER = [_refinement(k) for k in range(_FIRST_LEVEL + 1, _LAST_LEVEL + 1)]
+
+
+def _on_nodes(fn: Callable, a: np.ndarray) -> np.ndarray:
+    """``fn`` called once on the ndarray ``a``; a scalar-only ``fn``, which
+    raises ``TypeError`` or ``ValueError`` on an array, node by node."""
+    if a.size == 0:
+        return a
+    try:
+        out = fn(a)
+    except (TypeError, ValueError):
+        out = [fn(v) for v in a.tolist()]
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == a.shape else np.broadcast_to(out, a.shape)
+
+
+def _integrate(
+    F: DistributionAdapter, lo: float, hi: float, h: Callable, other: Callable | None = None
+) -> float:
+    """Integral over (lo, hi) of h(F^{-1}(v)), times other(F^{-1}(v)) if given.
+
+    Levels 0.._FIRST_LEVEL take one call of the quantile and of ``h``; each
+    further level one more, until two successive estimates agree.  Nodes
+    that round onto an end are dropped.  When hi >= 1/2, the nodes at the
+    upper end go through ``F.complement_quantile`` (when given) on
+    c = 1 - v, formed exactly from 1 - hi.  At an end v = 0 or v = 1, where
+    the integrand may be unbounded, the mass left beyond the first block's
+    outermost node is taken as |integrand| there times its distance from
+    the end.  The estimate raises when it is not finite, when the last
+    change plus that mass exceeds the cap, or when that mass is not
+    negligible against the integral of |integrand|.
+    """
     if hi <= lo:
         return 0.0
-    # imported here: scipy.integrate costs about 50 MB of resident memory, and
-    # nothing on the fit or Monte Carlo path integrates
-    from scipy import integrate
+    r = 0.5 * (hi - lo)
+    complement = F.complement_quantile is not None and hi >= 0.5
+    top = 1.0 - hi if complement else hi  # exact for hi >= 1/2
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        value, abserr = integrate.quad(fn, lo, hi, **_QUAD_OPTS)
+    def integrand(e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distances r e, and the integrand at the nodes r e inside each end
+        that do not round onto it (a prefix, as nodes run in increasing t)."""
+        dist = r * e
+        v_lo = lo + dist
+        n_lo = np.count_nonzero(v_lo > lo)
+        if complement:
+            c = top + dist
+            x_hi = F.complement_quantile(c[: np.count_nonzero(c > top)])
+        else:
+            v_hi = hi - dist
+            x_hi = _on_nodes(F.quantile, v_hi[: np.count_nonzero(v_hi < hi)])
+        x = np.concatenate([_on_nodes(F.quantile, v_lo[:n_lo]), x_hi])
+        g = _on_nodes(h, x)
+        if other is not None:
+            g = g * (g if other is h else _on_nodes(other, x))
+        return dist, g[:n_lo], g[n_lo:]
+
+    def weighted(weights: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray) -> np.ndarray:
+        return r * (weights[:, : g_lo.size] @ g_lo + weights[:, : g_hi.size] @ g_hi)
+
+    with np.errstate(all="ignore"):
+        e, weights = _FIRST
+        dist, g_lo, g_hi = integrand(e)
+        value, previous = weighted(weights, g_lo, g_hi)
+        beyond = sum(
+            dist[g.size - 1] * abs(g[-1])
+            for g, open_end in ((g_lo, lo == 0.0), (g_hi, hi == 1.0))
+            if open_end and g.size
+        )
+        magnitude = weighted(weights[:1], np.abs(g_lo), np.abs(g_hi))[0] if beyond else 0.0
+        for e, weights in _LATER:
+            if not abs(value - previous) > _AGREE * abs(value):
+                break
+            previous, value = value, 0.5 * value + weighted(weights, *integrand(e)[1:])[0]
+        abserr = abs(value - previous) + beyond
+    if not math.isfinite(value):
+        raise QuadratureError(f"quadrature estimate {value} is not finite", achieved=abserr)
     # large integrals cannot reach the absolute cap in double precision,
     # so the acceptable estimate scales with the magnitude
-    cap = max(_QUAD_ERR_CAP, 1e-10 * abs(value))
-    if abserr > cap:
+    cap = max(_QUAD_ERR_CAP, _QUAD_REL_CAP * abs(value))
+    if not abserr <= cap:
         raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds {cap:.3e}",
+            f"quadrature error estimate {abserr:.3e} exceeds {cap:.3e}", achieved=abserr
+        )
+    # scale-free: a divergent moment on a small scale stays under the cap
+    if not beyond <= _QUAD_REL_CAP * magnitude:
+        raise QuadratureError(
+            f"mass {beyond:.3e} beyond the outermost nodes is not negligible "
+            f"against {magnitude:.3e}",
             achieved=abserr,
         )
-    return value
+    return float(value)
 
 
 def _window_moments(F: DistributionAdapter, spec: TruncatedSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -204,15 +338,16 @@ def _window_moments(F: DistributionAdapter, spec: TruncatedSpec) -> tuple[np.nda
     for j, eq in enumerate(spec.equations):
         lo, hi = F.cdf(eq.window.d), F.cdf(eq.window.u)
         p[j] = hi - lo
-        mu_y[j] = _integrate(lambda v, h=eq.h: h(F.quantile(v)), lo, hi)
+        mu_y[j] = _integrate(F, lo, hi, eq.h)
     return p, mu_y
 
 
 def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> PopulationQuantities:
-    """All expectations by adaptive quadrature in the quantile (v) domain.
+    """All expectations by tanh-sinh quadrature in the quantile (v) domain.
 
     Integrating h(F^{-1}(v)) over (F(d), F(u)) keeps every integration range
-    finite regardless of tail heaviness.
+    finite regardless of tail heaviness; ``h`` and the quantile are called
+    on arrays of nodes (see :class:`MomentEquation`).
     """
     k = spec.k
     p, mu_y = _window_moments(F, spec)
@@ -223,12 +358,8 @@ def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> Popula
     for j in range(k):
         mu_w_pair[j, j] = mu_y[j]
         p_pair[j, j] = p[j]
-        hj = spec.equations[j].h
-        mu_y_pair[j, j] = _integrate(
-            lambda v, h=hj: h(F.quantile(v)) ** 2,
-            F.cdf(spec.equations[j].window.d),
-            F.cdf(spec.equations[j].window.u),
-        )
+        eq = spec.equations[j]
+        mu_y_pair[j, j] = _integrate(F, F.cdf(eq.window.d), F.cdf(eq.window.u), eq.h, eq.h)
     for j in range(k):
         for jp in range(k):
             if j == jp:
@@ -239,12 +370,9 @@ def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> Popula
             lo, hi = F.cdf(window.d), F.cdf(window.u)
             p_pair[j, jp] = hi - lo
             hj = spec.equations[j].h
-            mu_w_pair[j, jp] = _integrate(lambda v, h=hj: h(F.quantile(v)), lo, hi)
+            mu_w_pair[j, jp] = _integrate(F, lo, hi, hj)
             if jp > j:
-                hjp = spec.equations[jp].h
-                mu_y_pair[j, jp] = _integrate(
-                    lambda v: hj(F.quantile(v)) * hjp(F.quantile(v)), lo, hi
-                )
+                mu_y_pair[j, jp] = _integrate(F, lo, hi, hj, spec.equations[jp].h)
                 mu_y_pair[jp, j] = mu_y_pair[j, jp]
     return PopulationQuantities(
         p=p, p_pair=p_pair, mu_y=mu_y, mu_y_pair=mu_y_pair, mu_w_pair=mu_w_pair

@@ -1,14 +1,16 @@
 """General k-equation machinery: overlap windows, covariance assembly, the
 two covariance routes, delta-method propagation, and the system solver."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from severfit import framework
-from severfit.dist import ExponentialModel, RandomSource, ThresholdPair, sample
-from severfit.errors import EmptyWindowError, NoSolutionError
+from severfit.dist import ExponentialModel, ParetoIModel, RandomSource, ThresholdPair, sample
+from severfit.errors import EmptyWindowError, NoSolutionError, QuadratureError
 from severfit.framework import (
     DistributionAdapter,
     MomentEquation,
@@ -119,6 +121,135 @@ class TestPopulationMomentVector:
         s = spec_of((identity, ThresholdPair(0.51, 29.96)), (square, ThresholdPair(1.05, 23.03)))
         q = population_quantities(EXP_ADAPTER, s)
         assert np.array_equal(population_moment_vector(EXP_ADAPTER, s), q.mu_y / q.p)
+
+
+def _normal_adapter(m, scale, quantile):
+    from scipy.special import ndtr
+
+    return DistributionAdapter(
+        cdf=lambda x: 1.0 if math.isinf(x) else float(ndtr((x - m) / scale)),
+        pdf=lambda x: math.exp(-0.5 * ((x - m) / scale) ** 2) / (scale * math.sqrt(2 * math.pi)),
+        quantile=quantile,
+        support=(-math.inf, math.inf),
+    )
+
+
+class TestHeavyTailOracle:
+    """u = inf windows against closed forms, at 1e-12 relative: the nodes
+    near v = 1 go through the complement quantile, so no tail mass is lost."""
+
+    X0, D = 1.5, 1.6
+
+    @pytest.mark.parametrize("alpha", [1.1, 2.0, 3.0, 5.0])
+    def test_pareto_mean_excess(self, alpha):
+        F = adapter_from_model(ParetoIModel(alpha, self.X0))
+        mu = population_moment_vector(F, spec_of((identity, ThresholdPair(self.D, math.inf))))
+        assert mu[0] == pytest.approx(alpha * self.D / (alpha - 1.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [3.0, 5.0])
+    def test_pareto_second_moment(self, alpha):
+        F = adapter_from_model(ParetoIModel(alpha, self.X0))
+        mu = population_moment_vector(F, spec_of((square, ThresholdPair(self.D, math.inf))))
+        assert mu[0] == pytest.approx(alpha * self.D**2 / (alpha - 2.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [1e-3, 10.0, 1e6])
+    def test_exponential_moments(self, theta):
+        F = adapter_from_model(ExponentialModel(theta))
+        d = 0.2877 * theta
+        s = spec_of((identity, ThresholdPair(d, math.inf)), (square, ThresholdPair(d, math.inf)))
+        mu = population_moment_vector(F, s)
+        assert mu[0] == pytest.approx(d + theta, rel=1e-12, abs=0.0)
+        assert mu[1] == pytest.approx((d + theta) ** 2 + theta**2, rel=1e-12, abs=0.0)
+
+    def test_window_ending_next_to_v_one(self):
+        theta, d, u = 1.0, 1.0, 35.0
+        F = adapter_from_model(ExponentialModel(theta))
+        assert 0.0 < 1.0 - F.cdf(u) < 1e-15
+        w = u - d
+        mu = population_moment_vector(F, spec_of((identity, ThresholdPair(d, u))))
+        assert mu[0] == pytest.approx(d + theta - w / math.expm1(w / theta), rel=1e-12, abs=0.0)
+
+
+class TestDivergentMoments:
+    @pytest.mark.parametrize("alpha", [1.5, 1.9, 2.0])
+    def test_infinite_variance_raises(self, alpha):
+        # E[X^2 | X > 1.6] is infinite for alpha <= 2, so Sigma_mu is too
+        F = adapter_from_model(ParetoIModel(alpha, 1.5))
+        s = spec_of((identity, ThresholdPair(1.6, math.inf)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError):
+                asymptotic_report(F, s)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0])
+    def test_infinite_variance_raises_on_a_small_scale(self, alpha):
+        # every integral is far below the absolute error cap here, so only
+        # the tail mass measured against the integral itself can tell
+        x0 = 1e-100
+        F = adapter_from_model(ParetoIModel(alpha, x0))
+        s = spec_of((identity, ThresholdPair(1.1 * x0, math.inf)))
+        with pytest.raises(QuadratureError):
+            asymptotic_report(F, s)
+
+    @pytest.mark.parametrize("alpha", [1.1, 2.0])
+    def test_tail_lost_without_complement_quantile_raises(self, alpha):
+        # forming v = 1 - c rounds away the nodes that carry a heavy tail;
+        # their mass enters the error estimate instead of vanishing
+        F = dataclasses.replace(
+            adapter_from_model(ParetoIModel(alpha, 1.5)), complement_quantile=None
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError) as err:
+                population_moment_vector(F, spec_of((identity, ThresholdPair(1.6, math.inf))))
+        assert err.value.achieved > framework._QUAD_ERR_CAP
+
+    def test_non_finite_integrand_raises(self):
+        s = spec_of((lambda x: np.where(x > 20.0, np.nan, x), T_MAIN))
+        with pytest.raises(QuadratureError):
+            population_moment_vector(EXP_ADAPTER, s)
+
+
+class TestArrayQuadrature:
+    def test_one_array_call_per_level(self):
+        # as test_one_quadrature_per_curve counts quad calls: h sees whole
+        # arrays of nodes, at most one call per level of each integral
+        calls = []
+
+        def counted(h):
+            def inner(x):
+                calls.append(x)
+                return h(x)
+
+            return inner
+
+        per_integral = framework._LAST_LEVEL - framework._FIRST_LEVEL + 1
+        population_moment_vector(EXP_ADAPTER, spec_of((counted(identity), T_MAIN)))
+        assert len(calls) == 1  # the benchmark residual takes one call
+        calls.clear()
+        pareto = adapter_from_model(ParetoIModel(1.1, 1.5))
+        population_moment_vector(pareto, spec_of((counted(identity), ThresholdPair(1.6, math.inf))))
+        assert 1 <= len(calls) <= per_integral
+        calls.clear()
+        # k = 2: mu_y, the square and mu_w for each h, and one cross product
+        s = spec_of((counted(identity), T_MAIN), (counted(square), ThresholdPair(1.05, 23.03)))
+        population_quantities(EXP_ADAPTER, s)
+        assert 8 <= len(calls) <= 8 * per_integral
+        assert all(isinstance(x, np.ndarray) and x.size > 1 for x in calls)
+
+    @pytest.mark.parametrize("window", [ThresholdPair(0.0, 10.0), ThresholdPair(1.0, math.inf)])
+    def test_node_by_node_matches_array_path(self, window):
+        from scipy.special import ndtri
+
+        # math.log1p and float(ndtri(v)) take one float at a time
+        scalar = _normal_adapter(4.0, 2.0, lambda v: 4.0 + 2.0 * float(ndtri(v)))
+        array = _normal_adapter(4.0, 2.0, lambda v: 4.0 + 2.0 * ndtri(v))
+        by_node = population_quantities(scalar, spec_of((math.log1p, window)))
+        by_array = population_quantities(array, spec_of((np.log1p, window)))
+        assert by_node.mu_y[0] == pytest.approx(by_array.mu_y[0], rel=1e-14, abs=0.0)
+        assert by_node.mu_y_pair[0, 0] == pytest.approx(
+            by_array.mu_y_pair[0, 0], rel=1e-14, abs=0.0
+        )
 
 
 class TestSigmaV:
@@ -302,17 +433,11 @@ class TestMomentSystemSolver:
         # normal location-scale: windowed first and second moments pin both
         # parameters (an exponential shift would cancel out of the window
         # conditional by memorylessness)
-        from scipy.special import ndtr, ndtri
+        from scipy.special import ndtri
 
         def family(theta_vec):
             m, scale = float(theta_vec[0]), float(theta_vec[1])
-            return DistributionAdapter(
-                cdf=lambda x: 1.0 if math.isinf(x) else float(ndtr((x - m) / scale)),
-                pdf=lambda x: math.exp(-0.5 * ((x - m) / scale) ** 2)
-                / (scale * math.sqrt(2 * math.pi)),
-                quantile=lambda v: m + scale * float(ndtri(v)),
-                support=(-math.inf, math.inf),
-            )
+            return _normal_adapter(m, scale, lambda v: m + scale * float(ndtri(v)))
 
         s = spec_of((identity, ThresholdPair(0.0, 10.0)), (square, ThresholdPair(0.0, 10.0)))
         truth = np.array([4.0, 2.0])

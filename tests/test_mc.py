@@ -356,9 +356,9 @@ class TestHistogramStudy:
             assert mc._skewness(x) == pytest.approx(stats.skew(x, bias=False), rel=1e-13)
         assert math.isnan(mc._skewness(np.full(5, 2.5)))
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats costs about 20 MB and 0.4 s to import, scipy.integrate
-        # about 50 MB; nothing on the fit or Monte Carlo path needs either
+    @staticmethod
+    def _scipy_modules_after(code):
+        """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
         import os
         import subprocess
         import sys
@@ -367,12 +367,26 @@ class TestHistogramStudy:
         import severfit
 
         src = Path(severfit.__file__).resolve().parent.parent
-        code = (
-            "import sys, severfit, severfit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
+        code += "; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
             check=True, env=dict(os.environ, PYTHONPATH=str(src)),
         )
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about 20 MB and 0.4 s to import, scipy.integrate
+        # about 50 MB; nothing on the fit or Monte Carlo path needs either
+        assert self._scipy_modules_after("import sys, severfit, severfit.cli") == "[]"
+
+    def test_framework_quadrature_loads_no_scipy(self):
+        # the k-equation quadrature on a built-in adapter is NumPy only
+        code = (
+            "import sys, math; from severfit.dist import ExponentialModel, ThresholdPair; "
+            "from severfit.framework import MomentEquation, TruncatedSpec, "
+            "adapter_from_model, population_quantities; "
+            "spec = TruncatedSpec((MomentEquation(lambda x: x, ThresholdPair(0.51, 29.96)), "
+            "MomentEquation(lambda x: x * x, ThresholdPair(1.05, math.inf)))); "
+            "population_quantities(adapter_from_model(ExponentialModel(10.0)), spec)"
+        )
+        assert self._scipy_modules_after(code) == "[]"
