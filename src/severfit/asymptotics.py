@@ -16,7 +16,7 @@ import numpy as np
 
 from .dist import ExponentialModel, ThresholdPair, exp_quantile
 from .errors import DegenerateError, QuadratureError
-from .framework import DistributionAdapter
+from .framework import DistributionAdapter, _integrate
 from .moments import (
     mu_mtcm_dtheta,
     mu_mtum_dtheta,
@@ -47,8 +47,6 @@ __all__ = [
 ]
 
 METHODS = ("mtum", "mcm", "mtcm")
-
-_IF_QUAD_OPTS = {"epsabs": 1e-11, "epsrel": 1e-11, "limit": 200}
 
 
 def are_mtum(theta: float, t: ThresholdPair) -> float:
@@ -199,16 +197,13 @@ def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[fl
 
 
 def _centred_winsorized(F: DistributionAdapter, a: float, b: float, d: float, u: float, x):
-    """clip(x, d, u) - W, W = a d + b u + integral of F^{-1} over (a, 1-b), for any x."""
-    from scipy import integrate
+    """clip(x, d, u) - W, W = a d + b u + integral of F^{-1} over (a, 1-b), for any x.
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        integral, abserr = integrate.quad(F.quantile, a, 1.0 - b, **_IF_QUAD_OPTS)
-    if abserr > 1e-8:
-        raise QuadratureError(
-            f"influence quadrature error {abserr:.3e} exceeds 1e-8", achieved=abserr
-        )
+    The integral is the framework's tanh-sinh quadrature, which calls the
+    quantile on arrays of nodes (see :class:`DistributionAdapter`); with
+    b = 0 and an infinite mean it raises :class:`QuadratureError`.
+    """
+    integral = _integrate(F, a, 1.0 - b, lambda x: x)
     tails = (a * d if a > 0.0 else 0.0) + (b * u if b > 0.0 else 0.0)
     return np.clip(x, d, u) - (tails + integral)
 
@@ -218,8 +213,10 @@ def influence_mtm(F: DistributionAdapter, a: float, b: float, x: float) -> float
 
     It is the centred winsorized variable (clip(x, d, u) - W) / (1 - a - b):
     d = F^{-1}(a), u = F^{-1}(1-b) (infinite when b = 0) and the winsorized
-    mean W = a d + b u + integral of F^{-1}(v) over (a, 1-b).  With b = 0 the
-    model needs a finite mean; x = inf then gives inf.
+    mean W = a d + b u + integral of F^{-1}(v) over (a, 1-b).  The integral
+    calls the quantile on arrays of nodes, as :class:`DistributionAdapter`
+    describes.  With b = 0 the model needs a finite mean, and an infinite
+    one raises :class:`QuadratureError`; x = inf then gives inf.
     """
     d, u = _quantile_thresholds(F, a, b)
     return float(_centred_winsorized(F, a, b, d, u, x)) / (1.0 - a - b)

@@ -350,30 +350,23 @@ def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> Popula
     on arrays of nodes (see :class:`MomentEquation`).
     """
     k = spec.k
-    p, mu_y = _window_moments(F, spec)
-
     p_pair = np.zeros((k, k))
     mu_y_pair = np.zeros((k, k))
     mu_w_pair = np.zeros((k, k))
     for j in range(k):
-        mu_w_pair[j, j] = mu_y[j]
-        p_pair[j, j] = p[j]
-        eq = spec.equations[j]
-        mu_y_pair[j, j] = _integrate(F, F.cdf(eq.window.d), F.cdf(eq.window.u), eq.h, eq.h)
-    for j in range(k):
-        for jp in range(k):
-            if j == jp:
-                continue
-            window = overlap_window(spec, j, jp)
+        hj = spec.equations[j].h
+        for jp in range(j, k):
+            window = overlap_window(spec, j, jp)  # window j itself when jp == j
             if window is None:
                 continue
             lo, hi = F.cdf(window.d), F.cdf(window.u)
-            p_pair[j, jp] = hi - lo
-            hj = spec.equations[j].h
+            hjp = spec.equations[jp].h
+            p_pair[j, jp] = p_pair[jp, j] = hi - lo
             mu_w_pair[j, jp] = _integrate(F, lo, hi, hj)
             if jp > j:
-                mu_y_pair[j, jp] = _integrate(F, lo, hi, hj, spec.equations[jp].h)
-                mu_y_pair[jp, j] = mu_y_pair[j, jp]
+                mu_w_pair[jp, j] = _integrate(F, lo, hi, hjp)
+            mu_y_pair[j, jp] = mu_y_pair[jp, j] = _integrate(F, lo, hi, hj, hjp)
+    p, mu_y = np.diag(p_pair).copy(), np.diag(mu_w_pair).copy()
     return PopulationQuantities(
         p=p, p_pair=p_pair, mu_y=mu_y, mu_y_pair=mu_y_pair, mu_w_pair=mu_w_pair
     )

@@ -2,6 +2,7 @@
 influence functions, pinned against independently known values."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.special import ndtr, ndtri
 
 from severfit import asymptotics
 from severfit.dist import ExponentialModel, ParetoIModel, ThresholdPair, exp_quantile
-from severfit.errors import DegenerateError
+from severfit.errors import DegenerateError, QuadratureError
 from severfit.framework import DistributionAdapter, adapter_from_model
 from severfit.asymptotics import (
     are,
@@ -329,13 +330,13 @@ class TestInfluenceOracle:
 
     def test_one_quadrature_per_curve(self, monkeypatch):
         calls = []
-        real_quad = integrate.quad
+        real_integrate = asymptotics._integrate
 
-        def counting_quad(*args, **kwargs):
+        def counting_integrate(*args, **kwargs):
             calls.append(args[1:3])
-            return real_quad(*args, **kwargs)
+            return real_integrate(*args, **kwargs)
 
-        monkeypatch.setattr(integrate, "quad", counting_quad)
+        monkeypatch.setattr(asymptotics, "_integrate", counting_integrate)
         grid = np.linspace(0.0, ADAPTER.quantile(0.999), 1001)
         influence_curve(ADAPTER, "mtm", 0.05, 0.05, grid)
         assert len(calls) == 1
@@ -345,6 +346,45 @@ class TestInfluenceOracle:
         assert influence_mtm(ADAPTER, 0.25, 0.05, math.inf) == pytest.approx(
             influence_mtm(ADAPTER, 0.25, 0.05, 1e6), abs=1e-12
         )
+
+
+class TestInfluenceClosedForm:
+    """W in closed form: a d + b u - theta I(a, 1-b) for Exp(theta), and
+    a d + x0 (1-a)^k / k with k = 1 - 1/alpha for Pareto I with b = 0."""
+
+    @pytest.mark.parametrize("theta", [1e-3, 1.0, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize(
+        "a,b", [(0.05, 0.05), (0.0, 0.0), (0.25, 0.0), (0.0, 0.3), (0.1, 0.7)]
+    )
+    def test_exponential_at_any_scale(self, theta, a, b):
+        F = adapter_from_model(ExponentialModel(theta))
+        t = quantile_pair(a, b, theta)
+        w = a * t.d + (b * t.u if b > 0.0 else 0.0) - theta * mtm_integral_I(a, 1.0 - b)
+        xs = np.array([0.0, theta, 3.0 * theta])
+        centred = np.clip(xs, t.d, t.u) - w
+        mtm = [influence_mtm(F, a, b, float(x)) for x in xs]
+        assert np.max(np.abs(mtm - centred / (1.0 - a - b))) <= 1e-13 * theta
+        mcm = influence_curve(F, "mcm", a, b, xs).values
+        assert np.max(np.abs(mcm - centred)) <= 1e-13 * theta
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    def test_infinite_mean_raises(self, alpha):
+        F = adapter_from_model(ParetoIModel(alpha, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError):
+                influence_mtm(F, 0.05, 0.0, 3.0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.05, 0.25])
+    def test_heavy_pareto_tail(self, a):
+        alpha, x0 = 1.05, 2.0
+        k = 1.0 - 1.0 / alpha
+        F = adapter_from_model(ParetoIModel(alpha, x0))
+        d = F.quantile(a)
+        w = a * d + x0 * (1.0 - a) ** k / k
+        for x in (3.0, 1e3):
+            expected = (max(x, d) - w) / (1.0 - a)
+            assert influence_mtm(F, a, 0.0, x) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestInfluence:

@@ -279,6 +279,15 @@ class TestInfluenceCommand:
         ]
         assert max(values) - min(values) < 1e-8
 
+    def test_large_scale(self, tmp_path):
+        out = tmp_path / "if4.csv"
+        assert main(
+            ["influence", "--model", "exp", "--theta", "1e9", "--a", "0.05", "--b", "0.05",
+             "--points", "5", "--out", str(out)]
+        ) == EXIT_OK
+        rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").strip().split("\n")[1:]]
+        assert len(rows) == 5
+
     def test_mass_validation(self):
         assert main(
             ["influence", "--model", "exp", "--theta", "10", "--a", "0.6", "--b", "0.5"]

@@ -376,7 +376,7 @@ class TestHistogramStudy:
 
     def test_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs about 20 MB and 0.4 s to import, scipy.integrate
-        # about 50 MB; nothing on the fit or Monte Carlo path needs either
+        # about 50 MB; only the J cross-check, mtm_integral_J, imports scipy
         assert self._scipy_modules_after("import sys, severfit, severfit.cli") == "[]"
 
     def test_framework_quadrature_loads_no_scipy(self):
@@ -388,5 +388,25 @@ class TestHistogramStudy:
             "spec = TruncatedSpec((MomentEquation(lambda x: x, ThresholdPair(0.51, 29.96)), "
             "MomentEquation(lambda x: x * x, ThresholdPair(1.05, math.inf)))); "
             "population_quantities(adapter_from_model(ExponentialModel(10.0)), spec)"
+        )
+        assert self._scipy_modules_after(code) == "[]"
+
+    def test_analytic_path_loads_no_scipy(self):
+        # influence curves, efficiencies and the k-equation report and solve
+        code = (
+            "import sys, math, numpy as np; "
+            "from severfit.dist import ExponentialModel, ParetoIModel, ThresholdPair; "
+            "from severfit.asymptotics import are_mtm, are_table, influence_curve; "
+            "from severfit.framework import MomentEquation, TruncatedSpec, adapter_from_model, "
+            "asymptotic_report, population_moment_vector, solve_moment_system; "
+            "grid = np.linspace(1.5, 40.0, 11); "
+            "[influence_curve(adapter_from_model(m), method, 0.05, b, grid) "
+            "for m in (ExponentialModel(10.0), ParetoIModel(2.0, 1.5)) "
+            "for method in ('mtm', 'mcm') for b in (0.0, 0.05)]; "
+            "are_table(10.0); are_mtm(0.05, 0.05); "
+            "exp = lambda th: adapter_from_model(ExponentialModel(th[0])); "
+            "spec = TruncatedSpec((MomentEquation(lambda x: x, ThresholdPair(0.51, 29.96)),)); "
+            "asymptotic_report(exp([10.0]), spec, np.array([[1.0]])); "
+            "solve_moment_system(exp, spec, population_moment_vector(exp([10.0]), spec), [8.0])"
         )
         assert self._scipy_modules_after(code) == "[]"
