@@ -8,15 +8,14 @@ in (0, 1] with equality exactly when nothing is truncated or censored.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist import ExponentialModel, ThresholdPair, exp_quantile
-from .errors import DegenerateError, QuadratureError
-from .framework import DistributionAdapter, _integrate
+from .errors import DegenerateError
+from .framework import DistributionAdapter, _integrate, adapter_from_model
 from .moments import (
     mu_mtcm_dtheta,
     mu_mtum_dtheta,
@@ -124,32 +123,29 @@ def mtm_integral_I(a: float, one_minus_b: float) -> float:
 
 
 def mtm_integral_J(a: float, one_minus_b: float) -> float:
-    """J(a, 1-b) = double integral of (min(v,w) - vw)/((1-v)(1-w)) over the square.
+    """J(a, 1-b), the variance of Exp(1) winsorized at its a and 1-b quantiles.
 
-    Evaluated by adaptive 2-D quadrature as twice the integral over the
-    triangle v <= w, which keeps the integrand bounded even when the upper
-    limit is 1 (the diagonal kink becomes a boundary and the inner
-    integration cancels the 1/(1-w) growth).  This is the cross-check
-    integral; :func:`are_mtm` uses J in closed form.
+    An asymptotic variance is the mean square of the influence curve
+    (F. R. Hampel, *JASA* 69, 1974), so J = E[(clip(X, d, u) - W)^2] with
+    d = Q(a), u = Q(1-b) and W the winsorized mean:
+    a (d - W)^2 + b (u - W)^2 + integral of (Q(v) - W)^2 over (a, 1-b).
+    W comes from the influence curve's centred winsorized variable and the
+    integral from the same tanh-sinh rule.  This is the cross-check;
+    :func:`are_mtm` uses J in closed form.
     """
     if not (0 <= a < one_minus_b <= 1):
         raise ValueError(f"need 0 <= a < 1-b <= 1, got a={a!r}, 1-b={one_minus_b!r}")
+    b = 1.0 - one_minus_b
+    F = adapter_from_model(ExponentialModel(1.0))
+    d, u = _quantile_thresholds(F, a, b)
+    d_w, u_w = _centred_winsorized(F, a, b, d, u, np.array([d, u])).tolist()
+    w = d - d_w
 
-    def integrand(w: float, v: float) -> float:
-        return (min(v, w) - v * w) / ((1.0 - v) * (1.0 - w))
+    def centred(x):
+        return x - w
 
-    from scipy import integrate  # imported on first use: about 50 MB resident
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        value, abserr = integrate.dblquad(
-            integrand, a, one_minus_b, lambda v: v, lambda v: one_minus_b, epsabs=1e-9
-        )
-    if abserr > 1e-6:
-        raise QuadratureError(
-            f"J quadrature error estimate {abserr:.3e} exceeds 1e-6", achieved=abserr
-        )
-    return 2.0 * value
+    tails = a * d_w * d_w + (b * u_w * u_w if b > 0.0 else 0.0)
+    return tails + _integrate(F, a, one_minus_b, centred, centred)
 
 
 # 1 - r^2 + 2 r log r = e^3 sum_m c_m e^m with e = 1 - r and c_m = 2/((m+2)(m+3));
@@ -183,7 +179,8 @@ def _mtm_j(a: float, b: float) -> float:
 def are_mtm(a: float, b: float) -> float:
     """ARE of the fixed-proportion trimmed mean: I^2 / J, with J in closed form.
 
-    :func:`mtm_integral_J` keeps the ``dblquad`` of J as the cross-check.
+    :func:`mtm_integral_J` is the cross-check: J as the mean squared
+    influence curve, by quadrature.
     """
     i_val = mtm_integral_I(a, 1.0 - b)
     return i_val * i_val / _mtm_j(a, b)

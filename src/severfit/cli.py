@@ -20,7 +20,7 @@ import numpy as np
 from . import asymptotics, estimators, mc
 from .dist import ExponentialModel, ParetoIModel, ThresholdPair, exp_quantile, pareto1_quantile
 from .asymptotics import _fmt
-from .errors import ConfigError, SeverfitError
+from .errors import SeverfitError
 from .framework import adapter_from_model
 
 __all__ = ["main"]
@@ -116,7 +116,7 @@ def _build_parser() -> _Parser:
     p_hist.add_argument("--d", type=float, default=0.50)
     p_hist.add_argument("--u", type=_float_or_inf, default=23.00)
     p_hist.add_argument("--theta", type=float, default=10.0)
-    p_hist.add_argument("--methods", type=_method_list, default=["mtum", "mcm", "mtcm"])
+    p_hist.add_argument("--methods", type=_method_list, default=list(asymptotics.METHODS))
     p_hist.add_argument("--seed", type=int, default=mc.DEFAULT_SEED)
     p_hist.add_argument("--out", default=None)
 
@@ -265,13 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except SeverfitError as exc:
+    except (_UsageError, SeverfitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -194,7 +194,6 @@ def _solve_increasing(
     floor: float,
     *,
     resid_tol: float,
-    max_iter: int = _MAX_SOLVER_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Roots of forward(theta) = target, elementwise, for a strictly increasing
     forward map on arrays that tends to ``floor`` as theta -> 0, given
@@ -212,10 +211,12 @@ def _solve_increasing(
     bracket closes on the plateau's lower edge.  The next point is
     a + t (b - a): the first t is the bracket's secant point, each later one
     the inverse quadratic interpolation through a, b and c where
-    Chandrupatla's test finds it safe, else 1/2.  t is kept a quarter of the
-    bracket tolerance 1e-12 lo away from both ends, so where a point lands
-    close to the root the next one crosses it and the bracket closes from
-    both sides.
+    Chandrupatla's test finds it safe and f(b) != 0, else 1/2.  Where f(b)
+    is 0 the interpolation gives t = 1, and minimum steps would walk a
+    plateau of computed zeros; f(a) == 0 is an exact hit, where the minimum
+    step closes the bracket.  t is kept a quarter of the bracket tolerance
+    1e-12 lo away from both ends, so where a point lands close to the root
+    the next one crosses it and the bracket closes from both sides.
     An element stops when hi - lo <= 1e-12 lo and |f| <= resid_tol at the
     latest point, or when lo and hi are adjacent doubles; its root is the
     bracket midpoint.
@@ -238,8 +239,8 @@ def _solve_increasing(
     a, fa, b, fb, target = lo[idx], f_lo[idx], hi[idx], f_hi[idx], target[idx]
     t = fa / (fa - fb)
     while idx.size:
-        if iters.max() >= max_iter:
-            raise SolverStallError(f"no convergence after {max_iter} iterations")
+        if iters.max() >= _MAX_SOLVER_ITER:
+            raise SolverStallError(f"no convergence after {_MAX_SOLVER_ITER} iterations")
         iters += 1
         # t's distance from either end: a quarter of the bracket tolerance
         tl = np.minimum(0.25 * 1e-12 * np.minimum(a, b) / np.abs(b - a), 0.5)
@@ -268,7 +269,7 @@ def _solve_increasing(
             quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
             iqi = (fa / (fb - fa) * fc / (fb - fc)
                    + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
-            t = np.where(quadratic, iqi, 0.5)
+            t = np.where(quadratic & (fb != 0.0), iqi, 0.5)
     return theta, iterations, lo, hi
 
 

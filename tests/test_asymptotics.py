@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
@@ -226,7 +225,7 @@ class TestTrimmedIntegrals:
                 _j_oracle(a, b), rel=1e-13, abs=0.0
             ), (a, b)
 
-    def test_are_mtm_makes_no_dblquad_call(self, monkeypatch):
+    def test_are_mtm_makes_no_quadrature_call(self, monkeypatch):
         grid = default_grid()
         pairs = [(a, b) for a in grid for b in grid if a + b < 1.0]
         cross_check = {
@@ -234,9 +233,10 @@ class TestTrimmedIntegrals:
         }
 
         def refuse(*args, **kwargs):
-            raise AssertionError("are_mtm called dblquad")
+            raise AssertionError("are_mtm took J by quadrature")
 
-        monkeypatch.setattr(integrate, "dblquad", refuse)
+        monkeypatch.setattr(asymptotics, "mtm_integral_J", refuse)
+        monkeypatch.setattr(asymptotics, "_integrate", refuse)
         for a, b in pairs:
             # criterion 02's tolerance on the J quadrature
             assert are_mtm(a, b) == pytest.approx(cross_check[a, b], abs=1e-6)
@@ -248,6 +248,17 @@ class TestTrimmedIntegrals:
                 if a + b < 1.0:
                     assert mtm_integral_J(a, 1.0 - b) == pytest.approx(
                         _winsorized_exp1_variance(a, b), abs=1e-9
+                    ), (a, b)
+
+    def test_j_quadrature_agrees_with_closed_form(self):
+        # two routes that share no code: the mean squared influence curve
+        # by quadrature, and the closed form that are_mtm uses
+        grid = default_grid()
+        for a in grid:
+            for b in grid:
+                if a + b < 1.0:
+                    assert mtm_integral_J(a, 1.0 - b) == pytest.approx(
+                        asymptotics._mtm_j(a, b), rel=1e-12, abs=0.0
                     ), (a, b)
 
     def test_i_closed_form_against_quadrature(self):

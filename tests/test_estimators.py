@@ -520,14 +520,24 @@ class TestBatchRoots:
             # a statistic 3.8e-8 above d: over half of the bracket
             # (1e-6, 8.4) the map rounds to d, its slope down to 7e-321
             ("mcm", ThresholdPair(126.7402152401278, 140.54398431143798), 126.74021527786581),
+            # a statistic near d on a window narrow against d: the computed
+            # map is a staircase at the bracket tolerance
+            ("mtcm", ThresholdPair(29.39463711882543, 29.42995080171072), 29.394817419173908),
+            # near the supremum, where the computed map at the closed-form
+            # upper bound can equal the statistic exactly
+            ("mtum", ThresholdPair(1.0, 11.0), 6.0 - 1e-6),
+            ("mtum", ThresholdPair(1.0, 11.0), 6.0 - 1e-9),
         ],
     )
     def test_root_where_the_map_rounds_to_plateaus(self, method, t, mu):
+        # where the far bracket end's computed f is 0, interpolation gives
+        # t = 1, and minimum steps along the plateau would take over 50
+        # iterations; bisecting there takes about 42
         forward = _METHODS[method].forward
         roots = _root(method, np.array([mu]), t)
         assert roots.reason[0] is None
-        assert roots.iterations[0] < 100
-        reference = _bisect(lambda theta: forward(theta, t), mu, lo=1e-300)
+        assert roots.iterations[0] < 50
+        reference = _bisect(lambda theta: forward(theta, t), mu, lo=1e-300, hi=1e12)
         assert roots.estimate[0] == pytest.approx(reference, rel=1e-10)
 
     @given(seed=st.integers(0, 2**63), n=st.sampled_from([30, 100, 500]))
