@@ -360,32 +360,69 @@ class TestHistogramStudy:
             assert mc._skewness(x) == pytest.approx(stats.skew(x, bias=False), rel=1e-13)
         assert math.isnan(mc._skewness(np.full(5, 2.5)))
 
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about 20 MB and 0.4 s to import, scipy.integrate
+        # about 50 MB; SciPy is a test dependency only, the package needs NumPy
+        assert _scipy_modules_after("import severfit, severfit.cli") == "[]"
 
-# What the package runs in a fresh interpreter: the import, the k-equation
-# quadrature, report and solve, influence curves on both built-in adapters
-# (b = 0 and 0.05), efficiencies, the J cross-check and every CLI subcommand.
-_RUNTIME_PROBE = """
-import math, sys
+    def test_framework_quadrature_loads_no_scipy(self):
+        # the k-equation quadrature on a built-in adapter is NumPy only
+        code = """
+import math
+from severfit.dist import ExponentialModel, ThresholdPair
+from severfit.framework import MomentEquation, TruncatedSpec, adapter_from_model, population_quantities
+spec = TruncatedSpec((MomentEquation(lambda x: x, ThresholdPair(0.51, 29.96)),
+                      MomentEquation(lambda x: x * x, ThresholdPair(1.05, math.inf))))
+population_quantities(adapter_from_model(ExponentialModel(10.0)), spec)
+"""
+        assert _scipy_modules_after(code) == "[]"
+
+    def test_analytic_path_loads_no_scipy(self):
+        # influence curves on both built-in adapters (b = 0 and 0.05),
+        # efficiencies, the J cross-check and the k-equation report and solve
+        code = """
 import numpy as np
 from severfit.asymptotics import are_mtm, are_table, influence_curve, mtm_integral_J
-from severfit.cli import main
 from severfit.dist import ExponentialModel, ParetoIModel, ThresholdPair
 from severfit.framework import (MomentEquation, TruncatedSpec, adapter_from_model,
-    asymptotic_report, population_moment_vector, population_quantities, solve_moment_system)
-
-exp = lambda th: adapter_from_model(ExponentialModel(th[0]))
-population_quantities(exp([10.0]), TruncatedSpec((
-    MomentEquation(lambda x: x, ThresholdPair(0.51, 29.96)),
-    MomentEquation(lambda x: x * x, ThresholdPair(1.05, math.inf)))))
+    asymptotic_report, population_moment_vector, solve_moment_system)
 grid = np.linspace(1.5, 40.0, 11)
 for model in (ExponentialModel(10.0), ParetoIModel(2.0, 1.5)):
     for method in ("mtm", "mcm"):
         for b in (0.0, 0.05):
             influence_curve(adapter_from_model(model), method, 0.05, b, grid)
 are_table(10.0); are_mtm(0.05, 0.05); mtm_integral_J(0.05, 0.95)
+exp = lambda th: adapter_from_model(ExponentialModel(th[0]))
 spec = TruncatedSpec((MomentEquation(lambda x: x, ThresholdPair(0.51, 29.96)),))
 asymptotic_report(exp([10.0]), spec, np.array([[1.0]]))
 solve_moment_system(exp, spec, population_moment_vector(exp([10.0]), spec), [8.0])
+"""
+        assert _scipy_modules_after(code) == "[]"
+
+
+def _scipy_modules_after(code, *argv):
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    src = Path(mc.__file__).resolve().parent.parent
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    return done.stdout.splitlines()[-1]  # after fit's summary lines
+
+
+def test_cli_subcommands_load_no_scipy(tmp_path):
+    data, config = tmp_path / "losses.csv", tmp_path / "study.cfg"
+    losses = np.random.default_rng(3).exponential(10.0, 200)
+    data.write_text("loss\n" + "\n".join(map(repr, losses.tolist())) + "\n", encoding="utf-8")
+    config.write_text(
+        "methods = mcm\ndesign_points = (0.05, 0.05)\nn_list = 50\nblocks = 1\nreps = 20\n",
+        encoding="utf-8",
+    )
+    code = """
+import sys
+from severfit.cli import main
 data, config, out = sys.argv[1:]
 for argv in (["fit", "--method", "mtum", "--model", "exp", "--data", data, "--d", "0.5",
               "--u", "20"],
@@ -394,23 +431,5 @@ for argv in (["fit", "--method", "mtum", "--model", "exp", "--data", data, "--d"
              ["influence", "--theta", "10", "--points", "11"],
              ["hist", "--n-list", "30", "--count", "5"]):
     assert main([*argv, "--out", out]) == 0, argv
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-
-
-def test_runtime_loads_no_scipy(tmp_path):
-    # SciPy is a test dependency only; the package needs NumPy alone
-    data, config = tmp_path / "losses.csv", tmp_path / "study.cfg"
-    losses = np.random.default_rng(3).exponential(10.0, 200)
-    data.write_text("loss\n" + "\n".join(map(repr, losses.tolist())) + "\n", encoding="utf-8")
-    config.write_text(
-        "methods = mcm\ndesign_points = (0.05, 0.05)\nn_list = 50\nblocks = 1\nreps = 20\n",
-        encoding="utf-8",
-    )
-    src = Path(mc.__file__).resolve().parent.parent
-    done = subprocess.run(
-        [sys.executable, "-c", _RUNTIME_PROBE, str(data), str(config), str(tmp_path / "out.csv")],
-        capture_output=True, text=True, timeout=120, check=True,
-        env=dict(os.environ, PYTHONPATH=str(src)),
-    )
-    assert done.stdout.splitlines()[-1] == "[]"  # after fit's summary lines
+    assert _scipy_modules_after(code, data, config, tmp_path / "out.csv") == "[]"
