@@ -135,9 +135,9 @@ def mtm_integral_J(a: float, one_minus_b: float) -> float:
     """
     if not (0 <= a < one_minus_b <= 1):
         raise ValueError(f"need 0 <= a < 1-b <= 1, got a={a!r}, 1-b={one_minus_b!r}")
-    b = 1.0 - one_minus_b
+    b = 1.0 - one_minus_b  # 1 when 1-b is below about 1e-16: u comes from 1-b itself
     F = adapter_from_model(ExponentialModel(1.0))
-    d, u = _quantile_thresholds(F, a, b)
+    d, u = F.quantile(a), math.inf if b == 0.0 else F.quantile(one_minus_b)
     d_w, u_w = _centred_winsorized(F, a, b, d, u, np.array([d, u])).tolist()
     w = d - d_w
 

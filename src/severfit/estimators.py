@@ -375,26 +375,28 @@ def _with_avar(result: EstimateResult, t: ThresholdPair) -> EstimateResult:
     return replace(result, avar=avar)
 
 
+def _statistics(methods: Sequence[str], x: np.ndarray, t: ThresholdPair | None) -> tuple:
+    """Per row of ``x`` (rows, n), what ``methods`` read: the ``_window``
+    triple unless every method is "mle", then the row sum if one is."""
+    window = _window(x, t) if set(methods) - {"mle"} else ()
+    return window + ((x.sum(axis=1),) if "mle" in methods else ())
+
+
 def _estimates(
-    methods: Sequence[str], x: np.ndarray, t: ThresholdPair | None
+    methods: Sequence[str], stats: tuple, n: int, t: ThresholdPair | None
 ) -> dict[str, np.ndarray]:
-    """Theta for each row of ``x`` (rows, n) by each of ``methods``, without
-    avar; NaN where a row has none (an empty window or a statistic outside the
-    attainable interval).  One ``_window`` pass serves every method; the MLE
-    is the row mean."""
+    """Theta for each row of ``_statistics`` of samples of size n by each of
+    ``methods``, without avar, from one ``_root`` batch per method; NaN where a
+    row has none (an empty window or a statistic outside the attainable interval)."""
     estimates = {}
-    window = None
     for method in methods:
         if method == "mle":
-            estimates[method] = x.sum(axis=1) / x.shape[1]
+            estimates[method] = stats[-1] / n
             continue
-        if window is None:
-            window = _window(x, t)
-        mu_hat, count = _METHODS[method].statistic(window, x.shape[1], t)
-        estimate = np.full(len(x), np.nan)
+        mu_hat, count = _METHODS[method].statistic(stats[:3], n, t)
+        estimates[method] = estimate = np.full(len(count), np.nan)
         filled = count > 0
         estimate[filled] = _root(method, mu_hat[filled], t).estimate
-        estimates[method] = estimate
     return estimates
 
 

@@ -2,9 +2,9 @@
 
 Every (cell, block) owns one random stream derived from (master seed, cell,
 block), and draws its replications from it as rows of a (reps, n) matrix, in
-chunks that the estimators solve as one batch.  A block's result depends on
-nothing else, so results are bit-identical regardless of execution order,
-chunk size or worker count.
+small chunks reduced to per-row statistics; each method solves the whole
+block's roots as one batch.  Every root depends on its row alone, so results
+are bit-identical regardless of execution order, chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -138,29 +138,34 @@ def cell_from_quantiles(
     )
 
 
-# A chunk holds about this many draws.  The generator continues one stream
-# across calls, so the chunking changes no value.
-_CHUNK_VALUES = 1 << 18
+# A chunk holds about this many draws (128 KB), so its arrays are reused from the malloc heap
+# chunk after chunk; from 2^15 up they were often mapped and page-faulted afresh (glibc on a
+# 2-vCPU Xeon, the benchmark's 24 cells in process: 67,632 faults per pass at 2^18, 74,594 at
+# 2^16, none at 2^14).  The stream continues across calls and every statistic is per row, so
+# chunking changes no value.
+_CHUNK_VALUES = 1 << 14
 
 
-def _chunks(rows: int, n: int) -> list[int]:
-    """Row counts of the consecutive chunks that cover ``rows`` rows of ``n`` values."""
-    step = max(1, _CHUNK_VALUES // n)
-    return [min(step, rows - start) for start in range(0, rows, step)]
+def _draw_estimates(
+    methods: Sequence[str], theta: float, t: ThresholdPair, rs: RandomSource, rows: int, n: int
+) -> dict[str, np.ndarray]:
+    """Each method's estimates for ``rows`` Exp(theta) samples of size ``n`` from ``rs``,
+    reduced to per-row statistics chunk by chunk and solved as one batch per method."""
+    model, step = ExponentialModel(theta), max(1, _CHUNK_VALUES // n)
+    parts = [estimators._statistics(methods, sample(model, (min(step, rows - i), n), rs), t)
+             for i in range(0, rows, step)]
+    return estimators._estimates(methods, tuple(map(np.concatenate, zip(*parts))), n, t)
 
 
 def _run_block(cell: SimCell, block_index: int) -> tuple[int, int, float, float]:
     """(successes, failures, sum of theta_hat/theta, sum of squared errors)."""
     # A Pareto I(1/theta, x0) cell is fitted on log(y/x0), which is
     # Exp(theta) on the log-scale thresholds: it draws its exponential twin.
-    model = ExponentialModel(cell.theta_true)
     theta = cell.theta_true
     rs = derive_stream(cell.seed, cell.cell_index, block_index)
-    parts = []
-    for rows in _chunks(cell.replications_per_block, cell.n):
-        draws = sample(model, (rows, cell.n), rs)
-        parts.append(estimators._estimates((cell.method,), draws, cell.thresholds)[cell.method])
-    estimates = np.concatenate(parts)
+    estimates = _draw_estimates(
+        (cell.method,), theta, cell.thresholds, rs, cell.replications_per_block, cell.n
+    )[cell.method]
     found = estimates[~np.isnan(estimates)]
     return (
         found.size, estimates.size - found.size,
@@ -411,22 +416,15 @@ def histogram_study(
     for method in methods:
         _check_method(method)
     panels: list[HistogramPanel] = []
-    model = ExponentialModel(theta)
     for n_index, n in enumerate(n_list):
         rs = derive_stream(seed, n_index, 0)
-        chunks = {method: [] for method in methods}
-        for rows in _chunks(count, n):
-            draws = sample(model, (rows, n), rs)
-            for method, estimates in estimators._estimates(methods, draws, thresholds).items():
-                chunks[method].append(estimates)
-        for method in methods:
-            all_estimates = np.concatenate(chunks[method])
-            est = all_estimates[~np.isnan(all_estimates)]
+        for method, drawn in _draw_estimates(methods, theta, thresholds, rs, count, n).items():
+            est = drawn[~np.isnan(drawn)]
             skew = _skewness(est) if est.size >= 3 else math.nan
             counts, edges = np.histogram(est, bins="fd") if est.size else (np.array([]), np.array([]))
             panels.append(
                 HistogramPanel(
-                    method=method, n=n, estimates=est, failures=all_estimates.size - est.size,
+                    method=method, n=n, estimates=est, failures=drawn.size - est.size,
                     skewness=skew, bin_edges=edges, bin_counts=counts,
                 )
             )

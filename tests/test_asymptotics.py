@@ -289,6 +289,16 @@ class TestTrimmedIntegrals:
         with pytest.raises(ValueError):
             mtm_integral_J(-0.1, 0.9)
 
+    def test_j_where_one_minus_b_is_below_the_spacing_of_one(self):
+        # 1 - (1-b) rounds to b = 1 here, so u must come from 1-b itself;
+        # J = (1-b)^3/3 + O((1-b)^4) at a = 0
+        for one_minus_b in (1e-300, 1e-17):
+            j = mtm_integral_J(0.0, one_minus_b)
+            assert math.isfinite(j) and 0.0 <= j <= one_minus_b**3
+            assert j == pytest.approx(one_minus_b**3 / 3.0, rel=1e-12, abs=0.0)
+        with pytest.raises(ValueError):
+            mtm_integral_J(0.3, 1e-17)
+
 
 def _split_quadrature_influence(F, a, b, x):
     """Trimmed-mean influence (without the 1/(1-a-b)) from its integral definition.

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from severfit import mc
+from severfit.asymptotics import METHODS
 from severfit.dist import ThresholdPair
 from severfit.errors import ConfigError
 from severfit.mc import (
@@ -147,23 +148,53 @@ class TestRunCell:
         )
 
     def test_chunk_size_changes_nothing(self, monkeypatch):
-        # draws continue one stream across chunks, and the block sums are
-        # taken over the whole block, so 7-row chunks give the same bits
+        # draws continue one stream across chunks, every statistic is per
+        # row and every root depends on its row alone, so 7-row chunks give
+        # the same bits
         cells = [
             self.CELL,
             cell_from_quantiles(0.10, 0.70, 10.0, 40, "mtum", replications_per_block=60,
                                 blocks=2, seed=3, cell_index=1),
+            cell_from_quantiles(0.05, 0.05, 10.0, 30, "mle", replications_per_block=50,
+                                blocks=2, seed=3, cell_index=2),
         ]
+        methods = ("mle", *METHODS)
         default = [run_cell(c, conditional=True, workers=1) for c in cells]
-        panels = histogram_study([30, 50], 60, seed=5)
+        panels = histogram_study([30, 50], 60, methods=methods, seed=5)
+        draws = []
+        sample = mc.sample
+        monkeypatch.setattr(
+            mc, "sample", lambda model, shape, rs: draws.append(shape) or sample(model, shape, rs)
+        )
         for cell, expected in zip(cells, default):
             monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * cell.n)
-            assert mc._chunks(cell.replications_per_block, cell.n)[0] == 7
+            draws.clear()
             assert run_cell(cell, conditional=True, workers=1) == expected
+            assert draws[0] == (7, cell.n) and len(draws) > cell.blocks
         monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * 30)
-        for small, full in zip(histogram_study([30, 50], 60, seed=5), panels):
+        small_chunks = histogram_study([30, 50], 60, methods=methods, seed=5)
+        for small, full in zip(small_chunks, panels, strict=True):
             assert (small.method, small.n, small.failures) == (full.method, full.n, full.failures)
             assert np.array_equal(small.estimates, full.estimates)
+
+    def test_one_root_batch_per_method(self, monkeypatch):
+        # a block or a histogram sample size drawn in several chunks solves
+        # each method's roots in one batch
+        from severfit import estimators
+
+        calls = []
+        root = estimators._root
+        monkeypatch.setattr(
+            estimators, "_root",
+            lambda method, mu, t: calls.append((method, mu.size)) or root(method, mu, t),
+        )
+        monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * self.CELL.n)
+        mc._run_block(self.CELL, 0)
+        assert calls == [("mcm", self.CELL.replications_per_block)]
+        calls.clear()
+        monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * 30)
+        histogram_study([30, 50], 60, methods=("mle", *METHODS), seed=5)
+        assert [method for method, _ in calls] == [*METHODS, *METHODS]
 
     def test_one_window_pass_per_chunk(self, monkeypatch):
         # every method of the study reads the same window triple of a chunk
