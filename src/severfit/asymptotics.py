@@ -84,10 +84,21 @@ _ARE_DISPATCH = {"mtum": are_mtum, "mcm": are_mcm, "mtcm": are_mtcm}
 
 
 def are(method: str, theta: float, t: ThresholdPair) -> float:
-    """Dispatch to the method's ARE formula."""
+    """The method's ARE formula, evaluated on the unit scale.
+
+    The ARE is scale-free, so it is taken at theta / s on (d / s, u / s),
+    with s = 2^(e-1) for theta = m 2^e, 1/2 <= m < 1: the rescaling is exact,
+    because s is a power of two, and theta / s lies in [1, 2) at any theta.
+    The ``- 1`` keeps s finite near the largest float.  Where d / s
+    overflows, exp(-d/theta) is 0 and so is the ARE.
+    """
     if method not in _ARE_DISPATCH:
         raise ValueError(f"unknown method {method!r}")
-    return _ARE_DISPATCH[method](theta, t)
+    s = math.ldexp(1.0, math.frexp(theta)[1] - 1)
+    d = t.d / s
+    if math.isinf(d):
+        return 0.0
+    return _ARE_DISPATCH[method](theta / s, ThresholdPair(d, t.u / s))
 
 
 def avar(method: str, theta: float, t: ThresholdPair | None = None) -> float:
@@ -99,7 +110,7 @@ def avar(method: str, theta: float, t: ThresholdPair | None = None) -> float:
     if t is None:
         raise ValueError(f"method {method!r} needs thresholds")
     try:
-        efficiency = _ARE_DISPATCH[method](theta, t)
+        efficiency = are(method, theta, t)
     except ZeroDivisionError:  # the variance underflows to 0, e.g. with the survival at d
         efficiency = math.nan
     if not efficiency > 0:
@@ -277,12 +288,6 @@ class AREReport:
     are: float | None
     avar_per_obs: float | None
 
-    @property
-    def thresholds(self) -> ThresholdPair | None:
-        if self.are is None:
-            return None
-        return ThresholdPair(self.d, self.u)
-
 
 def default_grid() -> tuple[float, ...]:
     """Default tail-probability grid for the bundled efficiency table."""
@@ -322,8 +327,7 @@ def are_table(
                         AREReport(method, theta, a, b, d, u, are=None, avar_per_obs=None)
                     )
                     continue
-                t = ThresholdPair(d, u)
-                efficiency = _ARE_DISPATCH[method](theta, t)
+                efficiency = are(method, theta, ThresholdPair(d, u))
                 out.append(
                     AREReport(
                         method,

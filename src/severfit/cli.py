@@ -41,12 +41,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _float_or_inf(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -75,8 +69,8 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--method", required=True, choices=estimators.FIT_METHODS)
     p_fit.add_argument("--model", required=True, choices=["exp", "pareto1"])
     p_fit.add_argument("--data", required=True, help="CSV of losses (column 'loss' or single column)")
-    p_fit.add_argument("--d", type=_float_or_inf, default=None, help="lower threshold")
-    p_fit.add_argument("--u", type=_float_or_inf, default=None, help="upper threshold, 'inf' allowed")
+    p_fit.add_argument("--d", type=float, default=None, help="lower threshold")
+    p_fit.add_argument("--u", type=float, default=None, help="upper threshold, 'inf' allowed")
     p_fit.add_argument("--a", type=float, default=None, help="lower tail probability (with --theta)")
     p_fit.add_argument("--b", type=float, default=None, help="upper tail probability (with --theta)")
     p_fit.add_argument("--theta", type=float, default=None, help="reference scale for --a/--b quantiles")
@@ -114,7 +108,7 @@ def _build_parser() -> _Parser:
     p_hist.add_argument("--n-list", type=_int_list, default=[30, 50, 500])
     p_hist.add_argument("--count", type=int, default=100)
     p_hist.add_argument("--d", type=float, default=0.50)
-    p_hist.add_argument("--u", type=_float_or_inf, default=23.00)
+    p_hist.add_argument("--u", type=float, default=23.00)
     p_hist.add_argument("--theta", type=float, default=10.0)
     p_hist.add_argument("--methods", type=_method_list, default=list(asymptotics.METHODS))
     p_hist.add_argument("--seed", type=int, default=mc.DEFAULT_SEED)

@@ -340,15 +340,16 @@ class _Roots:
 def _root(method: str, mu_hat, t: ThresholdPair) -> _Roots:
     """Thetas matching each of ``mu_hat`` (a float or an array), without avar.
 
-    A statistic within a guard band (relative to the window width) of the
-    attainable interval's ends has no root.  Every other one is bracketed
-    by [mu_hat - d, upper] before its first refinement step.
+    A statistic within a guard band (relative to the window width, or to d
+    when u is infinite) of the attainable interval's ends has no root.  Every
+    other one is bracketed by [mu_hat - d, upper] before its first
+    refinement step.
     """
     mu = np.atleast_1d(np.asarray(mu_hat, dtype=float))
     if not np.all(np.isfinite(mu)):
         raise ValueError(f"mu_hat must be finite, got {mu_hat!r}")
     spec = _METHODS[method]
-    scale = (t.u - t.d) if not t.upper_is_infinite else max(1.0, t.d)
+    scale = (t.u - t.d) if not t.upper_is_infinite else t.d
     guard = _BOUNDARY_GUARD * scale
     below = mu <= t.d + guard
     above = ~below & (mu >= spec.sup(t) - guard)

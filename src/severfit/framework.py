@@ -509,6 +509,8 @@ def finite_difference_jacobian(
 # residual each) would.
 _MIN_LAM_FRESH = 2.0**-30
 _MIN_LAM_UPDATED = 2.0**-4
+_RESIDUAL_TOL = 1e-10  # the largest residual accepted at a root
+_MAX_ITER = 100
 
 
 def _damped_step(
@@ -545,9 +547,6 @@ def solve_moment_system(
     spec: TruncatedSpec,
     mu_hat: Sequence[float],
     theta0: Sequence[float],
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 100,
 ) -> np.ndarray:
     """Damped Broyden iteration, with finite-difference refresh, on mu(theta) = mu_hat.
 
@@ -559,7 +558,9 @@ def solve_moment_system(
     Jacobian is taken and the step retried; only a
     fresh Jacobian's failure ends the iteration.  Requires a usable starting
     point; the system may have no root at all, in which case the iteration
-    surfaces a :class:`NoSolutionError` carrying the final residual.
+    surfaces a :class:`NoSolutionError` carrying the final residual.  The
+    iteration ends once the largest residual is at most 1e-10, and gives up
+    after 100 steps.
     """
     target = np.asarray(mu_hat, dtype=float)
     theta = np.asarray(theta0, dtype=float).copy()
@@ -571,9 +572,9 @@ def solve_moment_system(
 
     r = residual(theta)
     jac = None  # None: take a fresh finite-difference Jacobian before the next step
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         norm = float(np.max(np.abs(r)))
-        if norm <= tol:
+        if norm <= _RESIDUAL_TOL:
             return theta
         fresh = jac is None
         if fresh:

@@ -78,8 +78,6 @@ class SimCell:
     cell_index: int = 0
     a: float | None = None
     b: float | None = None
-    model: str = "exp"
-    x0: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -89,8 +87,6 @@ class SimCell:
         if self.blocks < 1:
             raise ConfigError("blocks", "blocks must be >= 1")
         _check_method(self.method)
-        if self.model not in ("exp", "pareto1"):
-            raise ConfigError("model", f"unknown model {self.model!r}")
         if not self.theta_true > 0:
             raise ConfigError("theta", "theta must be positive")
 
@@ -159,8 +155,6 @@ def _draw_estimates(
 
 def _run_block(cell: SimCell, block_index: int) -> tuple[int, int, float, float]:
     """(successes, failures, sum of theta_hat/theta, sum of squared errors)."""
-    # A Pareto I(1/theta, x0) cell is fitted on log(y/x0), which is
-    # Exp(theta) on the log-scale thresholds: it draws its exponential twin.
     theta = cell.theta_true
     rs = derive_stream(cell.seed, cell.cell_index, block_index)
     estimates = _draw_estimates(
@@ -383,15 +377,13 @@ def _skewness(x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class HistogramPanel:
-    """All estimates for one (method, n) panel plus summary shape statistics."""
+    """All estimates for one (method, n) panel, its failure count and its skewness."""
 
     method: str
     n: int
     estimates: np.ndarray
     failures: int
     skewness: float
-    bin_edges: np.ndarray
-    bin_counts: np.ndarray
 
 
 def histogram_study(
@@ -407,8 +399,7 @@ def histogram_study(
 
     For each sample size, ``count`` samples are drawn from one stream, chunk
     by chunk, and every method is applied to the same samples; failed
-    existence checks are dropped from that panel.  Bins use the
-    Freedman-Diaconis rule.
+    existence checks are dropped from that panel.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -421,11 +412,5 @@ def histogram_study(
         for method, drawn in _draw_estimates(methods, theta, thresholds, rs, count, n).items():
             est = drawn[~np.isnan(drawn)]
             skew = _skewness(est) if est.size >= 3 else math.nan
-            counts, edges = np.histogram(est, bins="fd") if est.size else (np.array([]), np.array([]))
-            panels.append(
-                HistogramPanel(
-                    method=method, n=n, estimates=est, failures=drawn.size - est.size,
-                    skewness=skew, bin_edges=edges, bin_counts=counts,
-                )
-            )
+            panels.append(HistogramPanel(method, n, est, drawn.size - est.size, skew))
     return panels

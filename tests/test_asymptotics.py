@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
@@ -14,6 +16,8 @@ from severfit.dist import ExponentialModel, ParetoIModel, ThresholdPair, exp_qua
 from severfit.errors import DegenerateError, QuadratureError
 from severfit.framework import DistributionAdapter, adapter_from_model
 from severfit.asymptotics import (
+    METHODS,
+    IFCurve,
     are,
     are_mcm,
     are_mtcm,
@@ -136,6 +140,13 @@ class TestAvar:
         # the MCM ratio is 0/0, and avar reports it as degenerate
         with pytest.raises(DegenerateError):
             avar("mcm", 1e-3, ThresholdPair(5.0, 6.0))
+
+    def test_lower_threshold_beyond_the_float_range_of_theta(self):
+        # d / theta overflows: the survival at d is 0 and so is every ARE
+        for method in METHODS:
+            assert are(method, 1e-310, ThresholdPair(1.0, 2.0)) == 0.0
+            with pytest.raises(DegenerateError):
+                avar(method, 1e-310, ThresholdPair(1.0, math.inf))
 
 
 def _are_oracle(theta, d, u):
@@ -455,6 +466,13 @@ class TestInfluence:
         with pytest.raises(ValueError):
             influence_curve(ADAPTER, "trimmed", 0.05, 0.05, [0.0, 1.0])
 
+    def test_curve_grid_validation(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            IFCurve("mtm", 0.05, 0.05, np.array([0.0, 1.0]), np.array([0.0]))
+        for grid in ([0.0, 0.0], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                influence_curve(ADAPTER, "mcm", 0.05, 0.05, grid)
+
     def test_invalid_mass(self):
         with pytest.raises(ValueError):
             influence_mtm(ADAPTER, 0.6, 0.5, 1.0)
@@ -528,3 +546,24 @@ class TestStability:
                 t = quantile_pair(a, b, theta)
                 for m, ref in reference.items():
                     assert are(m, theta, t) == pytest.approx(ref, abs=1e-10)
+
+    @given(
+        method=st.sampled_from(METHODS),
+        theta=st.floats(0.5, 50.0),
+        a=st.one_of(st.just(0.0), st.floats(1e-6, 0.6)),
+        b=st.one_of(st.just(0.0), st.floats(1e-6, 0.35)),
+        k=st.integers(-1000, 1000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_are_is_scale_free_bit_for_bit(self, method, theta, a, b, k):
+        # c = 2^k scales theta and both thresholds exactly, and are() takes
+        # every scale to the same unit-scale arguments
+        t, c = quantile_pair(a, b, theta), 2.0**k
+        assert are(method, c * theta, ThresholdPair(c * t.d, c * t.u)) == are(method, theta, t)
+
+    @pytest.mark.parametrize("theta", [1e300, 1e-310, 1e-320, 2.0**600, 2.0**-600])
+    def test_are_finite_at_extreme_scales(self, theta):
+        for a, b in [(0.0, 0.0), (0.05, 0.05), (0.10, 0.70), (0.25, 0.0), (0.49, 0.49)]:
+            t = quantile_pair(a, b, theta)
+            for m in METHODS:
+                assert 0.0 < are(m, theta, t) <= 1.0, (m, a, b)

@@ -171,6 +171,32 @@ class TestFitCommand:
         )
         assert code == EXIT_OK
 
+    def test_pareto_quantile_thresholds(self, tmp_path, capsys):
+        # --theta is 1/alpha of the reference Pareto I(alpha, x0) whose
+        # a and 1-b quantiles are the thresholds
+        from severfit.dist import ParetoIModel, pareto1_quantile
+
+        y = sample(ParetoIModel(2.0, 1.5), 5000, RandomSource(seed=12))
+        path = tmp_path / "pareto.csv"
+        path.write_text("loss\n" + "\n".join(repr(float(v)) for v in y) + "\n", encoding="utf-8")
+        fit = ["fit", "--method", "mtcm", "--model", "pareto1", "--data", str(path), "--x0", "1.5"]
+        assert main([*fit, "--a", "0.05", "--b", "0.1", "--theta", "0.5"]) == EXIT_OK
+        by_quantile = capsys.readouterr().out
+        ref = ParetoIModel(2.0, 1.5)
+        d, u = pareto1_quantile(ref, 0.05), pareto1_quantile(ref, 0.9)
+        assert main([*fit, "--d", repr(d), "--u", repr(u)]) == EXIT_OK
+        assert capsys.readouterr().out == by_quantile
+        alpha_hat = float(by_quantile.splitlines()[-1].split(",")[4])
+        assert 1.8 < alpha_hat < 2.2
+
+    def test_pareto_quantile_thresholds_need_x0(self, losses_csv, capsys):
+        code = main(
+            ["fit", "--method", "mcm", "--model", "pareto1", "--data", str(losses_csv),
+             "--a", "0.05", "--b", "0.05", "--theta", "0.5"]
+        )
+        assert code == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == "error: pareto1 quantile thresholds need --x0\n"
+
 
 class TestAreCommand:
     def test_default_grid_boxed_cell(self, tmp_path):
@@ -205,6 +231,17 @@ class TestAreCommand:
 
     def test_bad_grid(self, capsys):
         assert main(["are", "--a-grid", "0.5,0.2"]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("theta", ["1e300", "1e-310"])
+    def test_extreme_scale(self, tmp_path, theta):
+        # the ARE is scale-free: no NaN at large theta, no division by zero at small
+        out = tmp_path / "table.csv"
+        assert main(["are", "--theta", theta, "--out", str(out)]) == EXIT_OK
+        text = out.read_text(encoding="utf-8")
+        assert "nan" not in text
+        cells = [ln.split(",")[5] for ln in text.strip().split("\n")[1:]]
+        assert len(cells) == 3 * 64
+        assert all(0.0 < float(c) <= 1.0 for c in cells if c)
 
 
 class TestSimulateCommand:

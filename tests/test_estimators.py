@@ -302,6 +302,29 @@ class TestExistenceTrichotomy:
             solve_mcm_exp(math.inf, ThresholdPair(1.0, 3.0))
 
 
+class TestInfiniteUpperGuard:
+    """With u infinite the guard band is relative to d, so it scales with the data."""
+
+    def test_tiny_scale_on_the_whole_half_line(self):
+        # a band of 1e-12 * max(1, d) would put every statistic of these draws in it
+        x = sample(ExponentialModel(1e-15), 2000, RandomSource(seed=1))
+        mle = fit("mle", "exp", x).estimate
+        for method in _METHODS:
+            r = fit(method, "exp", x, ThresholdPair(0.0, math.inf))
+            assert r.exists and r.estimate == pytest.approx(mle, rel=1e-12), method
+
+    def test_fit_is_equivariant_under_powers_of_two(self):
+        x = sample(ExponentialModel(1.0), 2000, RandomSource(seed=2))
+        for method in _METHODS:
+            base = fit(method, "exp", x, ThresholdPair(0.51, math.inf))
+            for k in range(-1000, 1001, 50):
+                c = 2.0**k
+                r = fit(method, "exp", c * x, ThresholdPair(0.51 * c, math.inf))
+                assert r.estimate == c * base.estimate, (method, k)
+                assert r.bracket == (c * base.bracket[0], c * base.bracket[1]), (method, k)
+                assert r.iterations == base.iterations, (method, k)
+
+
 class TestParetoSolver:
     T = ThresholdPair(2.0, 10.0)
 
@@ -472,10 +495,9 @@ def guarded_statistics(draw):
         min_size=1, max_size=20,
     ))
     t = ThresholdPair(d, math.inf if infinite else d + width)
-    scale = width if not infinite else max(1.0, d)
-    guard = _BOUNDARY_GUARD * scale
+    guard = _BOUNDARY_GUARD * (width if not infinite else d)
     low = t.d + guard
-    high = _METHODS[method].sup(t) - guard if not infinite else t.d + 1e6 * scale
+    high = _METHODS[method].sup(t) - guard if not infinite else t.d + 1e6 * max(1.0, d)
     mus = np.array([low + share * (high - low) for share in shares])
     return method, t, mus[(mus > low) & (mus < high)]
 

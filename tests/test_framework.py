@@ -10,7 +10,7 @@ import pytest
 
 from severfit import framework
 from severfit.dist import ExponentialModel, ParetoIModel, RandomSource, ThresholdPair, sample
-from severfit.errors import EmptyWindowError, NoSolutionError, QuadratureError
+from severfit.errors import DegenerateError, EmptyWindowError, NoSolutionError, QuadratureError
 from severfit.framework import (
     DistributionAdapter,
     MomentEquation,
@@ -116,6 +116,15 @@ class TestPopulationQuantities:
 
 
 class TestPopulationMomentVector:
+    def test_zero_mass_window_raises(self):
+        # F(100) and F(200) of Exp(1) both round to 1, so the quantile-domain
+        # mass F(u) - F(d) is 0 (the true mass is about e^-100)
+        s = spec_of((identity, ThresholdPair(100.0, 200.0)))
+        with pytest.raises(DegenerateError, match="zero probability mass"):
+            population_moment_vector(adapter_from_model(ExponentialModel(1.0)), s)
+        with pytest.raises(DegenerateError, match="zero probability mass"):
+            asymptotic_report(adapter_from_model(ExponentialModel(1.0)), s)
+
     def test_equals_quantities_ratio_bit_for_bit(self):
         # the criterion-06 spec; only the k window integrals are computed
         s = spec_of((identity, ThresholdPair(0.51, 29.96)), (square, ThresholdPair(1.05, 23.03)))
@@ -455,6 +464,25 @@ class TestMomentSystemSolver:
         with pytest.raises(NoSolutionError) as err:
             solve_moment_system(family, s, [2.5], [1.0])
         assert err.value.residual is not None
+
+    def test_unattainable_target_reports_its_residual(self):
+        # the truncated mean on (0.51, 29.96) stays below (d + u)/2 = 15.235
+        s = spec_of((identity, T_MAIN))
+        with pytest.raises(NoSolutionError) as err:
+            solve_moment_system(_exp_family, s, [40.0], [THETA])
+        assert err.value.residual == pytest.approx(40.0 - 0.5 * (T_MAIN.d + T_MAIN.u), rel=1e-9)
+
+    def test_over_identified_system_takes_least_squares_steps(self, monkeypatch):
+        # two windowed means and one parameter: a non-square Jacobian
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        s = spec_of((identity, T_MAIN), (identity, ThresholdPair(1.05, 23.03)))
+        target = population_moment_vector(EXP_ADAPTER, s)
+        root = solve_moment_system(_exp_family, s, target, [4.0])
+        assert root.shape == (1,)
+        assert root[0] == pytest.approx(THETA, rel=1e-8)
+        assert calls
 
     def test_finite_difference_jacobian(self):
         jac = finite_difference_jacobian(
