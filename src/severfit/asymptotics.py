@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import ExponentialModel, ThresholdPair, exp_quantile
+from .dist import ExponentialModel, ThresholdPair
 from .errors import DegenerateError
-from .framework import DistributionAdapter, _integrate, adapter_from_model
+from .framework import DistributionAdapter, _integrate, _quantile_thresholds, adapter_from_model
 from .moments import (
     mu_mtcm_dtheta,
     mu_mtum_dtheta,
@@ -197,13 +197,6 @@ def are_mtm(a: float, b: float) -> float:
     return i_val * i_val / _mtm_j(a, b)
 
 
-def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[float, float]:
-    """d = F^{-1}(a) and u = F^{-1}(1-b), infinite when b = 0."""
-    if not (a >= 0 and b >= 0 and a + b < 1):
-        raise ValueError(f"need a >= 0, b >= 0, a + b < 1, got a={a!r}, b={b!r}")
-    return F.quantile(a), math.inf if b == 0.0 else F.quantile(1.0 - b)
-
-
 def _centred_winsorized(F: DistributionAdapter, a: float, b: float, d: float, u: float, x):
     """clip(x, d, u) - W, W = a d + b u + integral of F^{-1} over (a, 1-b), for any x.
 
@@ -237,11 +230,10 @@ def influence_mcm(F: DistributionAdapter, t: ThresholdPair, x: float) -> float:
     value is clip(x, d, u) - W, the censored variable minus its mean W, which
     is (1 - a - b) times the trimmed-mean influence at the same x.
     """
-    a = F.cdf(t.d)
-    b = 1.0 - F.cdf(t.u)
-    if not a + b < 1:
+    a, below_u = F.cdf(t.d), F.cdf(t.u)
+    if not a < below_u:
         raise ValueError(f"window ({t.d}, {t.u}) carries no probability mass")
-    return float(_centred_winsorized(F, a, b, t.d, t.u, x))
+    return float(_centred_winsorized(F, a, 1.0 - below_u, t.d, t.u, x))
 
 
 @dataclass(frozen=True)
@@ -280,13 +272,11 @@ class AREReport:
     """One efficiency cell: method, tail probabilities, thresholds, ARE."""
 
     method: str
-    theta: float
     a: float
     b: float
     d: float
     u: float
     are: float | None
-    avar_per_obs: float | None
 
 
 def default_grid() -> tuple[float, ...]:
@@ -302,44 +292,35 @@ def are_table(
 ) -> list[AREReport]:
     """Efficiency matrix over a grid of lower/upper tail probabilities.
 
-    Thresholds are exact quantiles of Exp(theta): d = F^{-1}(a) and
-    u = F^{-1}(1-b), infinite when b = 0.  Cells with d >= u (a + b >= 1)
-    are reported with ``are=None``.
+    Thresholds are the quantiles of Exp(theta) that
+    :func:`~severfit.framework._quantile_thresholds` forms, once per (a, b).
+    A pair it refuses (a + b too close to 1) is reported with ``are=None``,
+    and with d from (a, 0) and u from (0, b).
     """
     a_values = tuple(a_grid) if a_grid is not None else default_grid()
     b_values = tuple(b_grid) if b_grid is not None else default_grid()
     for grid, name in ((a_values, "a_grid"), (b_values, "b_grid")):
-        if any(not 0 <= g < 1 for g in grid):
-            raise ValueError(f"{name} entries must lie in [0, 1)")
         if list(grid) != sorted(grid):
             raise ValueError(f"{name} must be sorted ascending")
-    model = ExponentialModel(theta)
-    out: list[AREReport] = []
+    methods = tuple(methods)
     for method in methods:
         if method not in _ARE_DISPATCH:
             raise ValueError(f"unknown method {method!r}")
-        for a in a_values:
-            d = exp_quantile(model, a)
-            for b in b_values:
-                u = math.inf if b == 0.0 else exp_quantile(model, 1.0 - b)
-                if a + b >= 1.0 - 1e-15:
-                    out.append(
-                        AREReport(method, theta, a, b, d, u, are=None, avar_per_obs=None)
-                    )
-                    continue
-                efficiency = are(method, theta, ThresholdPair(d, u))
-                out.append(
-                    AREReport(
-                        method,
-                        theta,
-                        a,
-                        b,
-                        d,
-                        u,
-                        are=efficiency,
-                        avar_per_obs=theta * theta / efficiency,
-                    )
-                )
+    F = adapter_from_model(ExponentialModel(theta))
+    cells = []
+    for a in a_values:
+        for b in b_values:
+            try:
+                d, u = _quantile_thresholds(F, a, b)
+            except ValueError:  # raises again for an a or b that no pair admits
+                d, u = _quantile_thresholds(F, a, 0.0)[0], _quantile_thresholds(F, 0.0, b)[1]
+                cells.append((a, b, d, u, None))
+            else:
+                cells.append((a, b, d, u, ThresholdPair(d, u)))
+    out: list[AREReport] = []
+    for method in methods:
+        for a, b, d, u, t in cells:
+            out.append(AREReport(method, a, b, d, u, None if t is None else are(method, theta, t)))
     return out
 
 

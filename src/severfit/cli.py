@@ -18,10 +18,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import asymptotics, estimators, mc
-from .dist import ExponentialModel, ParetoIModel, ThresholdPair, exp_quantile, pareto1_quantile
+from .dist import ExponentialModel, ParetoIModel, ThresholdPair
 from .asymptotics import _fmt
 from .errors import SeverfitError
-from .framework import adapter_from_model
+from .framework import _quantile_thresholds, adapter_from_model
 
 __all__ = ["main"]
 
@@ -135,13 +135,9 @@ def _thresholds_from_args(args) -> ThresholdPair | None:
             if args.x0 is None:
                 raise _UsageError("pareto1 quantile thresholds need --x0")
             ref = ParetoIModel(alpha=1.0 / args.theta, x0=args.x0)
-            d = pareto1_quantile(ref, args.a)
-            u = math.inf if args.b == 0.0 else pareto1_quantile(ref, 1.0 - args.b)
         else:
             ref = ExponentialModel(args.theta)
-            d = exp_quantile(ref, args.a)
-            u = math.inf if args.b == 0.0 else exp_quantile(ref, 1.0 - args.b)
-        return ThresholdPair(d, u)
+        return ThresholdPair(*_quantile_thresholds(adapter_from_model(ref), args.a, args.b))
     return None
 
 
@@ -208,8 +204,6 @@ def _cmd_influence(args) -> int:
         if args.theta is None:
             raise _UsageError("exp influence curves need --theta")
         model = ExponentialModel(args.theta)
-    if not args.a + args.b < 1:
-        raise _UsageError("need a + b < 1")
     adapter = adapter_from_model(model)
     lo = args.x_min if args.x_min is not None else adapter.support[0]
     if args.x_max is not None:

@@ -74,16 +74,16 @@ class DistributionAdapter:
     Quadrature calls the quantile once with an ndarray of nodes strictly
     inside (0, 1); a scalar-only quantile (one that raises ``TypeError`` or
     ``ValueError`` on an array) is called node by node on the same nodes.
-    The optional ``complement_quantile`` maps an ndarray of ``c = 1 - v`` to
-    ``F^{-1}(1 - c)``; with it, nodes near ``v = 1`` keep the digits that
-    forming ``v`` would round away, which heavy upper tails need.
+    The optional ``complement_quantile`` maps ``c = 1 - v``, a float or an
+    ndarray, to ``F^{-1}(1 - c)``; with it, nodes near ``v = 1`` keep the
+    digits that forming ``v`` would round away, which heavy upper tails need.
     """
 
     cdf: Callable[[float], float]
     pdf: Callable[[float], float]
     quantile: Callable[[float], float]
     support: tuple[float, float] = (0.0, math.inf)
-    complement_quantile: Callable[[np.ndarray], np.ndarray] | None = None
+    complement_quantile: Callable[[float | np.ndarray], float | np.ndarray] | None = None
 
 
 def _floats_or_nodes(scalar: Callable[[float], float], nodes: Callable[[np.ndarray], np.ndarray]):
@@ -108,7 +108,9 @@ def adapter_from_model(model: ExponentialModel | ParetoIModel) -> DistributionAd
                 lambda v: exp_quantile(model, v), lambda v: -theta * np.log1p(-v)
             ),
             support=(0.0, math.inf),
-            complement_quantile=lambda c: -theta * np.log(c),
+            complement_quantile=_floats_or_nodes(
+                lambda c: -theta * math.log(c), lambda c: -theta * np.log(c)
+            ),
         )
     if isinstance(model, ParetoIModel):
         alpha, x0 = model.alpha, model.x0
@@ -119,9 +121,25 @@ def adapter_from_model(model: ExponentialModel | ParetoIModel) -> DistributionAd
                 lambda v: pareto1_quantile(model, v), lambda v: x0 * np.exp(-np.log1p(-v) / alpha)
             ),
             support=(x0, math.inf),
-            complement_quantile=lambda c: x0 * np.exp(-np.log(c) / alpha),
+            complement_quantile=_floats_or_nodes(
+                lambda c: x0 * math.exp(-math.log(c) / alpha),
+                lambda c: x0 * np.exp(-np.log(c) / alpha),
+            ),
         )
     raise TypeError(f"unsupported model type {type(model).__name__}")
+
+
+def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[float, float]:
+    """d = F^{-1}(a) and u = F^{-1}(1-b) for a >= 0, b >= 0 and a + b < 1 - 1e-15.
+
+    u is infinite when b = 0, and otherwise comes from b itself through
+    ``F.complement_quantile`` (``F.quantile(1 - b)`` without one), so a b
+    below the spacing of floats near 1 still gives a finite u.
+    """
+    if not (a >= 0 and b >= 0 and a + b < 1.0 - 1e-15):
+        raise ValueError(f"need a >= 0, b >= 0 and a + b < 1 - 1e-15, got a={a!r}, b={b!r}")
+    complement = F.complement_quantile or (lambda c: F.quantile(1.0 - c))
+    return F.quantile(a), math.inf if b == 0.0 else complement(b)
 
 
 @dataclass(frozen=True)

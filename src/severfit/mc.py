@@ -22,6 +22,7 @@ from . import asymptotics, estimators
 from .asymptotics import _fmt
 from .dist import ExponentialModel, RandomSource, ThresholdPair, sample
 from .errors import ConfigError
+from .framework import _quantile_thresholds, adapter_from_model
 
 __all__ = [
     "SimCell",
@@ -125,9 +126,8 @@ def derive_stream(master_seed: int, cell_index: int, block_index: int) -> Random
 def cell_from_quantiles(
     a: float, b: float, theta: float, n: int, method: str, **kwargs
 ) -> SimCell:
-    """Build a cell whose thresholds are the exact (a, 1-b) quantiles."""
-    d = -theta * math.log1p(-a)
-    u = math.inf if b == 0.0 else -theta * math.log(b)
+    """Build a cell whose thresholds are the (a, 1-b) quantiles of Exp(theta)."""
+    d, u = _quantile_thresholds(adapter_from_model(ExponentialModel(theta)), a, b)
     return SimCell(
         n=n, method=method, theta_true=theta, thresholds=ThresholdPair(d, u),
         a=a, b=b, **kwargs,
@@ -320,6 +320,8 @@ def parse_sim_config(text: str) -> SimConfig:
                 if not pairs:
                     raise ValueError("no (a,b) pairs found")
                 values["design_points"] = tuple((float(a), float(b)) for a, b in pairs)
+                for a, b in values["design_points"]:  # the rule does not depend on theta
+                    _quantile_thresholds(adapter_from_model(ExponentialModel(1.0)), a, b)
             elif key == "n_list":
                 values["n_list"] = tuple(int(v.strip()) for v in rhs.split(",") if v.strip())
             elif key == "blocks":

