@@ -15,7 +15,13 @@ import numpy as np
 
 from .dist import ExponentialModel, ThresholdPair
 from .errors import DegenerateError
-from .framework import DistributionAdapter, _integrate, _quantile_thresholds, adapter_from_model
+from .framework import (
+    DistributionAdapter,
+    _check_tail_probabilities,
+    _integrate,
+    _quantile_thresholds,
+    adapter_from_model,
+)
 from .moments import (
     mu_mtcm_dtheta,
     mu_mtum_dtheta,
@@ -191,8 +197,10 @@ def are_mtm(a: float, b: float) -> float:
     """ARE of the fixed-proportion trimmed mean: I^2 / J, with J in closed form.
 
     :func:`mtm_integral_J` is the cross-check: J as the mean squared
-    influence curve, by quadrature.
+    influence curve, by quadrature.  (a, b) must pass the rule that forms
+    thresholds from tail probabilities everywhere else.
     """
+    _check_tail_probabilities(a, b)
     i_val = mtm_integral_I(a, 1.0 - b)
     return i_val * i_val / _mtm_j(a, b)
 

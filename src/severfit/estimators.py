@@ -102,12 +102,15 @@ def _window(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray, np
     count inside (d, u] and the sum inside.
 
     The sum adds every value times its 0/1 indicator, so it adds the same
-    non-negative terms as a masked sum, plus zeros.
+    non-negative terms as a masked sum, plus zeros.  The counts are summed in
+    int32 where a row is shorter than 2^31 (``count_nonzero`` sums in int64,
+    about twice as slow); they are exact either way.
     """
     above_d = x > t.d
     inside = above_d if t.upper_is_infinite else above_d & (x <= t.u)
     total = (x * inside).sum(axis=1)
-    return np.count_nonzero(above_d, axis=1), np.count_nonzero(inside, axis=1), total
+    count = np.int32 if x.shape[1] < 2**31 else np.intp
+    return above_d.sum(axis=1, dtype=count), inside.sum(axis=1, dtype=count), total
 
 
 # Row-wise statistics from a ``_window`` triple of rows of n values:

@@ -129,6 +129,12 @@ def adapter_from_model(model: ExponentialModel | ParetoIModel) -> DistributionAd
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+def _check_tail_probabilities(a: float, b: float) -> None:
+    """The one rule for a pair of tail probabilities (a, b): a >= 0, b >= 0, a + b < 1 - 1e-15."""
+    if not (a >= 0 and b >= 0 and a + b < 1.0 - 1e-15):
+        raise ValueError(f"need a >= 0, b >= 0 and a + b < 1 - 1e-15, got a={a!r}, b={b!r}")
+
+
 def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[float, float]:
     """d = F^{-1}(a) and u = F^{-1}(1-b) for a >= 0, b >= 0 and a + b < 1 - 1e-15.
 
@@ -136,8 +142,7 @@ def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[fl
     ``F.complement_quantile`` (``F.quantile(1 - b)`` without one), so a b
     below the spacing of floats near 1 still gives a finite u.
     """
-    if not (a >= 0 and b >= 0 and a + b < 1.0 - 1e-15):
-        raise ValueError(f"need a >= 0, b >= 0 and a + b < 1 - 1e-15, got a={a!r}, b={b!r}")
+    _check_tail_probabilities(a, b)
     complement = F.complement_quantile or (lambda c: F.quantile(1.0 - c))
     return F.quantile(a), math.inf if b == 0.0 else complement(b)
 

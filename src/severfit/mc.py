@@ -2,9 +2,11 @@
 
 Every (cell, block) owns one random stream derived from (master seed, cell,
 block), and draws its replications from it as rows of a (reps, n) matrix, in
-small chunks reduced to per-row statistics; each method solves the whole
-block's roots as one batch.  Every root depends on its row alone, so results
-are bit-identical regardless of execution order, chunk size or worker count.
+small chunks reduced to per-row statistics.  A task is one cell, or one
+contiguous range of its blocks, and solves the roots of all its blocks as
+one batch.  Every root depends on its row alone, so results are
+bit-identical regardless of the task layout, execution order, chunk size or
+worker count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from . import asymptotics, estimators
 from .asymptotics import _fmt
 from .dist import ExponentialModel, RandomSource, ThresholdPair, sample
 from .errors import ConfigError
-from .framework import _quantile_thresholds, adapter_from_model
+from .framework import _check_tail_probabilities, _quantile_thresholds, adapter_from_model
 
 __all__ = [
     "SimCell",
@@ -142,29 +144,34 @@ def cell_from_quantiles(
 _CHUNK_VALUES = 1 << 14
 
 
-def _draw_estimates(
-    methods: Sequence[str], theta: float, t: ThresholdPair, rs: RandomSource, rows: int, n: int
-) -> dict[str, np.ndarray]:
-    """Each method's estimates for ``rows`` Exp(theta) samples of size ``n`` from ``rs``,
-    reduced to per-row statistics chunk by chunk and solved as one batch per method."""
+def _draw_statistics(
+    methods: Sequence[str], theta: float, t: ThresholdPair, streams: Iterable[RandomSource],
+    rows: int, n: int,
+) -> tuple:
+    """``estimators._statistics`` of ``rows`` Exp(theta) samples of size ``n`` from each
+    of ``streams`` in turn, drawn and reduced chunk by chunk, as one array per statistic."""
     model, step = ExponentialModel(theta), max(1, _CHUNK_VALUES // n)
     parts = [estimators._statistics(methods, sample(model, (min(step, rows - i), n), rs), t)
-             for i in range(0, rows, step)]
-    return estimators._estimates(methods, tuple(map(np.concatenate, zip(*parts))), n, t)
+             for rs in streams for i in range(0, rows, step)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _run_block(cell: SimCell, block_index: int) -> tuple[int, int, float, float]:
-    """(successes, failures, sum of theta_hat/theta, sum of squared errors)."""
-    theta = cell.theta_true
-    rs = derive_stream(cell.seed, cell.cell_index, block_index)
-    estimates = _draw_estimates(
-        (cell.method,), theta, cell.thresholds, rs, cell.replications_per_block, cell.n
-    )[cell.method]
-    found = estimates[~np.isnan(estimates)]
-    return (
-        found.size, estimates.size - found.size,
-        float(np.sum(found / theta)), float(np.sum((found - theta) ** 2)),
-    )
+def _run_blocks(cell: SimCell, blocks: range) -> list[tuple[int, int, float, float]]:
+    """Per block of ``blocks``: (successes, failures, sum of theta_hat/theta, sum of
+    squared errors).  Each block draws from its own stream; the roots of all of
+    them are solved as one batch."""
+    theta, reps = cell.theta_true, cell.replications_per_block
+    streams = (derive_stream(cell.seed, cell.cell_index, block) for block in blocks)
+    stats = _draw_statistics((cell.method,), theta, cell.thresholds, streams, reps, cell.n)
+    estimates = estimators._estimates((cell.method,), stats, cell.n, cell.thresholds)
+    results = []
+    for row in estimates[cell.method].reshape(len(blocks), reps):
+        found = row[~np.isnan(row)]
+        results.append((
+            found.size, row.size - found.size,
+            float(np.sum(found / theta)), float(np.sum((found - theta) ** 2)),
+        ))
+    return results
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -173,20 +180,43 @@ def worker_count(requested: int | None = None) -> int:
         return max(1, int(requested))
     env = os.environ.get("SEVERFIT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"SEVERFIT_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
+def _split(blocks: range, parts: int) -> list[range]:
+    """``blocks`` as min(parts, len(blocks)) contiguous ranges of near-equal length."""
+    parts = min(parts, len(blocks))
+    bounds = [len(blocks) * i // parts for i in range(parts + 1)]
+    return [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _task_results(
-    tasks: Sequence[tuple[SimCell, int]], workers: int | None
-) -> list[tuple[int, int, float, float]]:
-    """``_run_block`` on every (cell, block) task, through one process pool of
-    at most one worker per task and per CPU, or in process when that is one."""
-    size = min(worker_count(workers), len(tasks), os.cpu_count() or 1)
+    tasks: Sequence[tuple[SimCell, range]], workers: int
+) -> list[list[tuple[int, int, float, float]]]:
+    """``_run_blocks`` on every (cell, block range) task, in task order.
+
+    The tasks are submitted heaviest first, by n x reps x blocks, to one
+    process pool of at most ``workers`` workers and one per task, or run in
+    process when that is one.  Each task solves one root batch.
+    """
+    def weight(i: int) -> int:
+        cell, blocks = tasks[i]
+        return cell.n * cell.replications_per_block * len(blocks)
+
+    order = sorted(range(len(tasks)), key=weight, reverse=True)
+    heaviest_first = [tasks[i] for i in order]
+    size = min(workers, len(tasks))
     if size <= 1:
-        return [_run_block(cell, block) for cell, block in tasks]
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(_run_block, *zip(*tasks)))
+        done = [_run_blocks(cell, blocks) for cell, blocks in heaviest_first]
+    else:
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            done = list(pool.map(_run_blocks, *zip(*heaviest_first)))
+    by_task = dict(zip(order, done))
+    return [by_task[i] for i in range(len(tasks))]
 
 
 def _mean_se(values: Sequence[float]) -> tuple[float, float]:
@@ -233,11 +263,15 @@ def run_table(
 ) -> list[tuple[SimCell, SimReport]]:
     """Run every cell; deterministic under a fixed master seed.
 
-    Every (cell, block) of the table is one task, and one process pool runs
-    them all.
+    With ``workers`` capped at the CPU count, each cell is one task when
+    there are at least as many cells as workers; otherwise each cell's
+    blocks are split into ceil(workers / cells) contiguous ranges, one task
+    each.  One process pool runs all the tasks, heaviest first.
     """
-    tasks = [(cell, block) for cell in cells for block in range(cell.blocks)]
-    results = iter(_task_results(tasks, workers))
+    workers = min(worker_count(workers), os.cpu_count() or 1)
+    parts = -(-workers // max(1, len(cells)))
+    tasks = [(cell, blocks) for cell in cells for blocks in _split(range(cell.blocks), parts)]
+    results = iter(block for task in _task_results(tasks, workers) for block in task)
     return [
         (cell, _report(cell, [next(results) for _ in range(cell.blocks)], conditional))
         for cell in cells
@@ -320,8 +354,8 @@ def parse_sim_config(text: str) -> SimConfig:
                 if not pairs:
                     raise ValueError("no (a,b) pairs found")
                 values["design_points"] = tuple((float(a), float(b)) for a, b in pairs)
-                for a, b in values["design_points"]:  # the rule does not depend on theta
-                    _quantile_thresholds(adapter_from_model(ExponentialModel(1.0)), a, b)
+                for a, b in values["design_points"]:
+                    _check_tail_probabilities(a, b)
             elif key == "n_list":
                 values["n_list"] = tuple(int(v.strip()) for v in rhs.split(",") if v.strip())
             elif key == "blocks":
@@ -410,8 +444,10 @@ def histogram_study(
         _check_method(method)
     panels: list[HistogramPanel] = []
     for n_index, n in enumerate(n_list):
-        rs = derive_stream(seed, n_index, 0)
-        for method, drawn in _draw_estimates(methods, theta, thresholds, rs, count, n).items():
+        stats = _draw_statistics(
+            methods, theta, thresholds, [derive_stream(seed, n_index, 0)], count, n
+        )
+        for method, drawn in estimators._estimates(methods, stats, n, thresholds).items():
             est = drawn[~np.isnan(drawn)]
             skew = _skewness(est) if est.size >= 3 else math.nan
             panels.append(HistogramPanel(method, n, est, drawn.size - est.size, skew))

@@ -14,7 +14,7 @@ from scipy.special import ndtr, ndtri
 from severfit import asymptotics
 from severfit.dist import ExponentialModel, ParetoIModel, ThresholdPair, exp_quantile
 from severfit.errors import DegenerateError, QuadratureError
-from severfit.framework import DistributionAdapter, adapter_from_model
+from severfit.framework import DistributionAdapter, _quantile_thresholds, adapter_from_model
 from severfit.asymptotics import (
     METHODS,
     IFCurve,
@@ -299,6 +299,24 @@ class TestTrimmedIntegrals:
             mtm_integral_I(0.5, 0.4)
         with pytest.raises(ValueError):
             mtm_integral_J(-0.1, 0.9)
+
+    @pytest.mark.parametrize("a,b", [(0.15, 0.85), (0.49, 0.51), (0.7, 0.3), (-0.1, 0.0)])
+    def test_are_mtm_refuses_what_the_threshold_rule_refuses(self, a, b):
+        # one (a, b) rule and message for are_mtm and every threshold pair
+        message = f"need a >= 0, b >= 0 and a + b < 1 - 1e-15, got a={a!r}, b={b!r}"
+        with pytest.raises(ValueError) as refused:
+            are_mtm(a, b)
+        assert str(refused.value) == message
+        with pytest.raises(ValueError) as thresholds:
+            _quantile_thresholds(adapter_from_model(ExponentialModel(1.0)), a, b)
+        assert str(thresholds.value) == message
+
+    def test_integrals_keep_their_domain_check(self):
+        # I and J take 1-b and need only 0 <= a < 1-b <= 1: (0.15, 1 - 0.85)
+        # is a window of one rounding error, which are_mtm refuses
+        assert abs(mtm_integral_I(0.15, 1.0 - 0.85)) < 1e-15
+        with pytest.raises(ValueError, match="need 0 <= a < 1-b <= 1"):
+            mtm_integral_I(0.7, 0.3)
 
     def test_j_where_one_minus_b_is_below_the_spacing_of_one(self):
         # 1 - (1-b) rounds to b = 1 here, so u must come from 1-b itself;

@@ -280,6 +280,16 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config)]) == EXIT_INPUT_ERROR
         assert "reps" in capsys.readouterr().err
 
+    def test_bad_thread_count_names_its_variable(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "study.cfg"
+        config.write_text("methods = mcm\ndesign_points = (0.05, 0.05)\nn_list = 30\n"
+                          "blocks = 1\nreps = 10\n", encoding="utf-8")
+        monkeypatch.setenv("SEVERFIT_THREADS", "abc")
+        assert main(["simulate", "--config", str(config)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: SEVERFIT_THREADS must be an integer, got 'abc'\n"
+        )
+
 
 class TestInfluenceCommand:
     def test_untrimmed_equals_shifted_identity(self, tmp_path):

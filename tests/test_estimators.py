@@ -160,6 +160,27 @@ class TestWindowStatistics:
         if empty_first_row:
             assert np.isnan(expected["mtum"][0][0]) and np.isnan(expected["mtcm"][0][0])
 
+    @pytest.mark.parametrize(
+        "t", [T_MAIN, ThresholdPair(2.0, math.inf), ThresholdPair(9.9, 10.1)], ids=str
+    )
+    def test_counts_and_fits_as_with_count_nonzero(self, t, monkeypatch):
+        # the int32 row counts are count_nonzero's, so every statistic and fit keeps its bits
+        def count_nonzero_window(x, t):
+            above_d = x > t.d
+            inside = above_d if t.upper_is_infinite else above_d & (x <= t.u)
+            total = (x * inside).sum(axis=1)
+            return np.count_nonzero(above_d, axis=1), np.count_nonzero(inside, axis=1), total
+
+        x = sample(ExponentialModel(THETA), (40, 250), RandomSource(seed=21))
+        x[0] = np.minimum(x[0], t.d)  # a row with an empty window
+        counts, expected = _window(x, t), count_nonzero_window(x, t)
+        assert counts[0].dtype == counts[1].dtype == np.int32
+        for got, want in zip(counts, expected, strict=True):
+            assert np.array_equal(got, want)
+        fits = [fit(method, "exp", row, t) for row in x[:8] for method in _METHODS]
+        monkeypatch.setattr(estimators, "_window", count_nonzero_window)
+        assert fits == [fit(method, "exp", row, t) for row in x[:8] for method in _METHODS]
+
 
 class TestMle:
     def test_exp_mean(self):

@@ -137,7 +137,7 @@ class TestRunCell:
         cell = cell_from_quantiles(
             0.10, 0.70, 10.0, 100, "mtum", replications_per_block=1, blocks=4, seed=2,
         )
-        blocks = [mc._run_block(cell, b) for b in range(cell.blocks)]
+        blocks = mc._run_blocks(cell, range(cell.blocks))
         assert any(successes == 0 for successes, *_ in blocks)
         assert any(successes > 0 for successes, *_ in blocks)
         report = run_cell(cell, conditional=True, workers=1)
@@ -177,8 +177,8 @@ class TestRunCell:
             assert np.array_equal(small.estimates, full.estimates)
 
     def test_one_root_batch_per_method(self, monkeypatch):
-        # a block or a histogram sample size drawn in several chunks solves
-        # each method's roots in one batch
+        # a task (a cell or a range of its blocks) drawn in several chunks
+        # solves each method's roots in one batch, as does a histogram sample size
         from severfit import estimators
 
         calls = []
@@ -188,8 +188,12 @@ class TestRunCell:
             lambda method, mu, t: calls.append((method, mu.size)) or root(method, mu, t),
         )
         monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * self.CELL.n)
-        mc._run_block(self.CELL, 0)
-        assert calls == [("mcm", self.CELL.replications_per_block)]
+        reps = self.CELL.replications_per_block
+        mc._run_blocks(self.CELL, range(1, 4))
+        assert calls == [("mcm", 3 * reps)]
+        calls.clear()
+        run_cell(self.CELL, workers=1)
+        assert calls == [("mcm", self.CELL.blocks * reps)]
         calls.clear()
         monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * 30)
         histogram_study([30, 50], 60, methods=("mle", *METHODS), seed=5)
@@ -216,6 +220,43 @@ class TestRunCell:
             SimCell(n=10, method="huber", theta_true=10.0, thresholds=ThresholdPair(0, 1))
         with pytest.raises(ConfigError):
             SimCell(n=10, method="mcm", theta_true=-1.0, thresholds=ThresholdPair(0, 1))
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replaces the process pool with an in-process stand-in, so no process
+    is started; returns its log of pool sizes and of the (cell, blocks)
+    tasks in the order they were submitted."""
+    log = {"sizes": [], "tasks": []}
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            log["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            log["tasks"].append(list(zip(*iterables)))
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    return log
+
+
+def _block_by_block(cells, conditional):
+    """Each cell's report from its blocks run one at a time: the reference
+    for every task layout."""
+    return [
+        (cell, mc._report(
+            cell, [mc._run_blocks(cell, range(b, b + 1))[0] for b in range(cell.blocks)],
+            conditional,
+        ))
+        for cell in cells
+    ]
 
 
 class TestRunTable:
@@ -250,30 +291,13 @@ class TestRunTable:
         b = sim_table_csv(run_table(self._cells(), workers=2))
         assert a == b
 
-    def test_one_pool_capped_by_tasks_and_cpus(self, monkeypatch):
-        sizes = []
-
-        class InProcessPool:
-            """Stands in for ProcessPoolExecutor, so no process is started."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_one_pool_capped_by_tasks_and_cpus(self, monkeypatch, in_process_pool):
+        sizes = in_process_pool["sizes"]
         cells = self._cells() + [
             cell_from_quantiles(0.05, 0.05, 10.0, 60, "mtcm",
                                 replications_per_block=30, blocks=2, seed=9, cell_index=2)
         ]
         expected = run_table(cells, workers=1)
-        monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setenv("SEVERFIT_THREADS", "64")
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
         assert run_table(cells) == expected  # 6 tasks, 4 CPUs
@@ -283,6 +307,54 @@ class TestRunTable:
         assert run_cell(cells[0], workers=8) == expected[0][1]  # 2 tasks
         assert run_table(cells[:1], workers=1) == expected[:1]  # in process
         assert sizes == [4, 6, 3, 2]
+
+    # two cells, whose blocks are split from three workers up, and four, split from five
+    SPLIT_CELLS = [
+        cell_from_quantiles(0.10, 0.70, 10.0, 40, "mtum", replications_per_block=30,
+                            blocks=5, seed=13, cell_index=0),
+        cell_from_quantiles(0.25, 0.0, 10.0, 25, "mcm", replications_per_block=20,
+                            blocks=3, seed=13, cell_index=1),
+    ]
+    WHOLE_CELLS = [
+        cell_from_quantiles(0.05, 0.05, 10.0, n, method, replications_per_block=25,
+                            blocks=3, seed=13, cell_index=i)
+        for i, (n, method) in enumerate([(30, "mtum"), (60, "mcm"), (45, "mtcm"), (20, "mle")])
+    ]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_reports_equal_block_by_block(self, workers, monkeypatch):
+        # a real pool; the CPU cap is lifted so that 3 workers split as 3 would
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS):
+            expected = _block_by_block(cells, conditional=True)
+            assert run_table(cells, conditional=True, workers=workers) == expected
+
+    @pytest.mark.parametrize("workers", [1, 4, 5, 8, 64])
+    def test_task_layouts_equal_block_by_block(self, workers, monkeypatch, in_process_pool):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
+        for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS):
+            expected = _block_by_block(cells, conditional=True)
+            assert run_table(cells, conditional=True, workers=workers) == expected
+        if workers > 1:
+            split, whole = in_process_pool["tasks"]
+            parts = -(-workers // len(self.SPLIT_CELLS))
+            # each cell in min(parts, blocks) contiguous ranges that cover its blocks
+            for cell in self.SPLIT_CELLS:
+                ranges = sorted((b for c, b in split if c == cell), key=lambda r: r.start)
+                assert len(ranges) == min(parts, cell.blocks)
+                assert [i for r in ranges for i in r] == list(range(cell.blocks))
+            # four cells: one task each up to four workers
+            assert len(whole) == sum(min(-(-workers // 4), c.blocks) for c in self.WHOLE_CELLS)
+
+    def test_tasks_go_heaviest_first(self, monkeypatch, in_process_pool):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        cells = self.SPLIT_CELLS + self.WHOLE_CELLS
+        expected = run_table(cells, workers=1)
+        assert run_table(cells, workers=2) == expected  # reports in table order
+        (tasks,) = in_process_pool["tasks"]
+        weights = [c.n * c.replications_per_block * len(blocks) for c, blocks in tasks]
+        assert weights == sorted(weights, reverse=True)
+        assert [c.cell_index for c, _ in tasks] != [c.cell_index for c in cells]
 
 
 class TestConfig:
