@@ -2,11 +2,11 @@
 
 Every (cell, block) owns one random stream derived from (master seed, cell,
 block), and draws its replications from it as rows of a (reps, n) matrix, in
-small chunks reduced to per-row statistics.  A task is one cell, or one
-contiguous range of its blocks, and solves the roots of all its blocks as
-one batch.  Every root depends on its row alone, so results are
-bit-identical regardless of the task layout, execution order, chunk size or
-worker count.
+small chunks reduced to per-row statistics.  A task is a contiguous range
+of one cell's blocks, sized by the cell's share of the table's work, and
+solves the roots of all its blocks as one batch.  Every root depends on its
+row alone, so results are bit-identical regardless of the task layout,
+execution order, chunk size or worker count.
 """
 
 from __future__ import annotations
@@ -187,6 +187,18 @@ def worker_count(requested: int | None = None) -> int:
     return os.cpu_count() or 1
 
 
+# A task solves its roots as one batch per method.  Beyond about this many rows a batch
+# outgrows the caches and gets slower per row (mtum at n = 50 on a 2-vCPU Xeon: 355 ns a row
+# at 2^13 rows, 370 at 2^14, 487 at 2^16, 591 at 2^18), and its working set grows by about
+# 370 bytes a row (3 MB at 2^13), so a cell with more rows is split into more tasks.
+_TASK_ROWS = 1 << 13
+
+
+def _weight(cell: SimCell, blocks: range) -> int:
+    """The work of running ``blocks`` of ``cell``: n x reps x blocks."""
+    return cell.n * cell.replications_per_block * len(blocks)
+
+
 def _split(blocks: range, parts: int) -> list[range]:
     """``blocks`` as min(parts, len(blocks)) contiguous ranges of near-equal length."""
     parts = min(parts, len(blocks))
@@ -194,20 +206,36 @@ def _split(blocks: range, parts: int) -> list[range]:
     return [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
+def _tasks(cells: Sequence[SimCell], workers: int) -> list[tuple[SimCell, range]]:
+    """The (cell, block range) tasks of a table, cell by cell in block order.
+
+    With ``W`` the table's total weight, a cell of weight ``w`` is split into
+    ceil(workers x w / W) contiguous ranges of its blocks, so that no task
+    outweighs a worker's share by more than one block, or into more where a
+    range would hold over ``_TASK_ROWS`` rows; never into more than one range
+    per block.
+    """
+    total = sum(_weight(cell, range(cell.blocks)) for cell in cells)
+    return [
+        (cell, blocks)
+        for cell in cells
+        for blocks in _split(range(cell.blocks), max(
+            -(-workers * _weight(cell, range(cell.blocks)) // total),
+            -(-cell.blocks * cell.replications_per_block // _TASK_ROWS),
+        ))
+    ]
+
+
 def _task_results(
     tasks: Sequence[tuple[SimCell, range]], workers: int
 ) -> list[list[tuple[int, int, float, float]]]:
     """``_run_blocks`` on every (cell, block range) task, in task order.
 
-    The tasks are submitted heaviest first, by n x reps x blocks, to one
-    process pool of at most ``workers`` workers and one per task, or run in
-    process when that is one.  Each task solves one root batch.
+    The tasks are submitted heaviest first (``_weight``) to one process
+    pool of at most ``workers`` workers and one per task, or run in process
+    when that is one.
     """
-    def weight(i: int) -> int:
-        cell, blocks = tasks[i]
-        return cell.n * cell.replications_per_block * len(blocks)
-
-    order = sorted(range(len(tasks)), key=weight, reverse=True)
+    order = sorted(range(len(tasks)), key=lambda i: _weight(*tasks[i]), reverse=True)
     heaviest_first = [tasks[i] for i in order]
     size = min(workers, len(tasks))
     if size <= 1:
@@ -263,15 +291,13 @@ def run_table(
 ) -> list[tuple[SimCell, SimReport]]:
     """Run every cell; deterministic under a fixed master seed.
 
-    With ``workers`` capped at the CPU count, each cell is one task when
-    there are at least as many cells as workers; otherwise each cell's
-    blocks are split into ceil(workers / cells) contiguous ranges, one task
-    each.  One process pool runs all the tasks, heaviest first.
+    The cells are split into tasks (``_tasks``) for ``workers`` capped at the
+    CPU count, and one process pool runs all the tasks, heaviest first.
     """
     workers = min(worker_count(workers), os.cpu_count() or 1)
-    parts = -(-workers // max(1, len(cells)))
-    tasks = [(cell, blocks) for cell in cells for blocks in _split(range(cell.blocks), parts)]
-    results = iter(block for task in _task_results(tasks, workers) for block in task)
+    results = iter(
+        block for task in _task_results(_tasks(cells, workers), workers) for block in task
+    )
     return [
         (cell, _report(cell, [next(results) for _ in range(cell.blocks)], conditional))
         for cell in cells

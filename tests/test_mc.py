@@ -308,7 +308,8 @@ class TestRunTable:
         assert run_table(cells[:1], workers=1) == expected[:1]  # in process
         assert sizes == [4, 6, 3, 2]
 
-    # two cells, whose blocks are split from three workers up, and four, split from five
+    # tables of two and of four cells of uneven weights, and one of a light cell
+    # before one twenty times heavier
     SPLIT_CELLS = [
         cell_from_quantiles(0.10, 0.70, 10.0, 40, "mtum", replications_per_block=30,
                             blocks=5, seed=13, cell_index=0),
@@ -319,6 +320,11 @@ class TestRunTable:
         cell_from_quantiles(0.05, 0.05, 10.0, n, method, replications_per_block=25,
                             blocks=3, seed=13, cell_index=i)
         for i, (n, method) in enumerate([(30, "mtum"), (60, "mcm"), (45, "mtcm"), (20, "mle")])
+    ]
+    SKEWED_CELLS = [
+        cell_from_quantiles(0.05, 0.05, 10.0, n, "mtum", replications_per_block=4,
+                            blocks=10, seed=13, cell_index=i)
+        for i, n in enumerate([50, 1000])
     ]
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -332,19 +338,49 @@ class TestRunTable:
     @pytest.mark.parametrize("workers", [1, 4, 5, 8, 64])
     def test_task_layouts_equal_block_by_block(self, workers, monkeypatch, in_process_pool):
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
-        for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS):
+        for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS, self.SKEWED_CELLS):
             expected = _block_by_block(cells, conditional=True)
             assert run_table(cells, conditional=True, workers=workers) == expected
         if workers > 1:
-            split, whole = in_process_pool["tasks"]
-            parts = -(-workers // len(self.SPLIT_CELLS))
-            # each cell in min(parts, blocks) contiguous ranges that cover its blocks
-            for cell in self.SPLIT_CELLS:
-                ranges = sorted((b for c, b in split if c == cell), key=lambda r: r.start)
+            submitted = in_process_pool["tasks"]
+            for cells, tasks in zip((self.SPLIT_CELLS, self.WHOLE_CELLS, self.SKEWED_CELLS),
+                                    submitted, strict=True):
+                assert sorted(tasks, key=repr) == sorted(mc._tasks(cells, workers), key=repr)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 8, 64])
+    def test_cells_split_by_weight(self, workers):
+        for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS, self.SKEWED_CELLS):
+            tasks = mc._tasks(cells, workers)
+            total = sum(mc._weight(cell, range(cell.blocks)) for cell in cells)
+            for cell in cells:
+                ranges = [blocks for c, blocks in tasks if c == cell]
+                # contiguous ranges, in block order, that cover the cell's blocks
+                assert [b for blocks in ranges for b in blocks] == list(range(cell.blocks))
+                weight = mc._weight(cell, range(cell.blocks))
+                parts = (workers * weight + total - 1) // total
                 assert len(ranges) == min(parts, cell.blocks)
-                assert [i for r in ranges for i in r] == list(range(cell.blocks))
-            # four cells: one task each up to four workers
-            assert len(whole) == sum(min(-(-workers // 4), c.blocks) for c in self.WHOLE_CELLS)
+                # no task outweighs a worker's share by more than one block
+                share = total / workers + mc._weight(cell, range(1))
+                assert all(mc._weight(cell, blocks) <= share for blocks in ranges)
+        # at two workers the heavy cell of the skewed table is halved, the light one whole
+        assert [blocks for _, blocks in mc._tasks(self.SKEWED_CELLS, 2)] == [
+            range(10), range(5), range(5, 10)
+        ]
+
+    def test_tasks_hold_at_most_task_rows(self, monkeypatch):
+        cell = self.SPLIT_CELLS[0]  # 5 blocks of 30 rows
+        expected = _block_by_block([cell], conditional=True)
+        monkeypatch.setattr(mc, "_TASK_ROWS", 60)
+        assert [blocks for _, blocks in mc._tasks([cell], 1)] == [
+            range(1), range(1, 3), range(3, 5)
+        ]
+        assert run_table([cell], conditional=True, workers=1) == expected
+        # a block longer than the cap is still one task
+        monkeypatch.setattr(mc, "_TASK_ROWS", 20)
+        assert [blocks for _, blocks in mc._tasks([cell], 1)] == [
+            range(b, b + 1) for b in range(5)
+        ]
+        assert run_table([cell], conditional=True, workers=1) == expected
 
     def test_tasks_go_heaviest_first(self, monkeypatch, in_process_pool):
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
@@ -352,7 +388,7 @@ class TestRunTable:
         expected = run_table(cells, workers=1)
         assert run_table(cells, workers=2) == expected  # reports in table order
         (tasks,) = in_process_pool["tasks"]
-        weights = [c.n * c.replications_per_block * len(blocks) for c, blocks in tasks]
+        weights = [mc._weight(cell, blocks) for cell, blocks in tasks]
         assert weights == sorted(weights, reverse=True)
         assert [c.cell_index for c, _ in tasks] != [c.cell_index for c in cells]
 
