@@ -379,19 +379,14 @@ def _with_avar(result: EstimateResult, t: ThresholdPair) -> EstimateResult:
     return replace(result, avar=avar)
 
 
-def _statistics(methods: Sequence[str], x: np.ndarray, t: ThresholdPair | None) -> tuple:
-    """Per row of ``x`` (rows, n), what ``methods`` read: the ``_window``
-    triple unless every method is "mle", then the row sum if one is."""
-    window = _window(x, t) if set(methods) - {"mle"} else ()
-    return window + ((x.sum(axis=1),) if "mle" in methods else ())
-
-
 def _estimates(
     methods: Sequence[str], stats: tuple, n: int, t: ThresholdPair | None
 ) -> dict[str, np.ndarray]:
-    """Theta for each row of ``_statistics`` of samples of size n by each of
-    ``methods``, without avar, from one ``_root`` batch per method; NaN where a
-    row has none (an empty window or a statistic outside the attainable interval)."""
+    """Theta for each row of samples of size n by each of ``methods``, without
+    avar, from one ``_root`` batch per method; NaN where a row has none (an empty
+    window or a statistic outside the attainable interval).  ``stats`` holds one
+    array per statistic: the ``_window`` triple, then the row sums if "mle" is
+    among ``methods``."""
     estimates = {}
     for method in methods:
         if method == "mle":

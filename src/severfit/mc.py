@@ -1,12 +1,18 @@
 """Deterministic, parallel Monte Carlo engine for the simulation study.
 
 Every (cell, block) owns one random stream derived from (master seed, cell,
-block), and draws its replications from it as rows of a (reps, n) matrix, in
-small chunks reduced to per-row statistics.  A task is a contiguous range
-of one cell's blocks, sized by the cell's share of the table's work, and
-solves the roots of all its blocks as one batch.  Every root depends on its
-row alone, so results are bit-identical regardless of the task layout,
-execution order, chunk size or worker count.
+block).  A replication is read only through its window statistics (the count
+above d, the count inside (d, u] and the sum inside) and, for the MLE, its
+row sum, so a block draws those from their exact joint law instead of n
+losses each (``_block_statistics``): first the binomial counts and gammas of
+all its rows, then the uniforms of the values inside the window in chunks of
+whole rows, and the MLE's parts of the row sum last, so that no method's
+estimates depend on which others are asked for.  A task is a contiguous
+range of one cell's blocks, sized by the cell's share of the table's work,
+and solves the roots of all its blocks as one batch.  Every root depends on
+its row alone, so results are bit-identical regardless of the task layout,
+execution order, chunk size or worker count.  They differ from those of
+versions that drew every loss, at the same seed.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +29,8 @@ import numpy as np
 
 from . import asymptotics, estimators
 from .asymptotics import _fmt
-from .dist import ExponentialModel, RandomSource, ThresholdPair, sample
+# ``sample`` is no longer called here; bench/tracer.py wraps it as ``mc.sample``.
+from .dist import ExponentialModel, RandomSource, ThresholdPair, sample  # noqa: F401
 from .errors import ConfigError
 from .framework import _check_tail_probabilities, _quantile_thresholds, adapter_from_model
 
@@ -90,8 +98,13 @@ class SimCell:
         if self.blocks < 1:
             raise ConfigError("blocks", "blocks must be >= 1")
         _check_method(self.method)
-        if not self.theta_true > 0:
-            raise ConfigError("theta", "theta must be positive")
+        # below the normal range every loss drawn keeps only a few digits, and a
+        # block's estimates can all round to theta_true, leaving its RE undefined
+        if not self.theta_true >= sys.float_info.min:
+            raise ConfigError(
+                "theta", f"theta must be at least {sys.float_info.min!r} (the smallest "
+                f"normal float), got {self.theta_true!r}",
+            )
 
 
 @dataclass(frozen=True)
@@ -136,29 +149,89 @@ def cell_from_quantiles(
     )
 
 
-# A chunk holds about this many draws (128 KB), so its arrays are reused from the malloc heap
-# chunk after chunk; from 2^15 up they were often mapped and page-faulted afresh (glibc on a
-# 2-vCPU Xeon, the benchmark's 24 cells in process: 67,632 faults per pass at 2^18, 74,594 at
-# 2^16, none at 2^14).  The stream continues across calls and every statistic is per row, so
-# chunking changes no value.
+# A chunk holds about this many uniforms (128 KB).  Whether larger chunks are reused from the
+# malloc heap or mapped and page-faulted afresh depends on the allocation history (glibc on a
+# 2-vCPU Xeon, the benchmark's 24 cells in process: about 8,500 faults a pass and 7 % slower
+# at 2^16, none at 2^14); smaller ones cost more per chunk (2^12: 17 % slower).  The stream
+# continues across calls and a chunk holds whole rows, so chunking changes no value.
 _CHUNK_VALUES = 1 << 14
+
+
+def _truncated_sums(rs: RandomSource, counts: np.ndarray, q: float) -> np.ndarray:
+    """Per row, the sum of ``counts[row]`` standard exponentials conditioned to be at
+    most -log(1 - q), each -log1p(-q V) of one uniform V of ``rs``.
+
+    The uniforms are drawn row after row, in chunks of whole rows of about
+    ``_CHUNK_VALUES`` values, and each row is summed on its own, so the chunk
+    size changes no value.
+    """
+    sums = np.zeros(counts.size)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # the first row of each chunk: the first to start at or after a multiple of _CHUNK_VALUES
+    firsts = np.searchsorted(starts, np.arange(0, ends[-1], _CHUNK_VALUES))
+    for lo, hi in zip(firsts, [*firsts[1:], counts.size]):
+        if lo == hi:
+            continue
+        v = rs.uniform(int(ends[hi - 1] - starts[lo]))
+        log_survival = np.log1p(np.multiply(v, -q, out=v), out=v)  # log(1 - q V) = -E
+        filled = counts[lo:hi] > 0  # reduceat would give an empty row its neighbour's value
+        rows = sums[lo:hi]
+        rows[filled] = np.add.reduceat(log_survival, starts[lo:hi][filled] - starts[lo])
+        np.negative(rows, out=rows)
+    return sums
+
+
+def _block_statistics(
+    mle: bool, theta: float, t: ThresholdPair, rs: RandomSource, rows: int, n: int
+) -> tuple:
+    """``rows`` Exp(theta) samples of size ``n`` from ``rs``, as the statistics they give:
+    per row the count above d, the count inside (d, u] and the sum inside, then the row
+    sum if ``mle``, each drawn from its exact joint law.
+
+    By memorylessness, a value above d is d + theta E with E ~ Exp(1), and one above u
+    is u + theta E.  So the count above d is A ~ Bin(n, e^(-d/theta)), the count
+    inside is N ~ Bin(A, r) with r = 1 - e^(-(u - d)/theta), and the sum inside is
+    d N + theta (E_1 + ... + E_N) with each E_j below (u - d)/theta, a Gamma(N) when u
+    is infinite.  The row sum adds theta times n - A values of Exp(1) below d/theta,
+    and (A - N) u + theta Gamma(A - N) above u.  The draws come in that order, binomials
+    and gammas before uniforms, and the row sum's last, so the window statistics are
+    the same whether or not it is asked for.
+    """
+    gen = rs.generator()
+    above_d = gen.binomial(n, math.exp(-t.d / theta), size=rows)
+    if t.upper_is_infinite:
+        inside = above_d
+        total = t.d * inside + theta * gen.standard_gamma(inside)
+    else:
+        r = -math.expm1(-(t.u - t.d) / theta)
+        inside = gen.binomial(above_d, r)
+        total = t.d * inside + theta * _truncated_sums(rs, inside, r)
+    if not mle:
+        return above_d, inside, total
+    row_sum = total
+    if not t.upper_is_infinite:
+        above_u = above_d - inside
+        row_sum = row_sum + (t.u * above_u + theta * gen.standard_gamma(above_u))
+    below_d = theta * _truncated_sums(rs, n - above_d, -math.expm1(-t.d / theta))
+    return above_d, inside, total, row_sum + below_d
 
 
 def _draw_statistics(
     methods: Sequence[str], theta: float, t: ThresholdPair, streams: Iterable[RandomSource],
     rows: int, n: int,
 ) -> tuple:
-    """``estimators._statistics`` of ``rows`` Exp(theta) samples of size ``n`` from each
-    of ``streams`` in turn, drawn and reduced chunk by chunk, as one array per statistic."""
-    model, step = ExponentialModel(theta), max(1, _CHUNK_VALUES // n)
-    parts = [estimators._statistics(methods, sample(model, (min(step, rows - i), n), rs), t)
-             for rs in streams for i in range(0, rows, step)]
+    """``_block_statistics`` of ``rows`` samples of size ``n`` from each of ``streams``
+    in turn, with the row sums if ``methods`` include "mle", as one array per statistic:
+    what ``estimators._estimates`` reads."""
+    parts = [_block_statistics("mle" in methods, theta, t, rs, rows, n) for rs in streams]
     return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _run_blocks(cell: SimCell, blocks: range) -> list[tuple[int, int, float, float]]:
     """Per block of ``blocks``: (successes, failures, sum of theta_hat/theta, sum of
-    squared errors).  Each block draws from its own stream; the roots of all of
+    (theta_hat/theta - 1)^2), sums on the unit scale so that they neither overflow nor
+    underflow with theta.  Each block draws from its own stream; the roots of all of
     them are solved as one batch."""
     theta, reps = cell.theta_true, cell.replications_per_block
     streams = (derive_stream(cell.seed, cell.cell_index, block) for block in blocks)
@@ -166,10 +239,10 @@ def _run_blocks(cell: SimCell, blocks: range) -> list[tuple[int, int, float, flo
     estimates = estimators._estimates((cell.method,), stats, cell.n, cell.thresholds)
     results = []
     for row in estimates[cell.method].reshape(len(blocks), reps):
-        found = row[~np.isnan(row)]
+        ratio = row[~np.isnan(row)] / theta
         results.append((
-            found.size, row.size - found.size,
-            float(np.sum(found / theta)), float(np.sum((found - theta) ** 2)),
+            ratio.size, row.size - ratio.size,
+            float(np.sum(ratio)), float(np.sum((ratio - 1.0) ** 2)),
         ))
     return results
 
@@ -258,7 +331,6 @@ def _report(
     cell: SimCell, results: Sequence[tuple[int, int, float, float]], conditional: bool
 ) -> SimReport:
     """The cell's report from its per-block results (see ``run_cell``)."""
-    theta = cell.theta_true
     total = cell.blocks * cell.replications_per_block
     failure_count = sum(r[1] for r in results)
     if (failure_count > 0 and not conditional) or any(r[0] == 0 for r in results):
@@ -267,7 +339,7 @@ def _report(
             failure_count=failure_count, total_samples=total,
         )
     ratios = [sum_ratio / successes for successes, _, sum_ratio, _ in results]
-    res = [(theta * theta / cell.n) / (sum_sq / successes) for successes, _, _, sum_sq in results]
+    res = [(1.0 / cell.n) / (sum_rel_sq / successes) for successes, _, _, sum_rel_sq in results]
     mean_ratio, se_ratio = _mean_se(ratios)
     re, se_re = _mean_se(res)
     return SimReport(
@@ -280,8 +352,9 @@ def run_cell(
     cell: SimCell, *, conditional: bool = False, workers: int | None = None
 ) -> SimReport:
     """Simulate one cell: per-block averages of theta_hat/theta and of the
-    relative efficiency (theta^2/n over the block's empirical mean squared
-    error), then the across-block mean and standard error of each.
+    relative efficiency (1/n over the block's mean of (theta_hat/theta - 1)^2,
+    which is theta^2/n over its mean squared error), then the across-block
+    mean and standard error of each.
     """
     return run_table([cell], conditional=conditional, workers=workers)[0][1]
 
@@ -459,9 +532,9 @@ def histogram_study(
 ) -> list[HistogramPanel]:
     """Repeated estimation at small n for normality inspection.
 
-    For each sample size, ``count`` samples are drawn from one stream, chunk
-    by chunk, and every method is applied to the same samples; failed
-    existence checks are dropped from that panel.
+    For each sample size, the statistics of ``count`` samples are drawn from
+    one stream (``_block_statistics``), and every method is applied to the
+    same samples; failed existence checks are dropped from that panel.
     """
     if count < 2:
         raise ValueError("count must be >= 2")

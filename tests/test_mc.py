@@ -1,6 +1,7 @@
-"""Monte Carlo engine: stream derivation, determinism, failure bookkeeping,
-table CSV, config parsing, and the histogram study."""
+"""Monte Carlo engine: stream derivation, the joint-law sampler, determinism,
+failure bookkeeping, table CSV, config parsing, and the histogram study."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from severfit import mc
+from severfit import estimators, mc
 from severfit.asymptotics import METHODS
-from severfit.dist import ThresholdPair
+from severfit.dist import ExponentialModel, RandomSource, ThresholdPair, sample
 from severfit.errors import ConfigError
 from severfit.mc import (
     DEFAULT_SEED,
@@ -29,6 +32,7 @@ from severfit.mc import (
     sim_table_csv,
     worker_count,
 )
+from severfit.moments import mu_mtum, truncated_summary
 
 
 class TestDeriveStream:
@@ -135,7 +139,7 @@ class TestRunCell:
     def test_block_without_successes_withholds_conditional_statistics(self):
         # one replication per block: a failed one leaves its block empty
         cell = cell_from_quantiles(
-            0.10, 0.70, 10.0, 100, "mtum", replications_per_block=1, blocks=4, seed=2,
+            0.10, 0.70, 10.0, 100, "mtum", replications_per_block=1, blocks=8, seed=2,
         )
         blocks = mc._run_blocks(cell, range(cell.blocks))
         assert any(successes == 0 for successes, *_ in blocks)
@@ -143,33 +147,37 @@ class TestRunCell:
         report = run_cell(cell, conditional=True, workers=1)
         assert report == SimReport(
             mean_ratio=None, se_mean_ratio=None, re=None, se_re=None,
-            failure_count=sum(failures for _, failures, *_ in blocks), total_samples=4,
+            failure_count=sum(failures for _, failures, *_ in blocks), total_samples=8,
         )
 
     def test_chunk_size_changes_nothing(self, monkeypatch):
-        # draws continue one stream across chunks, every statistic is per
-        # row and every root depends on its row alone, so 7-row chunks give
-        # the same bits
+        # uniforms continue one stream across chunks of whole rows, every
+        # statistic is per row and every root depends on its row alone, so
+        # chunks of about 7 rows' values, or of one row each, give the same bits
         cells = [
             self.CELL,
             cell_from_quantiles(0.10, 0.70, 10.0, 40, "mtum", replications_per_block=60,
                                 blocks=2, seed=3, cell_index=1),
             cell_from_quantiles(0.05, 0.05, 10.0, 30, "mle", replications_per_block=50,
                                 blocks=2, seed=3, cell_index=2),
+            cell_from_quantiles(0.25, 0.0, 10.0, 30, "mle", replications_per_block=50,
+                                blocks=2, seed=3, cell_index=3),
         ]
         methods = ("mle", *METHODS)
         default = [run_cell(c, conditional=True, workers=1) for c in cells]
         panels = histogram_study([30, 50], 60, methods=methods, seed=5)
         draws = []
-        sample = mc.sample
+        uniform = RandomSource.uniform
         monkeypatch.setattr(
-            mc, "sample", lambda model, shape, rs: draws.append(shape) or sample(model, shape, rs)
+            RandomSource, "uniform", lambda rs, size: draws.append(size) or uniform(rs, size)
         )
         for cell, expected in zip(cells, default):
-            monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * cell.n)
-            draws.clear()
-            assert run_cell(cell, conditional=True, workers=1) == expected
-            assert draws[0] == (7, cell.n) and len(draws) > cell.blocks
+            for chunk in (7 * cell.n, 1):
+                monkeypatch.setattr(mc, "_CHUNK_VALUES", chunk)
+                draws.clear()
+                assert run_cell(cell, conditional=True, workers=1) == expected
+                # whole rows, as few as fill a chunk
+                assert len(draws) > cell.blocks and max(draws) < chunk + cell.n
         monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * 30)
         small_chunks = histogram_study([30, 50], 60, methods=methods, seed=5)
         for small, full in zip(small_chunks, panels, strict=True):
@@ -199,19 +207,17 @@ class TestRunCell:
         histogram_study([30, 50], 60, methods=("mle", *METHODS), seed=5)
         assert [method for method, _ in calls] == [*METHODS, *METHODS]
 
-    def test_one_window_pass_per_chunk(self, monkeypatch):
-        # every method of the study reads the same window triple of a chunk
-        from severfit import estimators
-
-        shapes = []
-        window = estimators._window
-        monkeypatch.setattr(
-            estimators, "_window", lambda x, t: shapes.append(x.shape) or window(x, t)
-        )
-        monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * 30)
-        panels = histogram_study([30], 20, seed=5)
-        assert [p.method for p in panels] == ["mtum", "mcm", "mtcm"]
-        assert shapes == [(7, 30), (7, 30), (6, 30)]
+    def test_estimates_do_not_depend_on_other_methods(self):
+        # the row sums are drawn after the window statistics, so asking for
+        # the MLE, or for any other method, leaves each method's estimates as
+        # they are alone
+        everything = histogram_study([30, 50], 60, methods=("mle", *METHODS), seed=5)
+        for method in ("mle", *METHODS):
+            alone = histogram_study([30, 50], 60, methods=(method,), seed=5)
+            along = [p for p in everything if p.method == method]
+            for a, b in zip(alone, along, strict=True):
+                assert (a.n, a.failures) == (b.n, b.failures)
+                assert np.array_equal(a.estimates, b.estimates)
 
     def test_invalid_cell_config(self):
         with pytest.raises(ConfigError):
@@ -220,6 +226,9 @@ class TestRunCell:
             SimCell(n=10, method="huber", theta_true=10.0, thresholds=ThresholdPair(0, 1))
         with pytest.raises(ConfigError):
             SimCell(n=10, method="mcm", theta_true=-1.0, thresholds=ThresholdPair(0, 1))
+        for theta in (1e-320, math.nan):  # subnormal, not a number
+            with pytest.raises(ConfigError):
+                SimCell(n=10, method="mcm", theta_true=theta, thresholds=ThresholdPair(0, 1))
 
 
 @pytest.fixture
@@ -391,6 +400,86 @@ class TestRunTable:
         weights = [mc._weight(cell, blocks) for cell, blocks in tasks]
         assert weights == sorted(weights, reverse=True)
         assert [c.cell_index for c, _ in tasks] != [c.cell_index for c in cells]
+
+
+# (a, b) tail probabilities: two finite windows, one with u infinite, and (0, inf)
+LAW_WINDOWS = [(0.05, 0.05), (0.10, 0.70), (0.25, 0.0), (0.0, 0.0)]
+K_SIGMA = 5.0
+
+
+def _moments_near(values, mean, var):
+    """The sample mean and variance of ``values`` within K_SIGMA standard errors
+    of ``mean`` and ``var``; the variance's standard error is estimated from the
+    sample's squared deviations."""
+    rows = values.size
+    assert abs(values.mean() - mean) <= K_SIGMA * math.sqrt(var / rows)
+    dev2 = (values - values.mean()) ** 2
+    assert abs(values.var(ddof=1) - var) <= K_SIGMA * dev2.std() / math.sqrt(rows)
+
+
+def _covariance_near(x, y, cov):
+    prod = (x - x.mean()) * (y - y.mean())
+    assert abs(prod.sum() / (x.size - 1) - cov) <= K_SIGMA * prod.std() / math.sqrt(x.size)
+
+
+class TestJointLaw:
+    """The window statistics and row sums drawn from their joint law have the
+    law of those of n Exp(theta) losses."""
+
+    THETA, N, ROWS = 10.0, 20, 200_000
+
+    @pytest.mark.parametrize("a,b", LAW_WINDOWS)
+    def test_moments(self, a, b):
+        t = cell_from_quantiles(a, b, self.THETA, self.N, "mle").thresholds
+        n, theta = self.N, self.THETA
+        above_d, inside, total, row_sum = mc._block_statistics(
+            True, theta, t, derive_stream(17, 0, 0), self.ROWS, n
+        )
+        p_above = math.exp(-t.d / theta)
+        p_in = p_above - (0.0 if t.upper_is_infinite else math.exp(-t.u / theta))
+        _moments_near(above_d, n * p_above, n * p_above * (1.0 - p_above))
+        _moments_near(inside, n * p_in, n * p_in * (1.0 - p_in))
+        summary = truncated_summary(theta, t)
+        _moments_near(total, n * summary.mu_y, n * summary.sigma_y2)
+        _moments_near(row_sum, n * theta, n * theta**2)
+        # jointly: (inside, above u, below d) is multinomial, and the sum
+        # inside has mean mu_MTuM per value inside
+        _covariance_near(above_d, inside, n * p_in * (1.0 - p_above))
+        _covariance_near(inside, total, float(mu_mtum(theta, t)) * n * p_in * (1.0 - p_in))
+
+    @pytest.mark.parametrize("a,b", [(0.05, 0.05), (0.10, 0.70), (0.25, 0.0)])
+    def test_estimates_match_drawing_every_loss(self, a, b):
+        # each method's n = 30 estimates, failures counted as +inf, against
+        # those of rows of n losses windowed and solved as fit does
+        from scipy.stats import ks_2samp
+
+        n, rows, methods = 30, 4000, ("mle", *METHODS)
+        t = cell_from_quantiles(a, b, self.THETA, n, "mle").thresholds
+        stats = mc._draw_statistics(methods, self.THETA, t, [derive_stream(21, 0, 0)], rows, n)
+        joint = estimators._estimates(methods, stats, n, t)
+        x = sample(ExponentialModel(self.THETA), (rows, n), derive_stream(21, 1, 0))
+        raw = estimators._estimates(methods, estimators._window(x, t) + (x.sum(axis=1),), n, t)
+        for method in methods:
+            drawn, windowed = (np.nan_to_num(e[method], nan=np.inf) for e in (joint, raw))
+            assert ks_2samp(drawn, windowed).pvalue > 1e-3, method
+
+    @given(
+        k=st.integers(-1000, 1000),
+        design=st.sampled_from(LAW_WINDOWS),
+        method=st.sampled_from(("mle", *METHODS)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_run_cell_is_scale_free(self, k, design, method):
+        # the counts depend on d/theta and (u - d)/theta alone, and c = 2^k
+        # scales every value drawn and every root exactly
+        base = cell_from_quantiles(*design, 1.0, 40, method, replications_per_block=30,
+                                   blocks=2, seed=8, cell_index=3)
+        c, t = 2.0**k, base.thresholds
+        scaled = dataclasses.replace(
+            base, theta_true=c * base.theta_true, thresholds=ThresholdPair(c * t.d, c * t.u)
+        )
+        expected = run_cell(base, conditional=True, workers=1)
+        assert run_cell(scaled, conditional=True, workers=1) == expected
 
 
 class TestConfig:
