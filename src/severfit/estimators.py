@@ -349,8 +349,12 @@ def _root(method: str, mu_hat, t: ThresholdPair) -> _Roots:
     refinement step.
     """
     mu = np.atleast_1d(np.asarray(mu_hat, dtype=float))
-    if not np.all(np.isfinite(mu)):
-        raise ValueError(f"mu_hat must be finite, got {mu_hat!r}")
+    finite = np.isfinite(mu)
+    if not np.all(finite):
+        raise ValueError(
+            f"mu_hat must be finite: {mu.size - np.count_nonzero(finite)} of {mu.size} "
+            f"values are not, the first {float(mu[~finite][0])!r}"
+        )
     spec = _METHODS[method]
     scale = (t.u - t.d) if not t.upper_is_infinite else t.d
     guard = _BOUNDARY_GUARD * scale

@@ -13,16 +13,25 @@ and solves the roots of all its blocks as one batch.  Every root depends on
 its row alone, so results are bit-identical regardless of the task layout,
 execution order, chunk size or worker count.  They differ from those of
 versions that drew every loss, at the same seed.
+
+The tasks of a table run in one process pool, which is kept for later calls
+that need the same number of workers (``_pool_of``): a call that needs
+another number shuts it down before it starts the new one, a forked child
+forgets its parent's pool, a pool found broken is dropped, and the pool is
+shut down at interpreter exit.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing.util
 import os
 import re
 import sys
+import threading
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,11 +192,13 @@ def _truncated_sums(rs: RandomSource, counts: np.ndarray, q: float) -> np.ndarra
 
 
 def _block_statistics(
-    mle: bool, theta: float, t: ThresholdPair, rs: RandomSource, rows: int, n: int
+    mle: bool, theta: float, t: ThresholdPair, rs: RandomSource, rows: int, n: int,
+    unit: bool = False,
 ) -> tuple:
     """``rows`` Exp(theta) samples of size ``n`` from ``rs``, as the statistics they give:
     per row the count above d, the count inside (d, u] and the sum inside, then the row
-    sum if ``mle``, each drawn from its exact joint law.
+    sum if ``mle``, each drawn from its exact joint law; with ``unit``, the sums are in
+    units of theta (divided by it), so that they neither overflow nor underflow with it.
 
     By memorylessness, a value above d is d + theta E with E ~ Exp(1), and one above u
     is u + theta E.  So the count above d is A ~ Bin(n, e^(-d/theta)), the count
@@ -196,50 +207,56 @@ def _block_statistics(
     is infinite.  The row sum adds theta times n - A values of Exp(1) below d/theta,
     and (A - N) u + theta Gamma(A - N) above u.  The draws come in that order, binomials
     and gammas before uniforms, and the row sum's last, so the window statistics are
-    the same whether or not it is asked for.
+    the same whether or not it is asked for.  ``unit`` changes no draw.
     """
+    scale = theta if unit else 1.0
+    d, u, theta_s = t.d / scale, t.u / scale, theta / scale
     gen = rs.generator()
     above_d = gen.binomial(n, math.exp(-t.d / theta), size=rows)
     if t.upper_is_infinite:
         inside = above_d
-        total = t.d * inside + theta * gen.standard_gamma(inside)
+        total = d * inside + theta_s * gen.standard_gamma(inside)
     else:
         r = -math.expm1(-(t.u - t.d) / theta)
         inside = gen.binomial(above_d, r)
-        total = t.d * inside + theta * _truncated_sums(rs, inside, r)
+        total = d * inside + theta_s * _truncated_sums(rs, inside, r)
     if not mle:
         return above_d, inside, total
     row_sum = total
     if not t.upper_is_infinite:
         above_u = above_d - inside
-        row_sum = row_sum + (t.u * above_u + theta * gen.standard_gamma(above_u))
-    below_d = theta * _truncated_sums(rs, n - above_d, -math.expm1(-t.d / theta))
+        row_sum = row_sum + (u * above_u + theta_s * gen.standard_gamma(above_u))
+    below_d = theta_s * _truncated_sums(rs, n - above_d, -math.expm1(-t.d / theta))
     return above_d, inside, total, row_sum + below_d
 
 
 def _draw_statistics(
     methods: Sequence[str], theta: float, t: ThresholdPair, streams: Iterable[RandomSource],
-    rows: int, n: int,
+    rows: int, n: int, unit: bool = False,
 ) -> tuple:
     """``_block_statistics`` of ``rows`` samples of size ``n`` from each of ``streams``
     in turn, with the row sums if ``methods`` include "mle", as one array per statistic:
     what ``estimators._estimates`` reads."""
-    parts = [_block_statistics("mle" in methods, theta, t, rs, rows, n) for rs in streams]
+    parts = [
+        _block_statistics("mle" in methods, theta, t, rs, rows, n, unit) for rs in streams
+    ]
     return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _run_blocks(cell: SimCell, blocks: range) -> list[tuple[int, int, float, float]]:
     """Per block of ``blocks``: (successes, failures, sum of theta_hat/theta, sum of
-    (theta_hat/theta - 1)^2), sums on the unit scale so that they neither overflow nor
-    underflow with theta.  Each block draws from its own stream; the roots of all of
-    them are solved as one batch."""
-    theta, reps = cell.theta_true, cell.replications_per_block
+    (theta_hat/theta - 1)^2).  Each block draws from its own stream; the roots of all of
+    them are solved as one batch.  Sums and roots are on the unit scale, theta = 1 on
+    the thresholds divided by theta, so the estimates are the ratios themselves, and
+    nothing overflows or underflows with theta."""
+    theta, t, reps = cell.theta_true, cell.thresholds, cell.replications_per_block
     streams = (derive_stream(cell.seed, cell.cell_index, block) for block in blocks)
-    stats = _draw_statistics((cell.method,), theta, cell.thresholds, streams, reps, cell.n)
-    estimates = estimators._estimates((cell.method,), stats, cell.n, cell.thresholds)
+    stats = _draw_statistics((cell.method,), theta, t, streams, reps, cell.n, unit=True)
+    unit_t = ThresholdPair(t.d / theta, t.u / theta)
+    ratios = estimators._estimates((cell.method,), stats, cell.n, unit_t)[cell.method]
     results = []
-    for row in estimates[cell.method].reshape(len(blocks), reps):
-        ratio = row[~np.isnan(row)] / theta
+    for row in ratios.reshape(len(blocks), reps):
+        ratio = row[~np.isnan(row)]
         results.append((
             ratio.size, row.size - ratio.size,
             float(np.sum(ratio)), float(np.sum((ratio - 1.0) ** 2)),
@@ -299,14 +316,61 @@ def _tasks(cells: Sequence[SimCell], workers: int) -> list[tuple[SimCell, range]
     ]
 
 
+# The process pool kept across ``run_table`` calls, as (size, pool, the finalizer that
+# shuts it down), or None; read and replaced only with ``_pool_lock`` held.
+_pool: tuple[int, ProcessPoolExecutor, multiprocessing.util.Finalize] | None = None
+_pool_lock = threading.RLock()
+
+
+def _forget_pool() -> None:
+    """Forget the kept pool without shutting it down: the copy a forked child
+    holds has neither the parent's manager thread nor its workers."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.RLock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _drop_pool(pool: ProcessPoolExecutor | None = None) -> None:
+    """Shut the kept pool down, waiting for its workers, and forget it; only if
+    it is still ``pool``, when given."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and (pool is None or pool is _pool[1]):
+            stop, _pool = _pool[2], None
+            stop()
+
+
+def _pool_of(size: int) -> ProcessPoolExecutor:
+    """The kept pool, started first if there is none, or if it has another size,
+    once that one has shut down: so no two pools run at once, and no worker is
+    forked while the threads of the old pool are alive."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[0] != size:
+            _drop_pool()
+        if _pool is None:
+            pool = ProcessPoolExecutor(max_workers=size)
+            # concurrent.futures shuts the pool down at interpreter exit; a
+            # multiprocessing child exits through its finalizers instead, and then
+            # joins its children, so this one shuts the pool down first, ahead of
+            # the finalizers (priority 10) that stop the feeder threads of queues
+            stop = multiprocessing.util.Finalize(pool, pool.shutdown, exitpriority=20)
+            _pool = (size, pool, stop)
+        return _pool[1]
+
+
 def _task_results(
     tasks: Sequence[tuple[SimCell, range]], workers: int
 ) -> list[list[tuple[int, int, float, float]]]:
     """``_run_blocks`` on every (cell, block range) task, in task order.
 
-    The tasks are submitted heaviest first (``_weight``) to one process
-    pool of at most ``workers`` workers and one per task, or run in process
-    when that is one.
+    The tasks are submitted heaviest first (``_weight``) to the kept process
+    pool (``_pool_of``) of at most ``workers`` workers and one per task, or
+    run in process when that is one.  A call that finds the pool broken
+    (a worker died) drops it and raises ``BrokenProcessPool``; the next call
+    starts a new one.
     """
     order = sorted(range(len(tasks)), key=lambda i: _weight(*tasks[i]), reverse=True)
     heaviest_first = [tasks[i] for i in order]
@@ -314,8 +378,14 @@ def _task_results(
     if size <= 1:
         done = [_run_blocks(cell, blocks) for cell, blocks in heaviest_first]
     else:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            done = list(pool.map(_run_blocks, *zip(*heaviest_first)))
+        try:
+            with _pool_lock:  # no other thread replaces the pool before all are submitted
+                pool = _pool_of(size)
+                results = pool.map(_run_blocks, *zip(*heaviest_first))
+            done = list(results)
+        except BrokenProcessPool:
+            _drop_pool(pool)
+            raise
     by_task = dict(zip(order, done))
     return [by_task[i] for i in range(len(tasks))]
 
@@ -365,7 +435,14 @@ def run_table(
     """Run every cell; deterministic under a fixed master seed.
 
     The cells are split into tasks (``_tasks``) for ``workers`` capped at the
-    CPU count, and one process pool runs all the tasks, heaviest first.
+    CPU count, and one process pool of ``min(workers, tasks)`` workers runs
+    all the tasks, heaviest first, or they run in process when that is one.
+    The pool is started on first use and kept for later calls of the same
+    size; a call of another size shuts it down and starts its own.  A forked
+    child starts its own pool, and ``concurrent.futures`` shuts the pool
+    down at interpreter exit.  A call that finds a worker dead raises
+    ``BrokenProcessPool``, and the next call starts a new pool.  Results are
+    the same for any worker count and any sequence of calls.
     """
     workers = min(worker_count(workers), os.cpu_count() or 1)
     results = iter(

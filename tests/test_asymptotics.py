@@ -141,6 +141,30 @@ class TestAvar:
         with pytest.raises(DegenerateError):
             avar("mcm", 1e-3, ThresholdPair(5.0, 6.0))
 
+    @given(
+        method=st.sampled_from(("mle", *METHODS)),
+        theta=st.floats(0.5, 50.0),
+        a=st.one_of(st.just(0.0), st.floats(1e-6, 0.6)),
+        b=st.one_of(st.just(0.0), st.floats(1e-6, 0.35)),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scales_with_theta_squared_bit_for_bit(self, method, theta, a, b, data):
+        # c = 2^k scales theta and the thresholds exactly and leaves the ARE
+        # unchanged, so the avar scales by c^2 exactly, for any k in [-1000, 1000]
+        # that keeps theta, the thresholds, theta^2 and the avar normal and finite
+        t = quantile_pair(a, b, theta)
+        base = avar(method, theta, t)
+        # x 2^(m k) is normal and finite for -1022 <= e - 1 + m k < 1024, x = f 2^e
+        powers = [(theta, 1), (t.d, 1), (t.u, 1), (theta * theta, 2), (base, 2)]
+        exponents = [(math.frexp(x)[1], m) for x, m in powers if 0.0 < x < math.inf]
+        lo = max([-1000] + [-((1021 + e) // m) for e, m in exponents])
+        hi = min([1000] + [(1024 - e) // m for e, m in exponents])
+        k = data.draw(st.integers(lo, hi), label="k")
+        c = 2.0**k
+        scaled = avar(method, c * theta, ThresholdPair(c * t.d, c * t.u))
+        assert scaled == math.ldexp(base, 2 * k)
+
     def test_lower_threshold_beyond_the_float_range_of_theta(self):
         # d / theta overflows: the survival at d is 0 and so is every ARE
         for method in METHODS:

@@ -264,17 +264,21 @@ class TestSimulateCommand:
         assert lines[-1].split(",")[5] == "inf"  # analytic row
 
     def test_extreme_scale(self, tmp_path, capsys):
-        # the block sums are relative errors, so nothing overflows at large
-        # theta; a subnormal theta, whose losses keep only a few digits, is
-        # refused with one line
+        # draws and roots are on the unit scale, so nothing overflows at large
+        # theta, not even the sum of 1000 values near 1e306 (under the warnings
+        # filter, an overflow would raise); a subnormal theta, whose losses keep
+        # only a few digits, is refused with one line
         config, out = tmp_path / "study.cfg", tmp_path / "study.csv"
         text = ("methods = mle, mtum, mcm, mtcm\ndesign_points = (0.05, 0.05), (0.25, 0.00)\n"
-                "n_list = 40\nblocks = 2\nreps = 20\n")
-        config.write_text("theta = 1e300\n" + text, encoding="utf-8")
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
-        rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").strip().split("\n")[1:]]
-        assert len(rows) == 2 * 4 + 2 * 3
-        assert all(math.isfinite(float(v)) for row in rows for v in row[6:10] if v)
+                "blocks = 2\nreps = 20\n")
+        for theta, n in (("1e300", 40), ("1e306", 1000)):
+            config.write_text(f"theta = {theta}\nn_list = {n}\n" + text, encoding="utf-8")
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").strip().split("\n")[1:]]
+            assert len(rows) == 2 * 4 + 2 * 3
+            assert all(math.isfinite(float(v)) for row in rows for v in row[6:10] if v)
+            assert all(row[6] for row in rows)  # no cell withheld
+        text = "n_list = 40\n" + text
         for theta in ("1e-320", "1e-322"):
             config.write_text(f"theta = {theta}\n" + text, encoding="utf-8")
             capsys.readouterr()

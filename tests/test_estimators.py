@@ -526,6 +526,14 @@ def guarded_statistics(draw):
 class TestBatchRoots:
     """``_root`` solves a batch of statistics the way it solves each one alone."""
 
+    def test_non_finite_statistics_refused_in_one_line(self):
+        mus = np.array([2.0, np.inf, 3.0, np.nan] * 1000)
+        with pytest.raises(ValueError) as info:
+            _root("mtum", mus, ThresholdPair(0.5, 20.0))
+        assert str(info.value) == (
+            "mu_hat must be finite: 2000 of 4000 values are not, the first inf"
+        )
+
     @staticmethod
     def _statistics(t, sup):
         top = sup if math.isfinite(sup) else t.d + 50.0

@@ -3,9 +3,13 @@ failure bookkeeping, table CSV, config parsing, and the histogram study."""
 
 import dataclasses
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -234,19 +238,20 @@ class TestRunCell:
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Replaces the process pool with an in-process stand-in, so no process
-    is started; returns its log of pool sizes and of the (cell, blocks)
-    tasks in the order they were submitted."""
-    log = {"sizes": [], "tasks": []}
+    is started; returns its log of pool sizes started, of ("start" | "shutdown",
+    size) events and of the (cell, blocks) tasks in the order they were
+    submitted."""
+    log = {"sizes": [], "events": [], "tasks": []}
 
     class InProcessPool:
         def __init__(self, max_workers):
+            self.size = max_workers
             log["sizes"].append(max_workers)
+            log["events"].append(("start", max_workers))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True):
+            assert wait
+            log["events"].append(("shutdown", self.size))
 
         def map(self, fn, *iterables):
             log["tasks"].append(list(zip(*iterables)))
@@ -266,6 +271,21 @@ def _block_by_block(cells, conditional):
         ))
         for cell in cells
     ]
+
+
+def _send_run_table(connection, cells, workers):
+    """Send ``run_table(cells, workers=workers)`` through ``connection``: run in a child."""
+    connection.send(run_table(cells, workers=workers))
+    connection.close()
+
+
+def _alive(pid):
+    """Whether a process ``pid`` exists (a zombie counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestRunTable:
@@ -317,6 +337,19 @@ class TestRunTable:
         assert run_table(cells[:1], workers=1) == expected[:1]  # in process
         assert sizes == [4, 6, 3, 2]
 
+    def test_one_pool_kept_per_size(self, monkeypatch, in_process_pool):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        cells = self.WHOLE_CELLS  # 4 tasks
+        expected = run_table(cells, workers=1)
+        for workers in (2, 2, 3, 3, 2):
+            assert run_table(cells, workers=workers) == expected
+        assert run_table(cells[:1], workers=2) == expected[:1]  # another table, 2 tasks
+        # repeated calls of one size share a pool; another size shuts it down first
+        assert in_process_pool["events"] == [
+            ("start", 2), ("shutdown", 2), ("start", 3), ("shutdown", 3), ("start", 2),
+        ]
+        assert len(in_process_pool["tasks"]) == 6
+
     # tables of two and of four cells of uneven weights, and one of a light cell
     # before one twenty times heavier
     SPLIT_CELLS = [
@@ -343,6 +376,13 @@ class TestRunTable:
         for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS):
             expected = _block_by_block(cells, conditional=True)
             assert run_table(cells, conditional=True, workers=workers) == expected
+
+    def test_kept_pools_equal_block_by_block(self, monkeypatch):
+        # real pools, kept across repeated calls and replaced when the size alternates
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        expected = _block_by_block(self.WHOLE_CELLS, conditional=True)
+        for workers in (2, 2, 3, 2, 1, 3):
+            assert run_table(self.WHOLE_CELLS, conditional=True, workers=workers) == expected
 
     @pytest.mark.parametrize("workers", [1, 4, 5, 8, 64])
     def test_task_layouts_equal_block_by_block(self, workers, monkeypatch, in_process_pool):
@@ -390,6 +430,70 @@ class TestRunTable:
             range(b, b + 1) for b in range(5)
         ]
         assert run_table([cell], conditional=True, workers=1) == expected
+
+    def test_forked_child_starts_its_own_pool(self, monkeypatch):
+        # the child forgets the parent's pool, whose manager thread it lacks, and
+        # shuts its own down before it exits
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        cells = self.WHOLE_CELLS
+        expected = run_table(cells, workers=1)
+        assert run_table(cells, workers=2) == expected  # the parent's pool is alive
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_send_run_table, args=(sender, cells, 2))
+        with warnings.catch_warnings():
+            # forking while the pool's threads are alive is what is tested here
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            child.start()
+        try:
+            sender.close()
+            assert receiver.poll(60), "no reports from the forked child"
+            assert receiver.recv() == expected
+            child.join(60)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert run_table(cells, workers=2) == expected  # the parent's pool still works
+
+    def test_fresh_interpreter_leaves_no_worker(self):
+        # concurrent.futures shuts the kept pool down at interpreter exit
+        code = """
+import multiprocessing
+from severfit import mc
+mc.os.cpu_count = lambda: 8
+cells = [mc.cell_from_quantiles(0.05, 0.05, 10.0, n, method, replications_per_block=25,
+                                blocks=3, seed=13, cell_index=i)
+         for i, (n, method) in enumerate([(30, "mtum"), (60, "mcm"), (45, "mtcm")])]
+for _ in range(2):
+    assert mc.run_table(cells, workers=2) == mc.run_table(cells, workers=1)
+print(*sorted(p.pid for p in multiprocessing.active_children()))
+"""
+        src = Path(mc.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            check=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_pool_with_a_killed_worker_is_replaced(self, monkeypatch):
+        monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
+        cells = self.WHOLE_CELLS
+        expected = run_table(cells, workers=1)
+        before = set(multiprocessing.active_children())
+        assert run_table(cells, workers=2) == expected
+        workers = set(multiprocessing.active_children()) - before
+        assert len(workers) == 2
+        victim = workers.pop()
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(60)
+        with pytest.raises(BrokenProcessPool):  # the call that finds the pool broken
+            run_table(cells, workers=2)
+        assert run_table(cells, workers=2) == expected
 
     def test_tasks_go_heaviest_first(self, monkeypatch, in_process_pool):
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
