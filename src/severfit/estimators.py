@@ -172,13 +172,17 @@ def sample_mtcm(data: Sequence[float], t: ThresholdPair) -> SampleMoments:
 
 
 def mle_exp(data: Sequence[float]) -> EstimateResult:
-    """Maximum likelihood for Exp(theta): the sample mean, avar theta^2."""
+    """Maximum likelihood for Exp(theta): the sample mean, avar theta^2.
+
+    A mean of zero is at the lower end of the attainable interval (0, inf), so
+    all-zero data have no estimate (``BELOW_LOWER_BOUND``).
+    """
     x = _as_data(data)
     if np.any(x < 0):
         raise ValueError("exponential data must be non-negative")
     theta_hat = float(x.mean())
     if theta_hat == 0.0:
-        raise DegenerateError("all observations are zero")
+        return _nonexistent("mle", BELOW_LOWER_BOUND)
     return EstimateResult(
         method="mle", model="exp", exists=True, estimate=theta_hat, avar=theta_hat**2
     )
@@ -384,13 +388,15 @@ def _with_avar(result: EstimateResult, t: ThresholdPair) -> EstimateResult:
 
 
 def _estimates(
-    methods: Sequence[str], stats: tuple, n: int, t: ThresholdPair | None
+    methods: Sequence[str], stats: tuple, n: int, t: ThresholdPair
 ) -> dict[str, np.ndarray]:
     """Theta for each row of samples of size n by each of ``methods``, without
     avar, from one ``_root`` batch per method; NaN where a row has none (an empty
     window or a statistic outside the attainable interval).  ``stats`` holds one
-    array per statistic: the ``_window`` triple, then the row sums if "mle" is
-    among ``methods``."""
+    array per statistic, taken on the thresholds ``t``: the ``_window`` triple,
+    then the row sums if "mle" is among ``methods``.  The Monte Carlo engine
+    passes statistics drawn on unit thresholds (``mc._ratios``), so its
+    estimates are the ratios theta_hat/theta."""
     estimates = {}
     for method in methods:
         if method == "mle":
@@ -454,7 +460,8 @@ def fit(
 
     Pareto fits run on the log scale and report alpha = 1/theta with the
     delta-method variance alpha^4 * avar(theta).  The MLE path ignores
-    thresholds.  An empty window gives ``exists=False``.
+    thresholds.  An empty window, or all-zero data under the MLE, gives
+    ``exists=False``.
     """
     if method not in FIT_METHODS:
         raise ValueError(f"unknown method {method!r}")

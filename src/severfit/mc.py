@@ -7,12 +7,14 @@ row sum, so a block draws those from their exact joint law instead of n
 losses each (``_block_statistics``): first the binomial counts and gammas of
 all its rows, then the uniforms of the values inside the window in chunks of
 whole rows, and the MLE's parts of the row sum last, so that no method's
-estimates depend on which others are asked for.  A task is a contiguous
-range of one cell's blocks, sized by the cell's share of the table's work,
-and solves the roots of all its blocks as one batch.  Every root depends on
-its row alone, so results are bit-identical regardless of the task layout,
-execution order, chunk size or worker count.  They differ from those of
-versions that drew every loss, at the same seed.
+estimates depend on which others are asked for.  ``run_table`` and
+``histogram_study`` draw and solve through ``_ratios``, on the unit scale, so
+nothing overflows or underflows with theta.  A task is a contiguous range of
+one cell's blocks, sized by the cell's share of the table's work, and solves
+the roots of all its blocks as one batch.  Every root depends on its row
+alone, so results are bit-identical regardless of the task layout, execution
+order, chunk size or worker count.  They differ from those of versions that
+drew every loss, at the same seed.
 
 The tasks of a table run in one process pool, which is kept for later calls
 that need the same number of workers (``_pool_of``): a call that needs
@@ -192,70 +194,64 @@ def _truncated_sums(rs: RandomSource, counts: np.ndarray, q: float) -> np.ndarra
 
 
 def _block_statistics(
-    mle: bool, theta: float, t: ThresholdPair, rs: RandomSource, rows: int, n: int,
-    unit: bool = False,
+    mle: bool, t: ThresholdPair, rs: RandomSource, rows: int, n: int
 ) -> tuple:
-    """``rows`` Exp(theta) samples of size ``n`` from ``rs``, as the statistics they give:
-    per row the count above d, the count inside (d, u] and the sum inside, then the row
-    sum if ``mle``, each drawn from its exact joint law; with ``unit``, the sums are in
-    units of theta (divided by it), so that they neither overflow nor underflow with it.
+    """``rows`` Exp(1) samples of size ``n`` from ``rs``, as the statistics they give
+    on the unit thresholds ``t``: per row the count above d, the count inside (d, u]
+    and the sum inside, then the row sum if ``mle``, each drawn from its exact joint law.
 
-    By memorylessness, a value above d is d + theta E with E ~ Exp(1), and one above u
-    is u + theta E.  So the count above d is A ~ Bin(n, e^(-d/theta)), the count
-    inside is N ~ Bin(A, r) with r = 1 - e^(-(u - d)/theta), and the sum inside is
-    d N + theta (E_1 + ... + E_N) with each E_j below (u - d)/theta, a Gamma(N) when u
-    is infinite.  The row sum adds theta times n - A values of Exp(1) below d/theta,
-    and (A - N) u + theta Gamma(A - N) above u.  The draws come in that order, binomials
-    and gammas before uniforms, and the row sum's last, so the window statistics are
-    the same whether or not it is asked for.  ``unit`` changes no draw.
+    By memorylessness, a value above d is d + E with E ~ Exp(1), and one above u is
+    u + E.  So the count above d is A ~ Bin(n, e^-d), the count inside is N ~ Bin(A, r)
+    with r = 1 - e^-(u - d), and the sum inside is d N + E_1 + ... + E_N with each E_j
+    below u - d, a Gamma(N) when u is infinite.  The row sum adds n - A values of
+    Exp(1) below d, and (A - N) u + Gamma(A - N) above u.  The draws come in that
+    order, binomials and gammas before uniforms, and the row sum's last, so the window
+    statistics are the same whether or not it is asked for.
     """
-    scale = theta if unit else 1.0
-    d, u, theta_s = t.d / scale, t.u / scale, theta / scale
+    d, u = t.d, t.u
     gen = rs.generator()
-    above_d = gen.binomial(n, math.exp(-t.d / theta), size=rows)
+    above_d = gen.binomial(n, math.exp(-d), size=rows)
     if t.upper_is_infinite:
         inside = above_d
-        total = d * inside + theta_s * gen.standard_gamma(inside)
+        total = d * inside + gen.standard_gamma(inside)
     else:
-        r = -math.expm1(-(t.u - t.d) / theta)
+        r = -math.expm1(-(u - d))
         inside = gen.binomial(above_d, r)
-        total = d * inside + theta_s * _truncated_sums(rs, inside, r)
+        total = d * inside + _truncated_sums(rs, inside, r)
     if not mle:
         return above_d, inside, total
     row_sum = total
     if not t.upper_is_infinite:
         above_u = above_d - inside
-        row_sum = row_sum + (u * above_u + theta_s * gen.standard_gamma(above_u))
-    below_d = theta_s * _truncated_sums(rs, n - above_d, -math.expm1(-t.d / theta))
-    return above_d, inside, total, row_sum + below_d
+        row_sum = row_sum + (u * above_u + gen.standard_gamma(above_u))
+    return above_d, inside, total, row_sum + _truncated_sums(rs, n - above_d, -math.expm1(-d))
 
 
-def _draw_statistics(
+def _ratios(
     methods: Sequence[str], theta: float, t: ThresholdPair, streams: Iterable[RandomSource],
-    rows: int, n: int, unit: bool = False,
-) -> tuple:
-    """``_block_statistics`` of ``rows`` samples of size ``n`` from each of ``streams``
-    in turn, with the row sums if ``methods`` include "mle", as one array per statistic:
-    what ``estimators._estimates`` reads."""
-    parts = [
-        _block_statistics("mle" in methods, theta, t, rs, rows, n, unit) for rs in streams
-    ]
-    return tuple(map(np.concatenate, zip(*parts)))
+    rows: int, n: int,
+) -> dict[str, np.ndarray]:
+    """theta_hat/theta by each of ``methods`` for ``rows`` Exp(theta) samples of size
+    ``n`` from each of ``streams`` in turn; NaN where a row has no estimate.
+
+    The samples are drawn and solved, in one ``estimators._estimates`` call, on the
+    unit scale: Exp(1) on the thresholds divided by theta, so the estimates are the
+    ratios themselves, and nothing overflows or underflows with theta.
+    """
+    unit = ThresholdPair(t.d / theta, t.u / theta)
+    parts = [_block_statistics("mle" in methods, unit, rs, rows, n) for rs in streams]
+    return estimators._estimates(methods, tuple(map(np.concatenate, zip(*parts))), n, unit)
 
 
 def _run_blocks(cell: SimCell, blocks: range) -> list[tuple[int, int, float, float]]:
     """Per block of ``blocks``: (successes, failures, sum of theta_hat/theta, sum of
     (theta_hat/theta - 1)^2).  Each block draws from its own stream; the roots of all of
-    them are solved as one batch.  Sums and roots are on the unit scale, theta = 1 on
-    the thresholds divided by theta, so the estimates are the ratios themselves, and
-    nothing overflows or underflows with theta."""
-    theta, t, reps = cell.theta_true, cell.thresholds, cell.replications_per_block
+    them are solved as one batch (``_ratios``)."""
+    reps = cell.replications_per_block
     streams = (derive_stream(cell.seed, cell.cell_index, block) for block in blocks)
-    stats = _draw_statistics((cell.method,), theta, t, streams, reps, cell.n, unit=True)
-    unit_t = ThresholdPair(t.d / theta, t.u / theta)
-    ratios = estimators._estimates((cell.method,), stats, cell.n, unit_t)[cell.method]
+    ratios = _ratios((cell.method,), cell.theta_true, cell.thresholds, streams, reps, cell.n)
     results = []
-    for row in ratios.reshape(len(blocks), reps):
+    for row in ratios[cell.method].reshape(len(blocks), reps):
         ratio = row[~np.isnan(row)]
         results.append((
             ratio.size, row.size - ratio.size,
@@ -609,22 +605,25 @@ def histogram_study(
 ) -> list[HistogramPanel]:
     """Repeated estimation at small n for normality inspection.
 
-    For each sample size, the statistics of ``count`` samples are drawn from
-    one stream (``_block_statistics``), and every method is applied to the
-    same samples; failed existence checks are dropped from that panel.
+    For each sample size, ``count`` samples are drawn from one stream and
+    every method is applied to the same samples, on the unit scale
+    (``_ratios``); failed existence checks are dropped from that panel.  The
+    estimates are the ratios times theta, and the skewness, which is
+    scale-free, is that of the ratios.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
+    # as for a SimCell; below it, the thresholds divided by theta can overflow
+    if not theta >= sys.float_info.min:
+        raise ValueError(f"theta must be at least {sys.float_info.min!r}, got {theta!r}")
     methods = tuple(methods)
     for method in methods:
         _check_method(method)
     panels: list[HistogramPanel] = []
     for n_index, n in enumerate(n_list):
-        stats = _draw_statistics(
-            methods, theta, thresholds, [derive_stream(seed, n_index, 0)], count, n
-        )
-        for method, drawn in estimators._estimates(methods, stats, n, thresholds).items():
-            est = drawn[~np.isnan(drawn)]
-            skew = _skewness(est) if est.size >= 3 else math.nan
-            panels.append(HistogramPanel(method, n, est, drawn.size - est.size, skew))
+        stream = [derive_stream(seed, n_index, 0)]
+        for method, drawn in _ratios(methods, theta, thresholds, stream, count, n).items():
+            ratio = drawn[~np.isnan(drawn)]
+            skew = _skewness(ratio) if ratio.size >= 3 else math.nan
+            panels.append(HistogramPanel(method, n, theta * ratio, drawn.size - ratio.size, skew))
     return panels

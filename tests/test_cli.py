@@ -73,6 +73,23 @@ class TestFitCommand:
         assert code == EXIT_NO_SOLUTION
         assert "reason=AboveUpperBound" in out
 
+    def test_all_zero_mle_exit_code(self, tmp_path, capsys):
+        # the mean is at the lower end of the MLE's attainable interval (0, inf)
+        path = tmp_path / "zeros.csv"
+        path.write_text("0.0\n0.0\n", encoding="utf-8")
+        code = main(["fit", "--method", "mle", "--model", "exp", "--data", str(path)])
+        assert code == EXIT_NO_SOLUTION
+        assert capsys.readouterr().out == (
+            "method=mle model=exp n=2\n"
+            "exists=false reason=BelowLowerBound\n"
+            "method,model,n,exists,estimate,avar,se,reason\n"
+            "mle,exp,2,false,,,,BelowLowerBound\n"
+        )
+        path.write_text("0.0\n-1.0\n", encoding="utf-8")
+        assert main(["fit", "--method", "mle", "--model", "exp", "--data", str(path)]) == (
+            EXIT_INPUT_ERROR
+        )
+
     def test_empty_window_exit_code(self, tmp_path, capsys):
         path = tmp_path / "low.csv"
         path.write_text("0.5\n0.6\n", encoding="utf-8")
@@ -394,6 +411,19 @@ class TestHistCommand:
         # per-panel skewness column is constant within a panel
         panel_rows = [ln.split(",") for ln in lines[1:] if ln.startswith("mtum,30,")]
         assert len({row[4] for row in panel_rows}) == 1
+
+    def test_extreme_scale(self, tmp_path):
+        # draws and roots are on the unit scale and the skewness is taken on the
+        # ratios, so nothing overflows at theta = 1e306 (under the warnings filter,
+        # an overflow would raise)
+        out = tmp_path / "hist.csv"
+        args = ["hist", "--theta", "1e306", "--d", "5e304", "--u", "3e306",
+                "--n-list", "1000", "--count", "20", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").strip().split("\n")[1:]]
+        assert {row[0] for row in rows} == set(asymptotics.METHODS)
+        assert all(math.isfinite(float(v)) for row in rows for v in row[3:5])
+        assert all(0.5e306 < float(row[3]) < 2e306 for row in rows)
 
 
 class TestQuantileThresholds:

@@ -24,13 +24,14 @@ from severfit.dist import (
     log_transform_pareto_to_exp,
     sample,
 )
-from severfit.errors import DegenerateError, EmptyWindowError
+from severfit.errors import EmptyWindowError
 from severfit.estimators import (
     _BOUNDARY_GUARD,
     _METHODS,
     ABOVE_UPPER_BOUND,
     BELOW_LOWER_BOUND,
     EMPTY_WINDOW,
+    EstimateResult,
     fit,
     mle_exp,
     mle_pareto1,
@@ -194,10 +195,13 @@ class TestMle:
         assert mle_exp(x).estimate == pytest.approx(10.0, abs=0.05)
 
     def test_exp_degenerate(self):
-        with pytest.raises(DegenerateError):
-            mle_exp([0.0, 0.0])
+        # a zero mean is at the lower end of the attainable interval (0, inf)
+        for result in (mle_exp([0.0, 0.0]), fit("mle", "exp", [0.0, 0.0])):
+            assert result == EstimateResult("mle", "exp", False, None, None, BELOW_LOWER_BOUND)
         with pytest.raises(ValueError):
             mle_exp([-1.0, 2.0])
+        with pytest.raises(ValueError):
+            mle_exp([math.nan, 2.0])
 
     def test_pareto_two_point(self):
         x0 = 2.0

@@ -534,22 +534,26 @@ class TestJointLaw:
 
     @pytest.mark.parametrize("a,b", LAW_WINDOWS)
     def test_moments(self, a, b):
+        # Exp(1) drawn on t/theta has the counts of Exp(theta) on t, and its
+        # sums are theirs divided by theta
         t = cell_from_quantiles(a, b, self.THETA, self.N, "mle").thresholds
         n, theta = self.N, self.THETA
         above_d, inside, total, row_sum = mc._block_statistics(
-            True, theta, t, derive_stream(17, 0, 0), self.ROWS, n
+            True, ThresholdPair(t.d / theta, t.u / theta), derive_stream(17, 0, 0), self.ROWS, n
         )
         p_above = math.exp(-t.d / theta)
         p_in = p_above - (0.0 if t.upper_is_infinite else math.exp(-t.u / theta))
         _moments_near(above_d, n * p_above, n * p_above * (1.0 - p_above))
         _moments_near(inside, n * p_in, n * p_in * (1.0 - p_in))
         summary = truncated_summary(theta, t)
-        _moments_near(total, n * summary.mu_y, n * summary.sigma_y2)
-        _moments_near(row_sum, n * theta, n * theta**2)
+        _moments_near(total, n * summary.mu_y / theta, n * summary.sigma_y2 / theta**2)
+        _moments_near(row_sum, n, n)
         # jointly: (inside, above u, below d) is multinomial, and the sum
         # inside has mean mu_MTuM per value inside
         _covariance_near(above_d, inside, n * p_in * (1.0 - p_above))
-        _covariance_near(inside, total, float(mu_mtum(theta, t)) * n * p_in * (1.0 - p_in))
+        _covariance_near(
+            inside, total, float(mu_mtum(theta, t)) / theta * n * p_in * (1.0 - p_in)
+        )
 
     @pytest.mark.parametrize("a,b", [(0.05, 0.05), (0.10, 0.70), (0.25, 0.0)])
     def test_estimates_match_drawing_every_loss(self, a, b):
@@ -559,12 +563,12 @@ class TestJointLaw:
 
         n, rows, methods = 30, 4000, ("mle", *METHODS)
         t = cell_from_quantiles(a, b, self.THETA, n, "mle").thresholds
-        stats = mc._draw_statistics(methods, self.THETA, t, [derive_stream(21, 0, 0)], rows, n)
-        joint = estimators._estimates(methods, stats, n, t)
+        joint = mc._ratios(methods, self.THETA, t, [derive_stream(21, 0, 0)], rows, n)
         x = sample(ExponentialModel(self.THETA), (rows, n), derive_stream(21, 1, 0))
         raw = estimators._estimates(methods, estimators._window(x, t) + (x.sum(axis=1),), n, t)
         for method in methods:
-            drawn, windowed = (np.nan_to_num(e[method], nan=np.inf) for e in (joint, raw))
+            drawn = np.nan_to_num(joint[method], nan=np.inf)
+            windowed = np.nan_to_num(raw[method] / self.THETA, nan=np.inf)
             assert ks_2samp(drawn, windowed).pvalue > 1e-3, method
 
     @given(
@@ -670,6 +674,26 @@ class TestHistogramStudy:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             histogram_study([30], 1)
+
+    @pytest.mark.parametrize("theta", [0.0, -1.0, 1e-320, math.nan])
+    def test_theta_below_the_normal_range_refused(self, theta):
+        with pytest.raises(ValueError, match="theta must be at least"):
+            histogram_study([30], 5, theta=theta)
+
+    @given(k=st.integers(-1000, 1000), u=st.sampled_from([23.0, math.inf]))
+    @settings(max_examples=40, deadline=None)
+    def test_scale_free(self, k, u):
+        # c = 2^k leaves t/theta, and so every ratio, as it is, and scales
+        # every estimate exactly; the skewness is that of the ratios
+        c, methods = 2.0**k, ("mle", *METHODS)
+        base = histogram_study([30, 50], 40, methods=methods, thresholds=ThresholdPair(0.5, u),
+                               theta=10.0, seed=4)
+        scaled = histogram_study([30, 50], 40, methods=methods, theta=c * 10.0,
+                                 thresholds=ThresholdPair(c * 0.5, c * u), seed=4)
+        for p, q in zip(base, scaled, strict=True):
+            assert (q.method, q.n, q.failures) == (p.method, p.n, p.failures)
+            assert np.array_equal(q.estimates, c * p.estimates)
+            assert q.skewness == p.skewness
 
     def test_skewness_matches_scipy(self):
         from scipy import stats
