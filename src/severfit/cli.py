@@ -213,10 +213,10 @@ def _cmd_influence(args) -> int:
     if args.points < 2 or hi <= lo:
         raise _UsageError("need points >= 2 and x-min < x-max")
     grid = np.linspace(lo, hi, args.points)
-    mtm = asymptotics.influence_curve(adapter, "mtm", args.a, args.b, grid)
-    mcm = asymptotics.influence_curve(adapter, "mcm", args.a, args.b, grid)
+    mcm = asymptotics.influence_curve(adapter, "mcm", args.a, args.b, grid).values
+    # the MTM curve is the MCM one over 1 - a - b, as influence_curve forms it
     lines = ["x,if_mtm,if_mcm"]
-    for x, v1, v2 in zip(grid, mtm.values, mcm.values):
+    for x, v1, v2 in zip(grid, mcm / (1.0 - args.a - args.b), mcm):
         lines.append(f"{_fmt(x)},{_fmt(v1)},{_fmt(v2)}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK

@@ -41,8 +41,8 @@ class DegenerateError(SeverfitError):
     """Input is degenerate: all-zero data, zero-probability window, and similar."""
 
 
-class ConfigError(SeverfitError):
-    """A simulation config file entry could not be parsed."""
+class ConfigError(SeverfitError, ValueError):
+    """A simulation config entry or Monte Carlo input was refused; ``key`` names it."""
 
     def __init__(self, key: str, message: str):
         super().__init__(f"config key {key!r}: {message}")

@@ -425,6 +425,14 @@ class TestHistCommand:
         assert all(math.isfinite(float(v)) for row in rows for v in row[3:5])
         assert all(0.5e306 < float(row[3]) < 2e306 for row in rows)
 
+    @pytest.mark.parametrize("flag", [["--n-list", "0"], ["--n-list=-3"], ["--n-list", "30,0"]])
+    def test_bad_sample_size_names_its_key(self, flag, capsys, recwarn):
+        assert main(["hist", *flag]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'n': sample size must be >= 1")
+        assert err.count("\n") == 1
+        assert not recwarn.list
+
 
 class TestQuantileThresholds:
     """Every subcommand turns tail probabilities (a, b) into the same thresholds."""

@@ -562,8 +562,10 @@ class TestJointLaw:
         from scipy.stats import ks_2samp
 
         n, rows, methods = 30, 4000, ("mle", *METHODS)
-        t = cell_from_quantiles(a, b, self.THETA, n, "mle").thresholds
-        joint = mc._ratios(methods, self.THETA, t, [derive_stream(21, 0, 0)], rows, n)
+        cells = [cell_from_quantiles(a, b, self.THETA, n, method, replications_per_block=rows,
+                                     blocks=1, seed=21, cell_index=0) for method in methods]
+        t = cells[0].thresholds
+        joint = mc._ratios(cells, range(1))  # from derive_stream(21, 0, 0)
         x = sample(ExponentialModel(self.THETA), (rows, n), derive_stream(21, 1, 0))
         raw = estimators._estimates(methods, estimators._window(x, t) + (x.sum(axis=1),), n, t)
         for method in methods:
@@ -674,6 +676,13 @@ class TestHistogramStudy:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             histogram_study([30], 1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_size_refused_with_its_key(self, n):
+        # SimCell's rule: a ConfigError naming n, not numpy's n < 0 or empty panels
+        with pytest.raises(ConfigError) as err:
+            histogram_study([n], 5)
+        assert err.value.key == "n"
 
     @pytest.mark.parametrize("theta", [0.0, -1.0, 1e-320, math.nan])
     def test_theta_below_the_normal_range_refused(self, theta):
