@@ -41,16 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# argparse turns a ValueError, such as an empty list's, into a usage error
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [float(tok) for tok in mc._list_items(text)]
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [int(tok) for tok in mc._list_items(text)]
 
 
 def _method_list(text: str) -> list[str]:
-    return [tok.strip().lower() for tok in text.split(",") if tok.strip()]
+    return [tok.lower() for tok in mc._list_items(text)]
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -596,31 +596,28 @@ def _loss_column(path: str | Path, lineno: int, first: list[str]) -> tuple[int, 
 
 
 def _read_loss_lines(path: str | Path) -> np.ndarray:
-    """The line parser: ``read_loss_csv`` for any file, one line at a time."""
-    rows: list[tuple[int, list[str]]] = []
+    """The line parser: ``read_loss_csv`` for any file, in one pass that keeps
+    only the floats.  The header rules take the first line that is neither
+    blank nor a comment, and the first fault read is the one reported."""
+    column = None
+    values = []
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append((lineno, _cells(line)))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-
-    first_lineno, first = rows[0]
-    column, has_header = _loss_column(path, first_lineno, first)
-
-    values = []
-    for lineno, cells in rows[int(has_header):]:
-        if column >= len(cells):
-            raise ValueError(f"{path}: line {lineno}: missing 'loss' column")
-        token = cells[column]
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: not a number: {token!r}"
-            ) from None
+            cells = _cells(line)
+            if column is None:
+                column, has_header = _loss_column(path, lineno, cells)
+                if has_header:
+                    continue
+            if column >= len(cells):
+                raise ValueError(f"{path}: line {lineno}: missing 'loss' column")
+            token = cells[column]
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: not a number: {token!r}") from None
     if not values:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(values, dtype=float)

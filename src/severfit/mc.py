@@ -101,8 +101,14 @@ class SimCell:
             raise ConfigError("n", f"sample size must be >= 1, got {self.n}")
         if self.replications_per_block < 1:
             raise ConfigError("reps", "replications_per_block must be >= 1")
-        if self.blocks < 1:
-            raise ConfigError("blocks", "blocks must be >= 1")
+        if not 1 <= self.blocks <= _INDEX_CAP:
+            raise ConfigError("blocks", f"blocks must be in [1, {_INDEX_CAP}], got {self.blocks}")
+        if not 0 <= self.cell_index < _INDEX_CAP:
+            raise ConfigError(
+                "cell_index", f"cell_index must be in [0, {_INDEX_CAP}), got {self.cell_index}"
+            )
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed", f"seed must be in [0, 2**64), got {self.seed}")
         if self.method not in estimators.FIT_METHODS:
             raise ConfigError("methods", f"unknown method {self.method!r}")
         # below the normal range every loss drawn keeps only a few digits, a block's
@@ -505,6 +511,14 @@ class SimConfig:
 _PAIR_RE = re.compile(r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*\)")
 
 
+def _list_items(text: str) -> list[str]:
+    """The stripped, non-blank items of a comma-separated list; ValueError if none."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    if not items:
+        raise ValueError("empty list")
+    return items
+
+
 def parse_sim_config(text: str) -> SimConfig:
     """Parse the line-oriented ``key = value`` simulation config format."""
     values: dict[str, object] = {}
@@ -521,7 +535,7 @@ def parse_sim_config(text: str) -> SimConfig:
             if key == "theta":
                 values["theta"] = float(rhs)
             elif key == "methods":
-                values["methods"] = tuple(m.strip().lower() for m in rhs.split(",") if m.strip())
+                values["methods"] = tuple(m.lower() for m in _list_items(rhs))
             elif key == "design_points":
                 pairs = _PAIR_RE.findall(rhs)
                 if not pairs:
@@ -530,7 +544,7 @@ def parse_sim_config(text: str) -> SimConfig:
                 for a, b in values["design_points"]:
                     _check_tail_probabilities(a, b)
             elif key == "n_list":
-                values["n_list"] = tuple(int(v.strip()) for v in rhs.split(",") if v.strip())
+                values["n_list"] = tuple(map(int, _list_items(rhs)))
             elif key == "blocks":
                 values["blocks"] = int(rhs)
             elif key == "reps":

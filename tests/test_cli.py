@@ -252,6 +252,13 @@ class TestAreCommand:
     def test_bad_grid(self, capsys):
         assert main(["are", "--a-grid", "0.5,0.2"]) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize("flag", ["--methods=", "--a-grid=", "--b-grid= , "])
+    def test_empty_list_refused(self, flag, capsys):
+        assert main(["are", flag]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {flag.split('=')[0]}: invalid ")
+
     @pytest.mark.parametrize("theta", ["1e300", "1e-310"])
     def test_extreme_scale(self, tmp_path, theta):
         # the ARE is scale-free: no NaN at large theta, no division by zero at small
@@ -321,6 +328,31 @@ class TestSimulateCommand:
         config.write_text("reps = soon\n", encoding="utf-8")
         assert main(["simulate", "--config", str(config)]) == EXIT_INPUT_ERROR
         assert "reps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["methods", "n_list"])
+    def test_empty_list_names_key(self, tmp_path, capsys, key):
+        config = tmp_path / "study.cfg"
+        config.write_text(f"design_points = (0.05, 0.05)\nblocks = 1\nreps = 10\n{key} =\n",
+                          encoding="utf-8")
+        assert main(["simulate", "--config", str(config)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config key {key!r}: empty list\n"
+
+    def test_too_many_blocks_refused_before_any_task(self, tmp_path, monkeypatch, capsys):
+        # every block needs its own stream index, which has 21 bits
+        config = tmp_path / "study.cfg"
+        config.write_text("methods = mcm\ndesign_points = (0.05, 0.05)\nn_list = 30\n"
+                          "blocks = 3000000\nreps = 1\n", encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(mc, "run_table", refuse)
+        assert main(["simulate", "--config", str(config)]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            "error: config key 'blocks': blocks must be in [1, 2097152], got 3000000\n"
+        )
 
     def test_bad_thread_count_names_its_variable(self, tmp_path, monkeypatch, capsys):
         config = tmp_path / "study.cfg"
@@ -432,6 +464,21 @@ class TestHistCommand:
         assert err.startswith("error: config key 'n': sample size must be >= 1")
         assert err.count("\n") == 1
         assert not recwarn.list
+
+
+    @pytest.mark.parametrize("flag", ["--n-list=", "--methods=", "--n-list= , "])
+    def test_empty_list_refused(self, flag, capsys):
+        assert main(["hist", flag]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {flag.split('=')[0]}: invalid ")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_names_its_key(self, seed, capsys):
+        assert main(["hist", "--seed", seed]) == EXIT_INPUT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: config key 'seed': seed must be in [0, 2**64), got {seed}\n"
+        )
 
 
 class TestQuantileThresholds:

@@ -4,6 +4,7 @@ benchmarks, and the end-to-end fit orchestration."""
 import math
 import os
 import threading
+import tracemalloc
 import urllib.request
 import warnings
 from contextlib import contextmanager
@@ -1043,6 +1044,76 @@ class TestLossReaderValues:
             writer.join()
         assert fast.call_count == 0 and lines.call_count == 1
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @staticmethod
+    def commented_text(rows):
+        values = 10.0 * np.random.default_rng(11).standard_exponential(rows)
+        return "loss\n# c\n" + "\n".join(map(repr, values.tolist())) + "\n"
+
+    @staticmethod
+    def read_through_pipe(text):
+        read_end, write_end = os.pipe()
+
+        def write():
+            try:
+                with open(write_end, "w", encoding="utf-8") as sink:
+                    sink.write(text)
+            except BrokenPipeError:
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            return read_loss_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+            writer.join()
+
+    @pytest.mark.parametrize("route", ["path", "pipe"])
+    def test_commented_rows_at_scale(self, tmp_path, route):
+        # a `#` line fails the byte gate, so 10^5 rows go through the line parser
+        text = self.commented_text(100_000)
+        path = tmp_path / "commented.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = oracle_read_loss_csv(path)
+        with reader_spies() as (fast, lines):
+            got = read_loss_csv(path) if route == "path" else self.read_through_pipe(text)
+        assert fast.call_count == 0 and lines.call_count == 1
+        assert expected.shape == (100_000,)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_trailing_blank_line_at_scale(self, tmp_path):
+        # the gate passes the spaces, np.loadtxt refuses the line, the line parser skips it
+        values = np.random.default_rng(12).standard_exponential(100_000)
+        path = tmp_path / "trailing.csv"
+        path.write_text("\n".join(map(repr, values.tolist())) + "\n  \t \n", encoding="utf-8")
+        expected = oracle_read_loss_csv(path)
+        with reader_spies() as (fast, lines):
+            got = read_loss_csv(path)
+        assert fast.call_count == 1 and lines.call_count == 1
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_line_parser_keeps_only_the_floats(self, tmp_path):
+        rows = 100_000
+        path = tmp_path / "commented.csv"
+        path.write_text(self.commented_text(rows), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            got = estimators._read_loss_lines(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.size == rows
+        # a list of floats and the array made from it take about 40 bytes a row;
+        # a list of each line's cells takes about 290
+        assert peak < 100 * rows
+
+    def test_first_fault_read_is_reported(self, tmp_path):
+        # the undecodable byte lies chunks past the malformed line, which is read first
+        path = tmp_path / "two_faults.csv"
+        path.write_bytes(b"loss\nabc\n" + b"1.5\n" * 10_000 + b"\xff\n")
+        with pytest.raises(ValueError, match=r"line 2: not a number: 'abc'$"):
+            read_loss_csv(path)
 
     def test_url_shaped_path_read_as_local_file(self, tmp_path, monkeypatch):
         # "http://host/x.csv" names the local file http:/host/x.csv; numpy's

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from severfit import estimators, mc
-from severfit.asymptotics import METHODS
+from severfit.asymptotics import METHODS, are_table
 from severfit.dist import ExponentialModel, RandomSource, ThresholdPair, sample
 from severfit.errors import ConfigError
 from severfit.mc import (
@@ -233,6 +233,23 @@ class TestRunCell:
         for theta in (1e-320, math.nan):  # subnormal, not a number
             with pytest.raises(ConfigError):
                 SimCell(n=10, method="mcm", theta_true=theta, thresholds=ThresholdPair(0, 1))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("blocks", 0), ("blocks", 2**21 + 1), ("cell_index", -1), ("cell_index", 2**21),
+         ("seed", -1), ("seed", 2**64)],
+    )
+    def test_stream_indices_and_seed_refused_with_their_keys(self, key, value):
+        # refused when the cell is made, not later inside the draw
+        with pytest.raises(ConfigError) as err:
+            SimCell(n=10, method="mcm", theta_true=10.0, thresholds=ThresholdPair(0, 1),
+                    **{key: value})
+        assert err.value.key == key
+
+    def test_largest_stream_indices_and_seed_accepted(self):
+        cell = SimCell(n=10, method="mcm", theta_true=10.0, thresholds=ThresholdPair(0, 1),
+                       blocks=2**21, cell_index=2**21 - 1, seed=2**64 - 1)
+        derive_stream(cell.seed, cell.cell_index, cell.blocks - 1)
 
 
 @pytest.fixture
@@ -633,6 +650,20 @@ out = study.csv
         with pytest.raises(ConfigError) as err:
             parse_sim_config("blocks = many")
         assert err.value.key == "blocks"
+
+    @pytest.mark.parametrize("key", ["methods", "n_list"])
+    @pytest.mark.parametrize("value", ["", " , ,"])
+    def test_empty_list_names_key(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_sim_config(f"{key} = {value}")
+        assert err.value.key == key
+
+    def test_library_calls_take_empty_lists(self):
+        # only the config and CLI parsers refuse an empty list
+        assert histogram_study([], 5) == []
+        assert histogram_study([30], 5, methods=()) == []
+        assert run_table([]) == []
+        assert are_table(10.0, a_grid=()) == []
 
     def test_build_cells(self):
         cfg = parse_sim_config(self.TEXT)
