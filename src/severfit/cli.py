@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -41,17 +41,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# argparse turns a ValueError, such as an empty list's, into a usage error
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in mc._list_items(text)]
+def _list_of(convert: Callable[[str], object]) -> Callable[[str], list]:
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in mc._list_items(text)]
+        except ValueError as exc:  # argparse's own message would name `parse`, not the fault
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in mc._list_items(text)]
-
-
-def _method_list(text: str) -> list[str]:
-    return [tok.lower() for tok in mc._list_items(text)]
+_float_list, _int_list, _method_list = _list_of(float), _list_of(int), _list_of(str.lower)
 
 
 def _write_text(path: str | None, text: str) -> None:

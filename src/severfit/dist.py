@@ -110,16 +110,12 @@ def exp_cdf(m: ExponentialModel, x: float) -> float:
     """F(x) = 1 - exp(-x/theta) for x >= 0; accepts x = +inf."""
     if math.isnan(x) or x < 0:
         raise ValueError(f"exp_cdf requires x >= 0, got {x!r}")
-    if math.isinf(x):
-        return 1.0
     return -math.expm1(-x / m.theta)
 
 
 def exp_pdf(m: ExponentialModel, x: float) -> float:
     if math.isnan(x) or x < 0:
         raise ValueError(f"exp_pdf requires x >= 0, got {x!r}")
-    if math.isinf(x):
-        return 0.0
     return math.exp(-x / m.theta) / m.theta
 
 
@@ -199,7 +195,7 @@ def log_transform_pareto_to_exp(
             f"Pareto thresholds must satisfy d >= x0, got d={thresholds.d!r}, x0={m.x0!r}"
         )
     d2 = 0.0 if thresholds.d == m.x0 else math.log(thresholds.d / m.x0)
-    u2 = math.inf if thresholds.upper_is_infinite else math.log(thresholds.u / m.x0)
+    u2 = math.log(thresholds.u / m.x0)
     return ExponentialModel(theta=1.0 / m.alpha), ThresholdPair(d2, u2)
 
 

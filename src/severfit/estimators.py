@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from array import array
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -600,7 +601,7 @@ def _read_loss_lines(path: str | Path) -> np.ndarray:
     only the floats.  The header rules take the first line that is neither
     blank nor a comment, and the first fault read is the one reported."""
     column = None
-    values = []
+    values = array("d")
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -620,4 +621,4 @@ def _read_loss_lines(path: str | Path) -> np.ndarray:
                 raise ValueError(f"{path}: line {lineno}: not a number: {token!r}") from None
     if not values:
         raise ValueError(f"{path}: no data rows")
-    return np.asarray(values, dtype=float)
+    return np.frombuffer(values, dtype=float)

@@ -99,7 +99,7 @@ def adapter_from_model(model: ExponentialModel | ParetoIModel) -> DistributionAd
         def cdf(x: float) -> float:
             if x <= 0:
                 return 0.0
-            return 1.0 if math.isinf(x) else -math.expm1(-x / theta)
+            return -math.expm1(-x / theta)
 
         return DistributionAdapter(
             cdf=cdf,
@@ -266,8 +266,6 @@ _LATER = [_refinement(k) for k in range(_FIRST_LEVEL + 1, _LAST_LEVEL + 1)]
 def _on_nodes(fn: Callable, a: np.ndarray) -> np.ndarray:
     """``fn`` called once on the ndarray ``a``; a scalar-only ``fn``, which
     raises ``TypeError`` or ``ValueError`` on an array, node by node."""
-    if a.size == 0:
-        return a
     try:
         out = fn(a)
     except (TypeError, ValueError):
@@ -587,8 +585,10 @@ def solve_moment_system(
     """
     target = np.asarray(mu_hat, dtype=float)
     theta = np.asarray(theta0, dtype=float).copy()
-    if target.size != spec.k or theta.size == 0:
+    if target.size != spec.k:
         raise ValueError("mu_hat must have one entry per equation")
+    if theta.size == 0:
+        raise ValueError("theta0 must have at least one entry")
 
     def residual(th: np.ndarray) -> np.ndarray:
         return population_moment_vector(family(th), spec) - target

@@ -1,9 +1,9 @@
 """Closed-form population moments for the three estimation schemes.
 
-All exponential-scale quantities are written so that an infinite upper
-threshold and extreme theta values propagate through limits rather than
-overflowing: differences of exponentials go through ``expm1`` and the terms
-``u * exp(-u/theta)`` vanish analytically when ``u`` is infinite.
+The finite formulas take u = inf to its limit through exp(-inf) = 0 and
+expm1(-inf) = -1, bit for bit, with no branch on u; a function that keeps one
+would form inf * 0 (x e^{-x} at x = inf) or, in ``mu_mtum``, inf / inf.
+Differences of exponentials go through ``expm1``: no overflow at extreme theta.
 """
 
 from __future__ import annotations
@@ -87,9 +87,8 @@ def tail_quantities(theta: float, t: ThresholdPair) -> TailQuantities:
     w = (t.u - t.d) / theta
     tau = math.exp(-t.d / theta)
     a = -math.expm1(-t.d / theta)
-    s = 0.0 if math.isinf(w) else math.exp(-w)
-    b = tau * s
-    p = -tau * math.expm1(-w) if not math.isinf(w) else tau
+    b = tau * math.exp(-w)
+    p = -tau * math.expm1(-w)
     return TailQuantities(a=a, b=b, tau=tau, p=p)
 
 
@@ -158,7 +157,7 @@ def mu_mtum(theta, t: ThresholdPair):
     with np.errstate(over="ignore", divide="ignore"):
         closed = t.d + th - width / np.expm1(w)
         series = t.d + width * (0.5 - w / 12.0 + w * w * w / 720.0)
-    value = np.where(w < 1e-2, series, np.where(w > 700.0, t.d + th, closed))
+    value = np.where(w < 1e-2, series, closed)
     return _like(theta, value)
 
 
@@ -171,8 +170,6 @@ def mu_mtum_dtheta(theta: float, t: ThresholdPair) -> float:
     is formed when the window is narrow relative to theta.
     """
     _check_theta(theta)
-    if t.upper_is_infinite:
-        return 1.0
     y = (t.u - t.d) / (2.0 * theta)
     if y > 350.0:
         return 1.0
@@ -185,7 +182,7 @@ def mu_mcm(theta, t: ThresholdPair):
     """Censored mean E[min(max(d, X), u)] = d + theta p, for a float or an array of theta."""
     th = _positive_array(theta, "theta")
     tau = np.exp(-t.d / th)
-    p = tau if t.upper_is_infinite else -tau * np.expm1(-(t.u - t.d) / th)
+    p = -tau * np.expm1(-(t.u - t.d) / th)
     return _like(theta, t.d + th * p)
 
 
@@ -211,8 +208,6 @@ def mu_mtcm(theta, t: ThresholdPair):
     """Left-truncated right-censored mean d + theta p / tau = d + theta (1 - e^{-(u-d)/theta}),
     for a float or an array of theta."""
     th = _positive_array(theta, "theta")
-    if t.upper_is_infinite:
-        return _like(theta, t.d + th)
     return _like(theta, t.d - th * np.expm1(-(t.u - t.d) / th))
 
 

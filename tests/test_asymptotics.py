@@ -392,6 +392,8 @@ class TestInfluenceOracle:
         ("pareto1", adapter_from_model(ParetoIModel(2.0, 1.5)), 0.05, 0.05, np.linspace(1.5, 12.0, 41)),
         ("exp b=0", ADAPTER, 0.25, 0.0, np.linspace(0.0, 60.0, 41)),
         ("normal", _normal_adapter(4.0, 2.0), 0.05, 0.05, np.linspace(-2.0, 10.0, 41)),
+        # a = 0 puts d = F^{-1}(0) at -inf, where a * d would be 0 * -inf
+        ("normal a=0", _normal_adapter(4.0, 2.0), 0.0, 0.05, np.linspace(-2.0, 10.0, 41)),
     )
 
     @pytest.mark.parametrize("label,F,a,b,grid", CASES, ids=[c[0] for c in CASES])

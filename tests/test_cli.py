@@ -257,7 +257,7 @@ class TestAreCommand:
         assert main(["are", flag]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: argument {flag.split('=')[0]}: invalid ")
+        assert captured.err == f"error: argument {flag.split('=')[0]}: empty list\n"
 
     @pytest.mark.parametrize("theta", ["1e300", "1e-310"])
     def test_extreme_scale(self, tmp_path, theta):
@@ -471,7 +471,7 @@ class TestHistCommand:
         assert main(["hist", flag]) == EXIT_INPUT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: argument {flag.split('=')[0]}: invalid ")
+        assert captured.err == f"error: argument {flag.split('=')[0]}: empty list\n"
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_bad_seed_names_its_key(self, seed, capsys):
@@ -575,3 +575,22 @@ class TestUsage:
         assert main(
             ["fit", "--method", "mle", "--model", "exp", "--data", "/no/such/file.csv"]
         ) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize(
+        "argv, fault",
+        [
+            (["hist", "--n-list="], "argument --n-list: empty list"),
+            (["hist", "--n-list", "3,x"],
+             "argument --n-list: invalid literal for int() with base 10: 'x'"),
+            (["are", "--a-grid", "0.1,y"],
+             "argument --a-grid: could not convert string to float: 'y'"),
+            (["hist", "--methods="], "argument --methods: empty list"),
+        ],
+        ids=["empty-n-list", "bad-n", "bad-a", "empty-methods"],
+    )
+    def test_list_flag_names_the_fault(self, argv, fault, capsys):
+        # argparse names a type function's ValueError by the function: "invalid _int_list value"
+        assert main(argv) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {fault}\n"
+        assert not any(name in err for name in ("_int_list", "_float_list", "_method_list"))

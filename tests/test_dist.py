@@ -38,7 +38,9 @@ class TestExponential:
         assert round(exp_cdf(EXP10, 0.51), 4) == 0.0497
 
     def test_cdf_at_infinity(self):
-        assert exp_cdf(EXP10, math.inf) == 1.0
+        for theta in (1e-300, 10.0, 1e300):
+            assert exp_cdf(ExponentialModel(theta), math.inf) == 1.0
+            assert exp_pdf(ExponentialModel(theta), math.inf) == 0.0
 
     def test_cdf_negative_rejected(self):
         with pytest.raises(ValueError):

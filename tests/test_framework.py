@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from severfit import framework
-from severfit.dist import ExponentialModel, ParetoIModel, RandomSource, ThresholdPair, sample
+from severfit.dist import (
+    ExponentialModel,
+    ParetoIModel,
+    RandomSource,
+    ThresholdPair,
+    exp_quantile,
+    sample,
+)
 from severfit.errors import DegenerateError, EmptyWindowError, NoSolutionError, QuadratureError
 from severfit.framework import (
     DistributionAdapter,
@@ -169,6 +176,7 @@ class TestHeavyTailOracle:
         mu = population_moment_vector(F, s)
         assert mu[0] == pytest.approx(d + theta, rel=1e-12, abs=0.0)
         assert mu[1] == pytest.approx((d + theta) ** 2 + theta**2, rel=1e-12, abs=0.0)
+        assert F.cdf(math.inf) == 1.0
 
     def test_window_ending_next_to_v_one(self):
         theta, d, u = 1.0, 1.0, 35.0
@@ -259,6 +267,20 @@ class TestArrayQuadrature:
         assert by_node.mu_y_pair[0, 0] == pytest.approx(
             by_array.mu_y_pair[0, 0], rel=1e-14, abs=0.0
         )
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda v: -np.log1p(-v),
+            lambda v: exp_quantile(ExponentialModel(1.0), v),
+            lambda v: 2.0,
+        ],
+        ids=["array", "scalar-only", "constant"],
+    )
+    def test_no_nodes_give_an_empty_array(self, fn):
+        out = framework._on_nodes(fn, np.empty(0))
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (0,) and out.dtype == float
 
 
 class TestSigmaV:
@@ -464,6 +486,13 @@ class TestMomentSystemSolver:
         with pytest.raises(NoSolutionError) as err:
             solve_moment_system(family, s, [2.5], [1.0])
         assert err.value.residual is not None
+
+    def test_bad_inputs_name_the_argument(self):
+        s = spec_of((identity, T_MAIN))
+        with pytest.raises(ValueError, match="^theta0 must have at least one entry$"):
+            solve_moment_system(_exp_family, s, [3.0], [])
+        with pytest.raises(ValueError, match="^mu_hat must have one entry per equation$"):
+            solve_moment_system(_exp_family, s, [3.0, 4.0], [THETA])
 
     def test_unattainable_target_reports_its_residual(self):
         # the truncated mean on (0.51, 29.96) stays below (d + u)/2 = 15.235

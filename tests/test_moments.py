@@ -557,3 +557,35 @@ class TestArrayForwardMaps:
         assert upper == pytest.approx(0.5 * (math.log(100.0) + math.log(100.001)), rel=1e-15)
         assert pareto_g_du(1e-15, t, x0) <= upper
 
+
+LIMIT_THETAS = (1e-300, 1e-100, 1e-3, 1.0, 3.7, 1e5, 1e100, 1e300)
+LIMIT_D_RATIOS = (0.0, 0.5, 700.0, 740.0, 746.0, 800.0)
+
+
+class TestInfiniteThresholdLimits:
+    """u = inf goes through the finite formulas: exp(-inf) = 0, expm1(-inf) = -1
+    and log(inf) = inf give these limits bit for bit, with no branch on u."""
+
+    @pytest.mark.parametrize("theta", LIMIT_THETAS)
+    @pytest.mark.parametrize("ratio", LIMIT_D_RATIOS)
+    def test_moments_at_infinite_u(self, theta, ratio):
+        d = ratio * theta
+        t = ThresholdPair(d, math.inf)
+        tau = math.exp(-d / theta)
+        assert mu_mcm(theta, t) == d + theta * np.exp(-d / theta)
+        thetas = np.array([theta, 0.5 * theta])
+        assert np.array_equal(mu_mcm(thetas, t), d + thetas * np.exp(-d / thetas))
+        assert mu_mtcm(theta, t) == d + theta
+        assert np.array_equal(mu_mtcm(thetas, t), d + thetas)
+        assert mu_mtum_dtheta(theta, t) == 1.0
+        q = tail_quantities(theta, t)
+        assert q.b == 0.0
+        assert q.p == q.tau == tau
+
+    @pytest.mark.parametrize("theta", LIMIT_THETAS)
+    @pytest.mark.parametrize("ratio", LIMIT_D_RATIOS)
+    def test_mtum_on_a_wide_window(self, theta, ratio):
+        # (u - d)/(e^w - 1) is below half an ulp of d + theta, or expm1 overflows
+        d = ratio * theta
+        for w in (701.0, 709.0, 710.0, 1e5, 1e200):
+            assert mu_mtum(theta, ThresholdPair(d, d + w * theta)) == d + theta, w
