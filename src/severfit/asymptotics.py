@@ -69,9 +69,10 @@ def are_mcm(theta: float, t: ThresholdPair) -> float:
 
     Both moments are sums of positive terms, so the ratio stays accurate
     (about 3 x e^{-d/theta} / 4 to leading order) as x = (u-d)/theta -> 0.
+    mu_Y^2 is never formed: it underflows on windows where the ratio does not.
     """
     mu_y = truncated_summary(theta, t).mu_y
-    return mu_y * mu_y / sigma_mcm2(theta, t)
+    return mu_y * (mu_y / sigma_mcm2(theta, t))
 
 
 def are_mtcm(theta: float, t: ThresholdPair) -> float:
@@ -80,10 +81,11 @@ def are_mtcm(theta: float, t: ThresholdPair) -> float:
     Equal to the printed [p - b (u-d)/theta]^2 / (p (1 + b/tau) - 2 b (u-d)/theta),
     written as tau (1 - (1+x) e^{-x})^2 / (1 - e^{-2x} - 2x e^{-x}) with
     x = (u-d)/theta, whose series branches keep the digits the printed form
-    cancels at large theta; reduces to exp(-d/theta) when u is infinite.
+    cancels at large theta; reduces to exp(-d/theta) when u is infinite.  The
+    slope is divided before it is squared, which would underflow first.
     """
     slope = theta * mu_mtcm_dtheta(theta, t)
-    return tail_quantities(theta, t).tau * slope * slope / sigma_mtcm2(theta, t)
+    return tail_quantities(theta, t).tau * slope * (slope / sigma_mtcm2(theta, t))
 
 
 _ARE_DISPATCH = {"mtum": are_mtum, "mcm": are_mcm, "mtcm": are_mtcm}

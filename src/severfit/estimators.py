@@ -509,61 +509,39 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
     which one is ``loss``.  Lines starting with ``#`` and blank lines are
     skipped.  Malformed rows raise ValueError naming the line number.
 
-    A regular file whose body is plain ASCII numbers (see ``_PLAIN_BYTES``)
-    is read by ``np.loadtxt``'s C parser.  Any other file or stream, and any
-    file the C parser refuses, is read by the line parser,
-    ``_read_loss_lines``, which alone decides the result and every error
-    message; both give the same array.
+    The file is opened once, and its first row, the first line that is
+    neither blank nor a comment, is read once (``_first_row``).  A regular
+    file whose rows from there on are plain ASCII numbers (see
+    ``_PLAIN_BYTES``) is then read by ``np.loadtxt``'s C parser.  Any other
+    file or stream, and any file the C parser refuses, goes on to the line
+    parser, ``_read_loss_lines``, after the first row.  ``_first_row`` and the
+    line parser alone decide the result and every error message; both routes
+    give the same array.
     """
-    layout = _plain_layout(path)
-    if layout is not None:
-        skiprows, column = layout
-        try:
-            with warnings.catch_warnings():
-                # an empty body warns "input contained no data"
-                warnings.simplefilter("error", UserWarning)
-                # an absolute path, so numpy's DataSource sees no URL scheme
-                return np.loadtxt(
-                    os.path.abspath(path), dtype=float, delimiter=",", comments=None,
-                    skiprows=skiprows, usecols=column, ndmin=1, encoding="utf-8",
-                )
-        except (ValueError, UserWarning):
-            pass
-    return _read_loss_lines(path)
-
-
-def _plain_layout(path: str | Path) -> tuple[int, int] | None:
-    """``(skiprows, column)`` for np.loadtxt, or None for the line parser.
-
-    Applies the line parser's header rules to the first line that is neither
-    blank nor a comment, then streams the rest of the file through the byte
-    gate.  A path that is not a regular file, no such line, a first row the
-    header rules reject, or a byte outside ``_PLAIN_BYTES`` in the rows
-    np.loadtxt would parse gives None.
-    """
-    # The gate and np.loadtxt each open the file: a pipe or FIFO is read once,
-    # by the line parser.
-    if not os.path.isfile(path) or str(path).endswith(_COMPRESSED_SUFFIXES):
-        return None
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    break
-            else:
-                return None
-            try:
-                column, has_header = _loss_column(path, lineno, _cells(line))
-            except ValueError:
-                return None
-            body = "" if has_header else raw
+    with open(path, encoding="utf-8") as handle:
+        rows = enumerate(handle, start=1)
+        lineno, column, first, text = _first_row(path, rows)
+        # a pipe or FIFO is read once, by the line parser
+        if os.path.isfile(path) and not str(path).endswith(_COMPRESSED_SUFFIXES):
             chunks = iter(lambda: handle.read(_GATE_CHUNK), "")
-            if not (_is_plain(body) and all(map(_is_plain, chunks))):
-                return None
-    except UnicodeDecodeError:
-        return None
-    return (lineno if has_header else lineno - 1), column
+            try:  # a UnicodeDecodeError is a ValueError
+                if _is_plain("" if first is None else text) and all(map(_is_plain, chunks)):
+                    with warnings.catch_warnings():
+                        # an empty body warns "input contained no data"
+                        warnings.simplefilter("error", UserWarning)
+                        # an absolute path, so numpy's DataSource sees no URL scheme
+                        return np.loadtxt(
+                            os.path.abspath(path), dtype=float, delimiter=",", comments=None,
+                            skiprows=lineno if first is None else lineno - 1, usecols=column,
+                            ndmin=1, encoding="utf-8",
+                        )
+            except (ValueError, UserWarning):
+                pass
+            # back to the line after the first row; ``rows`` numbers on from there
+            handle.seek(0)
+            for _ in range(lineno):
+                next(handle)
+        return _read_loss_lines(path, rows, column, first)
 
 
 def _is_plain(text: str) -> bool:
@@ -596,29 +574,36 @@ def _loss_column(path: str | Path, lineno: int, first: list[str]) -> tuple[int, 
     return 0, False
 
 
-def _read_loss_lines(path: str | Path) -> np.ndarray:
-    """The line parser: ``read_loss_csv`` for any file, in one pass that keeps
-    only the floats.  The header rules take the first line that is neither
-    blank nor a comment, and the first fault read is the one reported."""
-    column = None
-    values = array("d")
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+def _first_row(path: str | Path, rows) -> tuple[int, int, float | None, str]:
+    """The first of ``rows`` (``(lineno, text)`` pairs) that is neither blank
+    nor a comment, under the header rules: its line number, the ``loss``
+    column, its value when it is data rather than a header, and its text."""
+    for lineno, raw in rows:
+        line = raw.strip()
+        if line and not line.startswith("#"):
             cells = _cells(line)
-            if column is None:
-                column, has_header = _loss_column(path, lineno, cells)
-                if has_header:
-                    continue
-            if column >= len(cells):
-                raise ValueError(f"{path}: line {lineno}: missing 'loss' column")
-            token = cells[column]
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not a number: {token!r}") from None
+            column, has_header = _loss_column(path, lineno, cells)
+            return lineno, column, None if has_header else float(cells[0]), raw
+    raise ValueError(f"{path}: no data rows")
+
+
+def _read_loss_lines(path: str | Path, rows, column: int, first: float | None) -> np.ndarray:
+    """The line parser: the rows after ``_first_row``'s, in one pass that keeps
+    only the floats, after ``first`` when the first row is data.  The first
+    fault read is the one reported."""
+    values = array("d", () if first is None else (first,))
+    for lineno, raw in rows:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = _cells(line)
+        if column >= len(cells):
+            raise ValueError(f"{path}: line {lineno}: missing 'loss' column")
+        token = cells[column]
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: not a number: {token!r}") from None
     if not values:
         raise ValueError(f"{path}: no data rows")
     return np.frombuffer(values, dtype=float)

@@ -173,15 +173,17 @@ class TestAvar:
                 avar(method, 1e-310, ThresholdPair(1.0, math.inf))
 
 
-def _are_oracle(theta, d, u):
-    """MCM and MTCM efficiencies from their definitions in 50-digit arithmetic.
+def _are_oracle(theta, d, u, digits=50):
+    """MCM and MTCM efficiencies from their definitions in ``digits``-digit arithmetic.
 
     mu_Y and E[X^2 1{d < X <= u}] come from mpmath quadrature, the variance
     from E[Z^2] - E[Z]^2 and MTCM from the printed closed form; 50 digits
-    absorb the cancellations that ruin them in double precision.
+    absorb the cancellations that ruin them in double precision, except on
+    windows so far out or so narrow that the variance is hundreds of decades
+    below E[Z^2].
     """
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(50):
+    with mp.workdps(digits):
         th, d, u = mp.mpf(theta), mp.mpf(d), mp.mpf(u)
         pdf = lambda x: mp.exp(-x / th) / th  # noqa: E731
         below, above = -mp.expm1(-d / th), mp.exp(-u / th)
@@ -211,6 +213,15 @@ class TestLargeTheta:
                 assert avar(method, theta, t) == pytest.approx(
                     theta**2 / oracle[method], rel=1e-9, abs=0.0
                 )
+        # the square of mu_Y or of the MTCM slope underflowed here, to 0.0 or to
+        # a subnormal that left the efficiency 1.1e-5 off, where the efficiency
+        # is a normal float; the oracle's variance needs 400 digits here
+        for method, d, u in [("mcm", 500.0, 501.0), ("mcm", 700.0, 701.0),
+                             ("mtcm", 0.0, 1e-80), ("mtcm", 0.0, 1e-100)]:
+            oracle = _are_oracle(1.0, d, u, digits=400)[method]
+            assert are(method, 1.0, ThresholdPair(d, u)) == pytest.approx(
+                oracle, rel=1e-14, abs=0.0
+            ), (method, d, u)
 
     def test_default_table_cells_match_oracle(self):
         for r in are_table(THETA, methods=("mcm", "mtcm")):

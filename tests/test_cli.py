@@ -480,6 +480,12 @@ class TestHistCommand:
             f"error: config key 'seed': seed must be in [0, 2**64), got {seed}\n"
         )
 
+    def test_infinite_theta_names_its_key(self, capsys):
+        assert main(["hist", "--theta", "inf"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config key 'theta': theta must be finite, got inf\n"
+
 
 class TestQuantileThresholds:
     """Every subcommand turns tail probabilities (a, b) into the same thresholds."""

@@ -960,10 +960,23 @@ class TestLossReaderOracle:
         body = body[:i] + [line[:at] + intruder + line[at:]] + body[i + 1 :]
         path = tmp_path_factory.getbasetemp() / "other.csv"
         path.write_bytes(join_lines(head, body, ending, terminated).encode("utf-8"))
-        with reader_spies() as (fast, lines):
+        first_row, refused = estimators._first_row, []
+
+        def first_row_spy(*args):
+            try:
+                return first_row(*args)
+            except ValueError:
+                refused.append(args)
+                raise
+
+        with reader_spies() as (fast, lines), mock.patch.object(
+            estimators, "_first_row", first_row_spy
+        ):
             expected, actual = read_both(path)
         assert actual == expected
-        assert fast.call_count == 0 and lines.call_count == 1
+        # the line parser decides, or the first row does where the intruder
+        # turns a data first row into a refused header, as in `0#.0`
+        assert fast.call_count == 0 and lines.call_count + len(refused) == 1
 
 
 class TestLossReaderValues:
@@ -1099,7 +1112,10 @@ class TestLossReaderValues:
         path.write_text(self.commented_text(rows), encoding="utf-8")
         tracemalloc.start()
         try:
-            got = estimators._read_loss_lines(path)
+            with open(path, encoding="utf-8") as handle:
+                lines = enumerate(handle, start=1)
+                _, column, first, _ = estimators._first_row(path, lines)
+                got = estimators._read_loss_lines(path, lines, column, first)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1107,6 +1123,23 @@ class TestLossReaderValues:
         # one buffer of doubles, shared by the result, takes about 8.4 bytes a
         # row; a list of Python floats would take about 40
         assert peak < 16 * rows
+
+    @pytest.mark.parametrize(
+        "text",
+        ["loss\n1.5\n2.5\n", "loss\n# c\n1.5\n2.5\n", "1.5\n# c\n2.5\n", "a,b\n1,2\n"],
+        ids=["plain", "commented", "commented-data-first", "refused-header"],
+    )
+    def test_one_open_and_one_header_check_per_read(self, tmp_path, text):
+        # np.loadtxt's own open of a plain file is not counted
+        path = tmp_path / "once.csv"
+        path.write_text(text, encoding="utf-8")
+        with (
+            mock.patch.object(estimators, "open", create=True, wraps=open) as opened,
+            mock.patch.object(estimators, "_loss_column", wraps=estimators._loss_column) as header,
+        ):
+            expected, actual = read_both(path)
+        assert actual == expected
+        assert opened.call_count == 1 and header.call_count == 1
 
     def test_first_fault_read_is_reported(self, tmp_path):
         # the undecodable byte lies chunks past the malformed line, which is read first

@@ -230,8 +230,8 @@ class TestRunCell:
             SimCell(n=10, method="huber", theta_true=10.0, thresholds=ThresholdPair(0, 1))
         with pytest.raises(ConfigError):
             SimCell(n=10, method="mcm", theta_true=-1.0, thresholds=ThresholdPair(0, 1))
-        for theta in (1e-320, math.nan):  # subnormal, not a number
-            with pytest.raises(ConfigError):
+        for theta in (1e-320, math.nan, math.inf):  # subnormal, not a number, infinite
+            with pytest.raises(ConfigError, match="theta must be"):
                 SimCell(n=10, method="mcm", theta_true=theta, thresholds=ThresholdPair(0, 1))
 
     @pytest.mark.parametrize(
