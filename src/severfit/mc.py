@@ -1,20 +1,27 @@
 """Deterministic, parallel Monte Carlo engine for the simulation study.
 
-Every (cell, block) owns one random stream derived from (master seed, cell,
-block).  A replication is read only through its window statistics (the count
-above d, the count inside (d, u] and the sum inside) and, for the MLE, its
-row sum, so a block draws those from their exact joint law instead of n
-losses each (``_block_statistics``): first the binomial counts and gammas of
-all its rows, then the uniforms of the values inside the window in chunks of
-whole rows, and the MLE's parts of the row sum last, so that no method's
-estimates depend on which others are asked for.  ``run_table`` and
-``histogram_study`` draw and solve through one entry, ``_ratios(cells, blocks)``,
-on the unit scale, so nothing overflows or underflows with theta.  A task is a
-contiguous range of one cell's blocks, sized by the cell's share of the table's
-work, and solves the roots of all its blocks as one batch.  Every root depends
-on its row alone, so results are bit-identical regardless of the task layout,
-execution order, chunk size or worker count.  They differ from those of
-versions that drew every loss, at the same seed.
+A cell's draws depend only on its draw key, the fields its samples are drawn
+from: (seed, n, replications per block, blocks, d/theta, u/theta).  Block
+``b`` of a cell draws from the stream ``derive_stream(cell, b)``, which packs
+that key and ``b`` into one stream index, so cells that share a key share
+their samples (common random numbers), and distinct keys never share a
+stream.  ``cell_index``, ``a`` and ``b`` are labels that no draw reads.
+
+A replication is read only through its window statistics (the count above d,
+the count inside (d, u] and the sum inside) and, for the MLE, its row sum, so
+a block draws those from their exact joint law instead of n losses each
+(``_block_statistics``): first the binomial counts and gammas of all its rows,
+then the uniforms of the values inside the window in chunks of whole rows, and
+the MLE's parts of the row sum last, so that no method's estimates depend on
+which others are asked for.  ``run_table`` and ``histogram_study`` draw and
+solve through one entry, ``_ratios(cells, blocks)``, on the unit scale, so
+nothing overflows or underflows with theta.  ``run_table`` groups the cells
+that share a draw key; a task is a contiguous range of one group's blocks,
+sized by the group's share of the table's cost, and draws each block once and
+solves the roots of all its blocks as one batch per method.  Every root
+depends on its row alone, so a cell's results depend on the cell's own fields
+alone, and are bit-identical regardless of the other cells of the table, the
+task layout, execution order, chunk size or worker count.
 
 The tasks of a table run in one process pool, which is kept for later calls
 that need the same number of workers (``_pool_of``): a call that needs
@@ -27,8 +34,10 @@ from __future__ import annotations
 
 import math
 import multiprocessing.util
+import operator
 import os
 import re
+import struct
 import sys
 import threading
 from collections.abc import Iterable, Sequence
@@ -64,8 +73,8 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20201012
-_INDEX_BITS = 21
-_INDEX_CAP = 1 << _INDEX_BITS
+# the most blocks a cell may have, and the bound on its cell_index label
+_INDEX_CAP = 1 << 21
 
 # The study's default design: symmetric truncation levels plus two
 # asymmetric points, applied at exact quantiles of the true model.
@@ -81,9 +90,30 @@ DESIGN_POINTS = (
 DEFAULT_N_LIST = (50, 100, 250, 500, 1000)
 
 
+def _check_theta(theta: float) -> None:
+    """Refuse a theta that is not a normal, finite float, naming the ``theta`` key."""
+    # below the normal range every loss drawn keeps only a few digits, a block's
+    # estimates can all round to theta_true, leaving its RE undefined, and the
+    # thresholds divided by theta can overflow
+    if not theta >= sys.float_info.min:
+        raise ConfigError(
+            "theta", f"theta must be at least {sys.float_info.min!r} (the smallest "
+            f"normal float), got {theta!r}",
+        )
+    if theta == math.inf:
+        raise ConfigError("theta", f"theta must be finite, got {theta!r}")
+
+
 @dataclass(frozen=True)
 class SimCell:
-    """One simulation configuration: a (sample size, method, design) cell."""
+    """One simulation configuration: a (sample size, method, design) cell.
+
+    Its draws depend on its draw key alone: ``seed``, ``n``,
+    ``replications_per_block``, ``blocks`` and the thresholds over
+    ``theta_true`` (``derive_stream``).  So equal cells give equal reports, and
+    cells that differ only in ``method`` share their samples.  ``cell_index``,
+    ``a`` and ``b`` are labels that no draw reads.
+    """
 
     n: int
     method: str
@@ -99,8 +129,11 @@ class SimCell:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("n", f"sample size must be >= 1, got {self.n}")
-        if self.replications_per_block < 1:
-            raise ConfigError("reps", "replications_per_block must be >= 1")
+        if not 1 <= self.replications_per_block < 2**64:  # a 64-bit field of the stream
+            raise ConfigError(
+                "reps", f"replications_per_block must be in [1, 2**64), got "
+                f"{self.replications_per_block}",
+            )
         if not 1 <= self.blocks <= _INDEX_CAP:
             raise ConfigError("blocks", f"blocks must be in [1, {_INDEX_CAP}], got {self.blocks}")
         if not 0 <= self.cell_index < _INDEX_CAP:
@@ -111,16 +144,7 @@ class SimCell:
             raise ConfigError("seed", f"seed must be in [0, 2**64), got {self.seed}")
         if self.method not in estimators.FIT_METHODS:
             raise ConfigError("methods", f"unknown method {self.method!r}")
-        # below the normal range every loss drawn keeps only a few digits, a block's
-        # estimates can all round to theta_true, leaving its RE undefined, and the
-        # thresholds divided by theta can overflow
-        if not self.theta_true >= sys.float_info.min:
-            raise ConfigError(
-                "theta", f"theta must be at least {sys.float_info.min!r} (the smallest "
-                f"normal float), got {self.theta_true!r}",
-            )
-        if self.theta_true == math.inf:
-            raise ConfigError("theta", f"theta must be finite, got {self.theta_true!r}")
+        _check_theta(self.theta_true)
 
 
 @dataclass(frozen=True)
@@ -138,26 +162,42 @@ class SimReport:
     total_samples: int
 
 
-def derive_stream(master_seed: int, cell_index: int, block_index: int) -> RandomSource:
-    """Collision-free stream for one (cell, block) pair; the engine draws a
-    whole block from it.
+def _unit(cell: SimCell) -> ThresholdPair:
+    """The cell's thresholds over theta: its Exp(1) samples are drawn on these."""
+    t, theta = cell.thresholds, cell.theta_true
+    return ThresholdPair(t.d / theta + 0.0, t.u / theta)  # + 0.0: d = -0.0 draws as 0.0
 
-    The two indices are packed into disjoint bit ranges (each must be below
-    2^21) of the stream index ``(cell << 42) | (block << 21)``, so distinct
-    pairs can never share a stream and the derivation is independent of
-    execution order.
+
+def _draw_key(cell: SimCell) -> tuple:
+    """(seed, n, reps, blocks, d/theta, u/theta): all that the cell's draws depend on."""
+    unit = _unit(cell)
+    return cell.seed, cell.n, cell.replications_per_block, cell.blocks, unit.d, unit.u
+
+
+def derive_stream(cell: SimCell, block: int) -> RandomSource:
+    """The stream block ``block`` of ``cell`` draws from: one per draw key and block.
+
+    The draw key (``_draw_key``) and the block are packed into one stream
+    index, each in its own 64-bit field (the unit thresholds as their IEEE
+    bits) and n above them all, under the master seed ``cell.seed``.  So
+    distinct keys or blocks never share a stream, and cells that share a key,
+    such as the methods of one design point and n, or theta and the
+    thresholds scaled together, draw the same samples.
     """
-    for name, idx in (("cell_index", cell_index), ("block_index", block_index)):
-        if not 0 <= idx < _INDEX_CAP:
-            raise ValueError(f"{name} must be in [0, {_INDEX_CAP}), got {idx}")
-    stream = (cell_index << (2 * _INDEX_BITS)) | (block_index << _INDEX_BITS)
-    return RandomSource(seed=master_seed, stream=stream)
+    seed, n, reps, blocks, d, u = _draw_key(cell)
+    if not 0 <= block < blocks:
+        raise ValueError(f"block must be in [0, {blocks}), got {block}")
+    stream = 0
+    for field in (n, reps, blocks, *struct.unpack("<2Q", struct.pack("<2d", d, u)), block):
+        stream = stream << 64 | operator.index(field)
+    return RandomSource(seed=seed, stream=stream)
 
 
 def cell_from_quantiles(
     a: float, b: float, theta: float, n: int, method: str, **kwargs
 ) -> SimCell:
     """Build a cell whose thresholds are the (a, 1-b) quantiles of Exp(theta)."""
+    _check_theta(theta)  # SimCell's rule, before the model refuses theta in its own words
     d, u = _quantile_thresholds(adapter_from_model(ExponentialModel(theta)), a, b)
     return SimCell(
         n=n, method=method, theta_true=theta, thresholds=ThresholdPair(d, u),
@@ -233,35 +273,39 @@ def _block_statistics(
 
 
 def _ratios(cells: Sequence[SimCell], blocks: range) -> dict[str, np.ndarray]:
-    """theta_hat/theta by the method of each of ``cells``, which differ in nothing
-    else, for each block of ``blocks`` in turn, drawn from ``derive_stream(seed,
-    cell_index, block)``; NaN where a row has no estimate.
+    """theta_hat/theta by the method of each of ``cells``, which share a draw key
+    (``_draw_key``), for each block of ``blocks`` in turn, drawn from
+    ``derive_stream(cells[0], block)``; NaN where a row has no estimate.
 
-    Every method is applied to the same samples, drawn and solved, in one
-    ``estimators._estimates`` call, on the unit scale: Exp(1) on the thresholds
-    divided by theta, so the estimates are the ratios themselves, and nothing
-    overflows or underflows with theta.
+    Each block is drawn once, and every method is applied to the same samples,
+    drawn and solved, in one ``estimators._estimates`` call, on the unit scale:
+    Exp(1) on the thresholds divided by theta, so the estimates are the ratios
+    themselves, and nothing overflows or underflows with theta.
     """
-    cell, methods = cells[0], tuple(c.method for c in cells)
-    theta, t, reps = cell.theta_true, cell.thresholds, cell.replications_per_block
-    unit = ThresholdPair(t.d / theta, t.u / theta)
-    streams = (derive_stream(cell.seed, cell.cell_index, block) for block in blocks)
+    cell, methods = cells[0], tuple(dict.fromkeys(c.method for c in cells))
+    unit, reps = _unit(cell), cell.replications_per_block
+    streams = (derive_stream(cell, block) for block in blocks)
     parts = [_block_statistics("mle" in methods, unit, rs, reps, cell.n) for rs in streams]
     return estimators._estimates(methods, tuple(map(np.concatenate, zip(*parts))), cell.n, unit)
 
 
-def _run_blocks(cell: SimCell, blocks: range) -> list[tuple[int, int, float, float]]:
-    """Per block of ``blocks``: (successes, failures, sum of theta_hat/theta, sum of
-    (theta_hat/theta - 1)^2).  Each block draws from its own stream; the roots of all of
-    them are solved as one batch (``_ratios``)."""
-    ratios = _ratios([cell], blocks)[cell.method]
-    results = []
-    for row in ratios.reshape(len(blocks), cell.replications_per_block):
-        ratio = row[~np.isnan(row)]
-        results.append((
-            ratio.size, row.size - ratio.size,
-            float(np.sum(ratio)), float(np.sum((ratio - 1.0) ** 2)),
-        ))
+def _run_blocks(
+    group: Sequence[SimCell], blocks: range
+) -> dict[str, list[tuple[int, int, float, float]]]:
+    """Per method of ``group`` (cells that share a draw key), per block of ``blocks``:
+    (successes, failures, sum of theta_hat/theta, sum of (theta_hat/theta - 1)^2).
+    Each block is drawn once from its own stream for every method, and the roots of
+    all of them are solved as one batch per method (``_ratios``)."""
+    rows = (len(blocks), group[0].replications_per_block)
+    results = {}
+    for method, ratios in _ratios(group, blocks).items():
+        results[method] = []
+        for row in ratios.reshape(rows):
+            ratio = row[~np.isnan(row)]
+            results[method].append((
+                ratio.size, row.size - ratio.size,
+                float(np.sum(ratio)), float(np.sum((ratio - 1.0) ** 2)),
+            ))
     return results
 
 
@@ -285,15 +329,34 @@ def worker_count(requested: int | None = None) -> int:
 _TASK_ROWS = 1 << 13
 
 
-def _weight(cell: SimCell, blocks: range) -> int:
-    """n x reps x blocks: the key by which ``_tasks`` splits a cell and ``_task_results``
-    orders tasks, heaviest first.  It is not a cost model: a draw's cost grows far more
-    slowly than n, and a root's not at all; on the benchmark's 24 ``sim_study`` cells the
-    twelve tasks at n = 1000, all of one weight, took 0.30 to 7.20 ms each.  There
-    (2 workers, 2 vCPUs, 20 alternating fresh-process rounds of 60 ``run_table`` passes
-    after a warm-up call) heaviest-first had the faster median pass in 8 rounds of 20,
-    38.9 against 38.6 ms for table order over all rounds: a tie."""
-    return cell.n * cell.replications_per_block * len(blocks)
+# The cost of a row's draw beyond its uniforms, and of one root, in uniforms drawn (see _weight).
+_ROW_VALUES = 60.0
+_ROOT_VALUES = 90.0
+
+
+def _weight(group: Sequence[SimCell], blocks: range) -> float:
+    """The cost of the task that runs ``blocks`` of ``group``, in uniforms drawn, by which
+    ``_tasks`` splits a table: per row, the uniforms drawn once for every method (one per
+    value inside the window when u is finite, and one per value below d for the MLE),
+    plus ``_ROW_VALUES`` for its binomials and gammas and ``_ROOT_VALUES`` per moment
+    method's root.
+
+    The constants come from a least-squares fit of ``_run_blocks`` times (4 blocks of 500
+    rows, median of 7, 2 vCPUs) over 60 groups: five windows with u finite and infinite,
+    n = 50, 250 and 1000, and mtum, the three moment methods, mle, and all four.  It gave
+    490 ns a row, 7.8 ns a uniform and 730 ns a root.  Time over weight then spread by a
+    factor of 10 to 20 across the groups (the closed-form roots at u = inf cost less, the
+    narrow (0.10, 0.70) window's more), against 430 to 610 for n x reps x blocks.  Tasks
+    run in table order: on the benchmark's 24 ``sim_study`` cells (2 workers, 10
+    alternating fresh-process rounds of 60 ``run_table`` passes after a warm-up call)
+    heaviest first had the faster median pass in 6 rounds of 10, a tie.
+    """
+    cell, methods = group[0], {c.method for c in group}
+    unit = _unit(cell)
+    inside = 0.0 if unit.upper_is_infinite else math.exp(-unit.d) - math.exp(-unit.u)
+    below = -math.expm1(-unit.d) if "mle" in methods else 0.0
+    per_row = cell.n * (inside + below) + _ROW_VALUES + _ROOT_VALUES * len(methods - {"mle"})
+    return len(blocks) * cell.replications_per_block * per_row
 
 
 def _split(blocks: range, parts: int) -> list[range]:
@@ -303,22 +366,33 @@ def _split(blocks: range, parts: int) -> list[range]:
     return [blocks[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _tasks(cells: Sequence[SimCell], workers: int) -> list[tuple[SimCell, range]]:
-    """The (cell, block range) tasks of a table, cell by cell in block order.
+def _groups(cells: Iterable[SimCell]) -> list[tuple[SimCell, ...]]:
+    """The cells grouped by draw key (``_draw_key``), in order of first appearance."""
+    groups: dict[tuple, list[SimCell]] = {}
+    for cell in cells:
+        groups.setdefault(_draw_key(cell), []).append(cell)
+    return [tuple(group) for group in groups.values()]
 
-    With ``W`` the table's total weight, a cell of weight ``w`` is split into
+
+def _tasks(
+    groups: Sequence[Sequence[SimCell]], workers: int
+) -> list[tuple[Sequence[SimCell], range]]:
+    """The (group, block range) tasks of a table, group by group in block order.
+
+    With ``W`` the table's total weight, a group of weight ``w`` is split into
     ceil(workers x w / W) contiguous ranges of its blocks, so that no task
     outweighs a worker's share by more than one block, or into more where a
     range would hold over ``_TASK_ROWS`` rows; never into more than one range
     per block.
     """
-    total = sum(_weight(cell, range(cell.blocks)) for cell in cells)
+    weights = [_weight(group, range(group[0].blocks)) for group in groups]
+    total = sum(weights)
     return [
-        (cell, blocks)
-        for cell in cells
-        for blocks in _split(range(cell.blocks), max(
-            -(-workers * _weight(cell, range(cell.blocks)) // total),
-            -(-cell.blocks * cell.replications_per_block // _TASK_ROWS),
+        (group, blocks)
+        for group, weight in zip(groups, weights)
+        for blocks in _split(range(group[0].blocks), max(
+            math.ceil(workers * weight / total),
+            -(-group[0].blocks * group[0].replications_per_block // _TASK_ROWS),
         ))
     ]
 
@@ -369,32 +443,27 @@ def _pool_of(size: int) -> ProcessPoolExecutor:
 
 
 def _task_results(
-    tasks: Sequence[tuple[SimCell, range]], workers: int
-) -> list[list[tuple[int, int, float, float]]]:
-    """``_run_blocks`` on every (cell, block range) task, in task order.
+    tasks: Sequence[tuple[Sequence[SimCell], range]], workers: int
+) -> list[dict[str, list[tuple[int, int, float, float]]]]:
+    """``_run_blocks`` on every (group, block range) task, in task order.
 
-    The tasks are submitted heaviest first (``_weight``) to the kept process
-    pool (``_pool_of``) of at most ``workers`` workers and one per task, or
-    run in process when that is one.  A call that finds the pool broken
-    (a worker died) drops it and raises ``BrokenProcessPool``; the next call
-    starts a new one.
+    The tasks are submitted in that order to the kept process pool
+    (``_pool_of``) of at most ``workers`` workers and one per task, or run in
+    process when that is one.  A call that finds the pool broken (a worker
+    died) drops it and raises ``BrokenProcessPool``; the next call starts a
+    new one.
     """
-    order = sorted(range(len(tasks)), key=lambda i: _weight(*tasks[i]), reverse=True)
-    heaviest_first = [tasks[i] for i in order]
     size = min(workers, len(tasks))
     if size <= 1:
-        done = [_run_blocks(cell, blocks) for cell, blocks in heaviest_first]
-    else:
-        try:
-            with _pool_lock:  # no other thread replaces the pool before all are submitted
-                pool = _pool_of(size)
-                results = pool.map(_run_blocks, *zip(*heaviest_first))
-            done = list(results)
-        except BrokenProcessPool:
-            _drop_pool(pool)
-            raise
-    by_task = dict(zip(order, done))
-    return [by_task[i] for i in range(len(tasks))]
+        return [_run_blocks(group, blocks) for group, blocks in tasks]
+    try:
+        with _pool_lock:  # no other thread replaces the pool before all are submitted
+            pool = _pool_of(size)
+            results = pool.map(_run_blocks, *zip(*tasks))
+        return list(results)
+    except BrokenProcessPool:
+        _drop_pool(pool)
+        raise
 
 
 def _mean_se(values: Sequence[float]) -> tuple[float, float]:
@@ -441,22 +510,28 @@ def run_table(
 ) -> list[tuple[SimCell, SimReport]]:
     """Run every cell; deterministic under a fixed master seed.
 
-    The cells are split into tasks (``_tasks``) for ``workers`` capped at the
-    CPU count, and one process pool of ``min(workers, tasks)`` workers runs
-    all the tasks, heaviest first, or they run in process when that is one.
+    The cells that share a draw key are grouped (``_groups``), so each block
+    of a group is drawn once for all its methods.  The groups are split into
+    tasks (``_tasks``) for ``workers`` capped at the CPU count, and one
+    process pool of ``min(workers, tasks)`` workers runs all the tasks, in
+    table order, or they run in process when that is one.
     The pool is started on first use and kept for later calls of the same
     size; a call of another size shuts it down and starts its own.  A forked
     child starts its own pool, and ``concurrent.futures`` shuts the pool
     down at interpreter exit.  A call that finds a worker dead raises
     ``BrokenProcessPool``, and the next call starts a new pool.  Results are
-    the same for any worker count and any sequence of calls.
+    the same for any worker count and any sequence of calls, and a cell's
+    report depends on the cell alone, not on the other cells of the table.
     """
     workers = min(worker_count(workers), os.cpu_count() or 1)
-    results = iter(
-        block for task in _task_results(_tasks(cells, workers), workers) for block in task
-    )
+    tasks = _tasks(_groups(cells), workers)
+    blocks: dict[tuple, list] = {}  # (draw key, method) -> the per-block results
+    for (group, _), done in zip(tasks, _task_results(tasks, workers)):
+        key = _draw_key(group[0])
+        for method, results in done.items():
+            blocks.setdefault((key, method), []).extend(results)
     return [
-        (cell, _report(cell, [next(results) for _ in range(cell.blocks)], conditional))
+        (cell, _report(cell, blocks[_draw_key(cell), cell.method], conditional))
         for cell in cells
     ]
 
@@ -626,7 +701,9 @@ def histogram_study(
 
     For each sample size, ``count`` samples are drawn and every method is applied
     to them through the engine's one draw entry, ``_ratios(cells, blocks)``, with a
-    one-block ``SimCell`` per method, whose cell index is the sample size's position.
+    one-block ``SimCell`` per method, whose cell index, a label, is the sample size's
+    position.  The draw depends on the sample size, not its position, so a repeated
+    sample size gives the same panels again.
     ``SimCell`` checks every input but ``count`` (``ConfigError``, a ``ValueError``).
     Failed existence checks are dropped from a panel.  The estimates are the ratios
     times theta, and the skewness, which is scale-free, is that of the ratios.

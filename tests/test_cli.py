@@ -312,6 +312,19 @@ class TestSimulateCommand:
                 f"(the smallest normal float), got {float(theta)!r}\n"
             )
 
+    @pytest.mark.parametrize("theta", ["inf", "-1", "nan", "0", "1e-320"])
+    def test_every_bad_theta_names_its_key(self, tmp_path, capsys, theta):
+        # SimCell's rule runs before the model is built from theta
+        config = tmp_path / "study.cfg"
+        config.write_text(f"theta = {theta}\nmethods = mcm\ndesign_points = (0.05, 0.05)\n"
+                          "n_list = 30\nblocks = 1\nreps = 10\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(config)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: config key 'theta':")
+
     def test_config_out_key_used(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         config = tmp_path / "study.cfg"
@@ -340,7 +353,7 @@ class TestSimulateCommand:
         assert captured.err == f"error: config key {key!r}: empty list\n"
 
     def test_too_many_blocks_refused_before_any_task(self, tmp_path, monkeypatch, capsys):
-        # every block needs its own stream index, which has 21 bits
+        # blocks is capped at 2^21
         config = tmp_path / "study.cfg"
         config.write_text("methods = mcm\ndesign_points = (0.05, 0.05)\nn_list = 30\n"
                           "blocks = 3000000\nreps = 1\n", encoding="utf-8")

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import signal
+import struct
 import subprocess
 import sys
 import warnings
@@ -39,35 +40,83 @@ from severfit.mc import (
 from severfit.moments import mu_mtum, truncated_summary
 
 
+def _stream_cell(**changes):
+    """A cell for the stream tests, with ``changes`` to its fields."""
+    fields = dict(n=40, method="mcm", theta_true=10.0, thresholds=ThresholdPair(0.5, 23.0),
+                  replications_per_block=30, blocks=4, seed=5)
+    return SimCell(**{**fields, **changes})
+
+
+def _first_uniforms(cell, block, size=4):
+    return derive_stream(cell, block).uniform(size)
+
+
 class TestDeriveStream:
     def test_reproducible(self):
-        a = derive_stream(5, 1, 2)
-        b = derive_stream(5, 1, 2)
+        # the same draw key and block, from equal cells or from one cell twice
+        a, b = derive_stream(_stream_cell(), 2), derive_stream(_stream_cell(), 2)
+        assert a.seed == b.seed == 5 and a.stream == b.stream
         assert np.array_equal(a.uniform(16), b.uniform(16))
-        # the (cell, block) layout of the stream index that every seeded run rests on
-        assert a.stream == (1 << 42) | (2 << 21)
+        # the layout of the stream index that every seeded run rests on: 64-bit fields
+        # of n, reps, blocks, the unit window's IEEE bits and the block, n on top
+        fields = (40, 30, 4, *struct.unpack("<2Q", struct.pack("<2d", 0.05, 2.3)), 2)
+        assert a.stream == sum(f << 64 * i for i, f in enumerate(reversed(fields)))
+        # equal cells: d = -0.0 equals 0.0, and draws as it
+        zeros = [_stream_cell(thresholds=ThresholdPair(d, 23.0)) for d in (0.0, -0.0)]
+        assert zeros[0] == zeros[1]
+        assert derive_stream(zeros[0], 0).stream == derive_stream(zeros[1], 0).stream
 
     def test_distinct_indices_distinct_streams(self):
-        base = derive_stream(5, 1, 2).uniform(4)
-        for cell, block in [(0, 0), (1, 3), (2, 2), (2, 1)]:
-            other = derive_stream(5, cell, block).uniform(4)
+        # a change to any field of the draw key, or to the block, gives another stream
+        base = _first_uniforms(_stream_cell(), 2)
+        others = [
+            _first_uniforms(_stream_cell(n=41), 2),
+            _first_uniforms(_stream_cell(thresholds=ThresholdPair(0.5, 24.0)), 2),
+            _first_uniforms(_stream_cell(thresholds=ThresholdPair(0.6, 23.0)), 2),
+            _first_uniforms(_stream_cell(thresholds=ThresholdPair(0.5, math.inf)), 2),
+            _first_uniforms(_stream_cell(theta_true=11.0), 2),  # another unit window
+            _first_uniforms(_stream_cell(replications_per_block=31), 2),
+            _first_uniforms(_stream_cell(blocks=5), 2),
+            _first_uniforms(_stream_cell(seed=6), 2),
+            _first_uniforms(_stream_cell(), 1),
+            _first_uniforms(_stream_cell(), 3),
+        ]
+        for other in others:
             assert not np.array_equal(base, other)
 
+    @given(k=st.integers(-1000, 1000))
+    @settings(max_examples=30, deadline=None)
+    def test_scaled_theta_and_thresholds_share_a_stream(self, k):
+        # the key holds d/theta and u/theta, which c = 2^k leaves as they are
+        c, base = 2.0**k, _stream_cell(theta_true=1.0, thresholds=ThresholdPair(0.05, 2.3))
+        scaled = dataclasses.replace(base, theta_true=c,
+                                     thresholds=ThresholdPair(c * 0.05, c * 2.3))
+        assert derive_stream(scaled, 3).stream == derive_stream(base, 3).stream
+
+    def test_labels_and_method_are_not_in_the_key(self):
+        base = derive_stream(_stream_cell(), 1).stream
+        for labels in (dict(cell_index=7), dict(a=0.05, b=0.1), dict(method="mle")):
+            assert derive_stream(_stream_cell(**labels), 1).stream == base
+
     def test_collision_scan(self):
-        # one million derivations: all first outputs distinct
-        firsts = np.empty(10**6)
-        i = 0
-        for cell in range(1000):
-            for block in range(1000):
-                firsts[i] = derive_stream(12345, cell, block).uniform(1)[0]
-                i += 1
-        assert np.unique(firsts).size == firsts.size
+        # over 10^4 distinct keys and blocks, a few apart in every field (theta = 1, so
+        # the thresholds are the unit window): all first outputs distinct
+        cells = [
+            _stream_cell(n=n, replications_per_block=reps, blocks=blocks, seed=seed,
+                         theta_true=1.0, thresholds=ThresholdPair(d, u))
+            for n in (1, 2, 50) for reps in (1, 2) for blocks in (1, 4, 2**21) for seed in (0, 1)
+            for d in (0.0, 5e-324, 0.5) for u in (23.0, np.nextafter(23.0, 24.0), math.inf)
+        ]
+        firsts = [derive_stream(cell, block).uniform(1)[0]
+                  for cell in cells for block in range(min(cell.blocks, 100))]
+        assert len(firsts) > 10**4
+        assert len(set(firsts)) == len(firsts)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
-            derive_stream(1, -1, 0)
+            derive_stream(_stream_cell(), -1)
         with pytest.raises(ValueError):
-            derive_stream(1, 0, 2**21)
+            derive_stream(_stream_cell(), 4)  # one past the cell's last block
 
 
 class TestRunCell:
@@ -145,7 +194,7 @@ class TestRunCell:
         cell = cell_from_quantiles(
             0.10, 0.70, 10.0, 100, "mtum", replications_per_block=1, blocks=8, seed=2,
         )
-        blocks = mc._run_blocks(cell, range(cell.blocks))
+        blocks = mc._run_blocks([cell], range(cell.blocks))["mtum"]
         assert any(successes == 0 for successes, *_ in blocks)
         assert any(successes > 0 for successes, *_ in blocks)
         report = run_cell(cell, conditional=True, workers=1)
@@ -189,7 +238,7 @@ class TestRunCell:
             assert np.array_equal(small.estimates, full.estimates)
 
     def test_one_root_batch_per_method(self, monkeypatch):
-        # a task (a cell or a range of its blocks) drawn in several chunks
+        # a task (a group or a range of its blocks) drawn in several chunks
         # solves each method's roots in one batch, as does a histogram sample size
         from severfit import estimators
 
@@ -201,11 +250,17 @@ class TestRunCell:
         )
         monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * self.CELL.n)
         reps = self.CELL.replications_per_block
-        mc._run_blocks(self.CELL, range(1, 4))
+        mc._run_blocks([self.CELL], range(1, 4))
         assert calls == [("mcm", 3 * reps)]
         calls.clear()
         run_cell(self.CELL, workers=1)
         assert calls == [("mcm", self.CELL.blocks * reps)]
+        calls.clear()
+        # a group, with one method twice, solves once per method
+        group = [self.CELL, dataclasses.replace(self.CELL, method="mtum"),
+                 dataclasses.replace(self.CELL, cell_index=9)]
+        mc._run_blocks(group, range(1, 4))
+        assert calls == [("mcm", 3 * reps), ("mtum", 3 * reps)]
         calls.clear()
         monkeypatch.setattr(mc, "_CHUNK_VALUES", 7 * 30)
         histogram_study([30, 50], 60, methods=("mle", *METHODS), seed=5)
@@ -246,17 +301,26 @@ class TestRunCell:
                     **{key: value})
         assert err.value.key == key
 
+    @pytest.mark.parametrize("reps", [0, 2**64])
+    def test_reps_refused_with_its_key(self, reps):
+        # a 64-bit field of the stream index
+        with pytest.raises(ConfigError) as err:
+            SimCell(n=10, method="mcm", theta_true=10.0, thresholds=ThresholdPair(0, 1),
+                    replications_per_block=reps)
+        assert err.value.key == "reps"
+
     def test_largest_stream_indices_and_seed_accepted(self):
         cell = SimCell(n=10, method="mcm", theta_true=10.0, thresholds=ThresholdPair(0, 1),
-                       blocks=2**21, cell_index=2**21 - 1, seed=2**64 - 1)
-        derive_stream(cell.seed, cell.cell_index, cell.blocks - 1)
+                       replications_per_block=2**64 - 1, blocks=2**21, cell_index=2**21 - 1,
+                       seed=2**64 - 1)
+        assert derive_stream(cell, cell.blocks - 1).seed == 2**64 - 1
 
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
     """Replaces the process pool with an in-process stand-in, so no process
     is started; returns its log of pool sizes started, of ("start" | "shutdown",
-    size) events and of the (cell, blocks) tasks in the order they were
+    size) events and of the (group, blocks) tasks in the order they were
     submitted."""
     log = {"sizes": [], "events": [], "tasks": []}
 
@@ -279,11 +343,12 @@ def in_process_pool(monkeypatch):
 
 
 def _block_by_block(cells, conditional):
-    """Each cell's report from its blocks run one at a time: the reference
-    for every task layout."""
+    """Each cell's report from its blocks run one at a time, the cell alone: the
+    reference for every task layout and grouping."""
     return [
         (cell, mc._report(
-            cell, [mc._run_blocks(cell, range(b, b + 1))[0] for b in range(cell.blocks)],
+            cell,
+            [mc._run_blocks([cell], range(b, b + 1))[cell.method][0] for b in range(cell.blocks)],
             conditional,
         ))
         for cell in cells
@@ -339,9 +404,12 @@ class TestRunTable:
 
     def test_one_pool_capped_by_tasks_and_cpus(self, monkeypatch, in_process_pool):
         sizes = in_process_pool["sizes"]
+        # three groups of two blocks: the two methods of _cells share a draw
         cells = self._cells() + [
             cell_from_quantiles(0.05, 0.05, 10.0, 60, "mtcm",
-                                replications_per_block=30, blocks=2, seed=9, cell_index=2)
+                                replications_per_block=30, blocks=2, seed=9, cell_index=2),
+            cell_from_quantiles(0.05, 0.05, 10.0, 80, "mle",
+                                replications_per_block=30, blocks=2, seed=9, cell_index=3),
         ]
         expected = run_table(cells, workers=1)
         monkeypatch.setenv("SEVERFIT_THREADS", "64")
@@ -367,8 +435,8 @@ class TestRunTable:
         ]
         assert len(in_process_pool["tasks"]) == 6
 
-    # tables of two and of four cells of uneven weights, and one of a light cell
-    # before one twenty times heavier
+    # tables of two and of four cells of uneven weights, one of a light cell before
+    # one about five times heavier, and one of groups of cells that share a draw
     SPLIT_CELLS = [
         cell_from_quantiles(0.10, 0.70, 10.0, 40, "mtum", replications_per_block=30,
                             blocks=5, seed=13, cell_index=0),
@@ -385,12 +453,29 @@ class TestRunTable:
                             blocks=10, seed=13, cell_index=i)
         for i, n in enumerate([50, 1000])
     ]
+    GROUPED_CELLS = [
+        cell_from_quantiles(a, b, 10.0, n, method, replications_per_block=25, blocks=blocks,
+                            seed=13, cell_index=i)
+        for i, (a, b, n, method, blocks) in enumerate([
+            (0.05, 0.05, 40, "mtum", 4), (0.10, 0.70, 40, "mtum", 3), (0.05, 0.05, 40, "mcm", 4),
+            (0.05, 0.05, 30, "mtum", 4), (0.05, 0.05, 40, "mle", 4), (0.10, 0.70, 40, "mcm", 3),
+            (0.05, 0.05, 40, "mtcm", 4), (0.05, 0.05, 40, "mcm", 4),  # a repeated cell
+        ])
+    ]
+    TABLES = (SPLIT_CELLS, WHOLE_CELLS, SKEWED_CELLS, GROUPED_CELLS)
+
+    def test_groups_share_a_draw_key(self):
+        groups = mc._groups(self.GROUPED_CELLS)
+        assert [[c.cell_index for c in group] for group in groups] == [
+            [0, 2, 4, 6, 7], [1, 5], [3]
+        ]
+        assert mc._groups(self.WHOLE_CELLS) == [(cell,) for cell in self.WHOLE_CELLS]
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pool_reports_equal_block_by_block(self, workers, monkeypatch):
         # a real pool; the CPU cap is lifted so that 3 workers split as 3 would
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
-        for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS):
+        for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS, self.GROUPED_CELLS):
             expected = _block_by_block(cells, conditional=True)
             assert run_table(cells, conditional=True, workers=workers) == expected
 
@@ -404,46 +489,66 @@ class TestRunTable:
     @pytest.mark.parametrize("workers", [1, 4, 5, 8, 64])
     def test_task_layouts_equal_block_by_block(self, workers, monkeypatch, in_process_pool):
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 64)
-        for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS, self.SKEWED_CELLS):
+        for cells in self.TABLES:
             expected = _block_by_block(cells, conditional=True)
             assert run_table(cells, conditional=True, workers=workers) == expected
         if workers > 1:
             submitted = in_process_pool["tasks"]
-            for cells, tasks in zip((self.SPLIT_CELLS, self.WHOLE_CELLS, self.SKEWED_CELLS),
-                                    submitted, strict=True):
-                assert sorted(tasks, key=repr) == sorted(mc._tasks(cells, workers), key=repr)
+            for cells, tasks in zip(self.TABLES, submitted, strict=True):
+                assert tasks == mc._tasks(mc._groups(cells), workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 8, 64])
     def test_cells_split_by_weight(self, workers):
-        for cells in (self.SPLIT_CELLS, self.WHOLE_CELLS, self.SKEWED_CELLS):
-            tasks = mc._tasks(cells, workers)
-            total = sum(mc._weight(cell, range(cell.blocks)) for cell in cells)
-            for cell in cells:
-                ranges = [blocks for c, blocks in tasks if c == cell]
-                # contiguous ranges, in block order, that cover the cell's blocks
-                assert [b for blocks in ranges for b in blocks] == list(range(cell.blocks))
-                weight = mc._weight(cell, range(cell.blocks))
-                parts = (workers * weight + total - 1) // total
-                assert len(ranges) == min(parts, cell.blocks)
+        for cells in self.TABLES:
+            groups = mc._groups(cells)
+            tasks = mc._tasks(groups, workers)
+            total = sum(mc._weight(group, range(group[0].blocks)) for group in groups)
+            for group in groups:
+                blocks_of = group[0].blocks
+                ranges = [blocks for g, blocks in tasks if g == group]
+                # contiguous ranges, in block order, that cover the group's blocks
+                assert [b for blocks in ranges for b in blocks] == list(range(blocks_of))
+                weight = mc._weight(group, range(blocks_of))
+                assert len(ranges) == min(math.ceil(workers * weight / total), blocks_of)
                 # no task outweighs a worker's share by more than one block
-                share = total / workers + mc._weight(cell, range(1))
-                assert all(mc._weight(cell, blocks) <= share for blocks in ranges)
+                share = total / workers + mc._weight(group, range(1))
+                assert all(mc._weight(group, blocks) <= share for blocks in ranges)
         # at two workers the heavy cell of the skewed table is halved, the light one whole
-        assert [blocks for _, blocks in mc._tasks(self.SKEWED_CELLS, 2)] == [
+        assert [blocks for _, blocks in mc._tasks(mc._groups(self.SKEWED_CELLS), 2)] == [
             range(10), range(5), range(5, 10)
         ]
+
+    def test_weight_counts_each_draw_once(self):
+        # a group's values are drawn once for all its methods, and each moment
+        # method adds a root per row; the MLE adds the values below d instead
+        cells = self.GROUPED_CELLS
+        mtum, mcm, mle = cells[0], cells[2], cells[4]
+        unit = mc._unit(mtum)
+        rows, blocks = 4 * 25, range(4)
+        inside = mtum.n * (math.exp(-unit.d) - math.exp(-unit.u))
+        assert mc._weight([mtum], blocks) == pytest.approx(
+            rows * (inside + mc._ROW_VALUES + mc._ROOT_VALUES))
+        assert mc._weight([mtum, mcm, mcm], blocks) == pytest.approx(
+            rows * (inside + mc._ROW_VALUES + 2 * mc._ROOT_VALUES))
+        below = -mtum.n * math.expm1(-unit.d)
+        assert mc._weight([mtum, mle], blocks) == pytest.approx(
+            rows * (inside + below + mc._ROW_VALUES + mc._ROOT_VALUES))
+        # when u is infinite the sum inside is one gamma a row, no uniform
+        infinite = cell_from_quantiles(0.05, 0.0, 10.0, 40, "mtum", replications_per_block=25,
+                                       blocks=4)
+        assert mc._weight([infinite], blocks) == rows * (mc._ROW_VALUES + mc._ROOT_VALUES)
 
     def test_tasks_hold_at_most_task_rows(self, monkeypatch):
         cell = self.SPLIT_CELLS[0]  # 5 blocks of 30 rows
         expected = _block_by_block([cell], conditional=True)
         monkeypatch.setattr(mc, "_TASK_ROWS", 60)
-        assert [blocks for _, blocks in mc._tasks([cell], 1)] == [
+        assert [blocks for _, blocks in mc._tasks([(cell,)], 1)] == [
             range(1), range(1, 3), range(3, 5)
         ]
         assert run_table([cell], conditional=True, workers=1) == expected
         # a block longer than the cap is still one task
         monkeypatch.setattr(mc, "_TASK_ROWS", 20)
-        assert [blocks for _, blocks in mc._tasks([cell], 1)] == [
+        assert [blocks for _, blocks in mc._tasks([(cell,)], 1)] == [
             range(b, b + 1) for b in range(5)
         ]
         assert run_table([cell], conditional=True, workers=1) == expected
@@ -512,15 +617,60 @@ print(*sorted(p.pid for p in multiprocessing.active_children()))
             run_table(cells, workers=2)
         assert run_table(cells, workers=2) == expected
 
-    def test_tasks_go_heaviest_first(self, monkeypatch, in_process_pool):
+    def test_tasks_go_in_table_order(self, monkeypatch, in_process_pool):
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 8)
-        cells = self.SPLIT_CELLS + self.WHOLE_CELLS
+        cells = self.SPLIT_CELLS + self.GROUPED_CELLS + self.WHOLE_CELLS
         expected = run_table(cells, workers=1)
         assert run_table(cells, workers=2) == expected  # reports in table order
         (tasks,) = in_process_pool["tasks"]
-        weights = [mc._weight(cell, blocks) for cell, blocks in tasks]
-        assert weights == sorted(weights, reverse=True)
-        assert [c.cell_index for c, _ in tasks] != [c.cell_index for c in cells]
+        # group by group, in the order of each group's first cell, each in block order
+        firsts = [cell for i, cell in enumerate(cells)
+                  if mc._draw_key(cell) not in map(mc._draw_key, cells[:i])]
+        assert [(group[0], b) for group, blocks in tasks for b in blocks] == [
+            (cell, b) for cell in firsts for b in range(cell.blocks)
+        ]
+
+
+class TestCommonRandomNumbers:
+    """Cells that share a draw key share their samples, and a cell's report
+    depends on the cell alone."""
+
+    def test_one_stream_per_group_and_block(self, monkeypatch):
+        calls = []
+        derive = mc.derive_stream
+        monkeypatch.setattr(
+            mc, "derive_stream",
+            lambda cell, block: calls.append((mc._draw_key(cell), block)) or derive(cell, block),
+        )
+        cells = TestRunTable.GROUPED_CELLS
+        run_table(cells, workers=1)
+        assert calls == [
+            (mc._draw_key(group[0]), b) for group in mc._groups(cells)
+            for b in range(group[0].blocks)
+        ]
+        # the benchmark's sim_study shape: 4 design points x 2 n x 3 methods, 4 blocks
+        calls.clear()
+        config = SimConfig(design_points=((0.05, 0.05), (0.10, 0.10), (0.25, 0.0), (0.10, 0.70)),
+                           n_list=(50, 1000), blocks=4, reps=5, seed=3)
+        run_table(build_cells(config), workers=1)
+        assert len(calls) == 4 * 2 * 4
+
+    def test_report_same_alone_and_in_a_table(self):
+        table = TestRunTable.SPLIT_CELLS + TestRunTable.GROUPED_CELLS + TestRunTable.WHOLE_CELLS
+        for cell, report in run_table(table, conditional=True, workers=1):
+            assert run_cell(cell, conditional=True, workers=1) == report
+
+    def test_labels_change_no_report(self):
+        base = cell_from_quantiles(0.10, 0.70, 10.0, 40, "mcm", replications_per_block=30,
+                                   blocks=3, seed=13)
+        relabelled = [
+            dataclasses.replace(base, cell_index=5),
+            dataclasses.replace(base, a=None, b=None),
+            dataclasses.replace(base, a=0.2, b=0.3, cell_index=2**21 - 1),
+        ]
+        reports = [report for _, report in run_table([base, *relabelled], workers=1)]
+        assert reports == [reports[0]] * 4
+        assert [run_cell(cell, workers=1) for cell in relabelled] == [reports[0]] * 3
 
 
 # (a, b) tail probabilities: two finite windows, one with u infinite, and (0, inf)
@@ -553,10 +703,10 @@ class TestJointLaw:
     def test_moments(self, a, b):
         # Exp(1) drawn on t/theta has the counts of Exp(theta) on t, and its
         # sums are theirs divided by theta
-        t = cell_from_quantiles(a, b, self.THETA, self.N, "mle").thresholds
-        n, theta = self.N, self.THETA
+        cell = cell_from_quantiles(a, b, self.THETA, self.N, "mle", seed=17)
+        n, theta, t = self.N, self.THETA, cell.thresholds
         above_d, inside, total, row_sum = mc._block_statistics(
-            True, ThresholdPair(t.d / theta, t.u / theta), derive_stream(17, 0, 0), self.ROWS, n
+            True, ThresholdPair(t.d / theta, t.u / theta), derive_stream(cell, 0), self.ROWS, n
         )
         p_above = math.exp(-t.d / theta)
         p_in = p_above - (0.0 if t.upper_is_infinite else math.exp(-t.u / theta))
@@ -582,8 +732,9 @@ class TestJointLaw:
         cells = [cell_from_quantiles(a, b, self.THETA, n, method, replications_per_block=rows,
                                      blocks=1, seed=21, cell_index=0) for method in methods]
         t = cells[0].thresholds
-        joint = mc._ratios(cells, range(1))  # from derive_stream(21, 0, 0)
-        x = sample(ExponentialModel(self.THETA), (rows, n), derive_stream(21, 1, 0))
+        joint = mc._ratios(cells, range(1))  # from derive_stream(cells[0], 0)
+        other_seed = dataclasses.replace(cells[0], seed=22)
+        x = sample(ExponentialModel(self.THETA), (rows, n), derive_stream(other_seed, 0))
         raw = estimators._estimates(methods, estimators._window(x, t) + (x.sum(axis=1),), n, t)
         for method in methods:
             drawn = np.nan_to_num(joint[method], nan=np.inf)
@@ -694,10 +845,13 @@ class TestHistogramStudy:
         assert by_key[("mcm", 30)].estimates.size == 60
 
     def test_skewness_behaviour(self):
-        panels = histogram_study([30, 500], 100, methods=("mtum",), seed=7)
+        # criterion 08: right-skewed at n = 30, and less skewed at n = 500.  At 2,000
+        # estimates the n = 30 skewness is about 4 or more, several times the n = 500
+        # one; the n = 500 skewness alone is about 0.44, too near any fixed bound
+        panels = histogram_study([30, 500], 2000, methods=("mtum",), seed=7)
         by_n = {p.n: p for p in panels}
         assert by_n[30].skewness > 0.0
-        assert abs(by_n[500].skewness) < 0.5
+        assert abs(by_n[500].skewness) < by_n[30].skewness
 
     def test_deterministic(self):
         a = histogram_study([30], 25, methods=("mtum",), seed=42)
