@@ -194,7 +194,7 @@ def log_transform_pareto_to_exp(
         raise ValueError(
             f"Pareto thresholds must satisfy d >= x0, got d={thresholds.d!r}, x0={m.x0!r}"
         )
-    d2 = 0.0 if thresholds.d == m.x0 else math.log(thresholds.d / m.x0)
+    d2 = math.log(thresholds.d / m.x0)
     u2 = math.log(thresholds.u / m.x0)
     return ExponentialModel(theta=1.0 / m.alpha), ThresholdPair(d2, u2)
 

@@ -491,13 +491,6 @@ def fit(
     return _EXP_SOLVERS[method](mu_hat, t)
 
 
-# Everything np.loadtxt may parse must be spelled in these bytes: digits,
-# float punctuation, the delimiter, line ends, space, tab and the letters of
-# inf, infinity and nan.  On them loadtxt's C parser and ``float`` agree.
-# This leaves out ``#`` (an inline comment is an error), ``_`` (``float``
-# accepts ``1_0``) and the non-ASCII digits and blanks ``float`` also accepts.
-_PLAIN_BYTES = b"0123456789.eE+-,\n\r \tinfatyINFATY"
-_GATE_CHUNK = 1 << 20
 # np.loadtxt decompresses a path by these suffixes; the line parser does not
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
@@ -510,42 +503,32 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
     skipped.  Malformed rows raise ValueError naming the line number.
 
     The file is opened once, and its first row, the first line that is
-    neither blank nor a comment, is read once (``_first_row``).  A regular
-    file whose rows from there on are plain ASCII numbers (see
-    ``_PLAIN_BYTES``) is then read by ``np.loadtxt``'s C parser.  Any other
-    file or stream, and any file the C parser refuses, goes on to the line
-    parser, ``_read_loss_lines``, after the first row.  ``_first_row`` and the
-    line parser alone decide the result and every error message; both routes
-    give the same array.
+    neither blank nor a comment, is read once (``_first_row``).  The rest of
+    a regular file goes to ``np.loadtxt``'s C parser.  A file that parser
+    refuses, and any other file or stream, goes on to the line parser,
+    ``_read_loss_lines``, right after the first row.  Every token the C
+    parser accepts gets ``float``'s value, so both routes give the same
+    array, and ``_first_row`` and the line parser alone decide every error
+    message.
     """
     with open(path, encoding="utf-8") as handle:
         rows = enumerate(handle, start=1)
-        lineno, column, first, text = _first_row(path, rows)
+        lineno, column, first = _first_row(path, rows)
         # a pipe or FIFO is read once, by the line parser
         if os.path.isfile(path) and not str(path).endswith(_COMPRESSED_SUFFIXES):
-            chunks = iter(lambda: handle.read(_GATE_CHUNK), "")
             try:  # a UnicodeDecodeError is a ValueError
-                if _is_plain("" if first is None else text) and all(map(_is_plain, chunks)):
-                    with warnings.catch_warnings():
-                        # an empty body warns "input contained no data"
-                        warnings.simplefilter("error", UserWarning)
-                        # an absolute path, so numpy's DataSource sees no URL scheme
-                        return np.loadtxt(
-                            os.path.abspath(path), dtype=float, delimiter=",", comments=None,
-                            skiprows=lineno if first is None else lineno - 1, usecols=column,
-                            ndmin=1, encoding="utf-8",
-                        )
+                with warnings.catch_warnings():
+                    # an empty body warns "input contained no data"
+                    warnings.simplefilter("error", UserWarning)
+                    # an absolute path, so numpy's DataSource sees no URL scheme
+                    return np.loadtxt(
+                        os.path.abspath(path), dtype=float, delimiter=",", comments=None,
+                        skiprows=lineno if first is None else lineno - 1, usecols=column,
+                        ndmin=1, encoding="utf-8",
+                    )
             except (ValueError, UserWarning):
                 pass
-            # back to the line after the first row; ``rows`` numbers on from there
-            handle.seek(0)
-            for _ in range(lineno):
-                next(handle)
         return _read_loss_lines(path, rows, column, first)
-
-
-def _is_plain(text: str) -> bool:
-    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN_BYTES)
 
 
 def _cells(line: str) -> list[str]:
@@ -574,16 +557,16 @@ def _loss_column(path: str | Path, lineno: int, first: list[str]) -> tuple[int, 
     return 0, False
 
 
-def _first_row(path: str | Path, rows) -> tuple[int, int, float | None, str]:
+def _first_row(path: str | Path, rows) -> tuple[int, int, float | None]:
     """The first of ``rows`` (``(lineno, text)`` pairs) that is neither blank
     nor a comment, under the header rules: its line number, the ``loss``
-    column, its value when it is data rather than a header, and its text."""
+    column, and its value when it is data rather than a header."""
     for lineno, raw in rows:
         line = raw.strip()
         if line and not line.startswith("#"):
             cells = _cells(line)
             column, has_header = _loss_column(path, lineno, cells)
-            return lineno, column, None if has_header else float(cells[0]), raw
+            return lineno, column, None if has_header else float(cells[0])
     raise ValueError(f"{path}: no data rows")
 
 

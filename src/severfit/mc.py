@@ -701,9 +701,8 @@ def histogram_study(
 
     For each sample size, ``count`` samples are drawn and every method is applied
     to them through the engine's one draw entry, ``_ratios(cells, blocks)``, with a
-    one-block ``SimCell`` per method, whose cell index, a label, is the sample size's
-    position.  The draw depends on the sample size, not its position, so a repeated
-    sample size gives the same panels again.
+    one-block ``SimCell`` per method.  The draw depends on the sample size, not its
+    position, so a repeated sample size gives the same panels again.
     ``SimCell`` checks every input but ``count`` (``ConfigError``, a ``ValueError``).
     Failed existence checks are dropped from a panel.  The estimates are the ratios
     times theta, and the skewness, which is scale-free, is that of the ratios.
@@ -712,9 +711,9 @@ def histogram_study(
         raise ValueError("count must be >= 2")
     methods = tuple(methods)
     panels: list[HistogramPanel] = []
-    for n_index, n in enumerate(n_list):
+    for n in n_list:
         cells = [SimCell(n, method, theta, thresholds, replications_per_block=count, blocks=1,
-                         seed=seed, cell_index=n_index) for method in methods]
+                         seed=seed) for method in methods]
         for method, drawn in _ratios(cells, range(1)).items() if cells else ():
             ratio = drawn[~np.isnan(drawn)]
             skew = _skewness(ratio) if ratio.size >= 3 else math.nan

@@ -165,6 +165,16 @@ class TestAvar:
         scaled = avar(method, c * theta, ThresholdPair(c * t.d, c * t.u))
         assert scaled == math.ldexp(base, 2 * k)
 
+    @pytest.mark.parametrize("window", [(800.0, 900.0), (800.0, math.inf), (0.0, 1e-110)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_underflowing_variance_gives_zero_efficiency(self, method, window):
+        # MCM's or MTCM's variance underflows to 0 where MTuM's product does:
+        # every method answers 0.0, and avar refuses the window
+        t = ThresholdPair(*window)
+        assert are(method, 1.0, t) == 0.0
+        with pytest.raises(DegenerateError):
+            avar(method, 1.0, t)
+
     def test_lower_threshold_beyond_the_float_range_of_theta(self):
         # d / theta overflows: the survival at d is 0 and so is every ARE
         for method in METHODS:

@@ -160,6 +160,7 @@ class TestLogTransform:
         )
         assert m.theta == pytest.approx(10.0)
         assert t.d == 0.0 and math.isinf(t.u)
+        assert math.copysign(1.0, t.d) == 1.0
 
     def test_exact_logs(self):
         m, t = log_transform_pareto_to_exp(
