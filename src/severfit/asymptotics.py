@@ -164,11 +164,12 @@ def mtm_integral_J(a: float, one_minus_b: float) -> float:
     d_w, u_w = _centred_winsorized(F, a, b, d, u, np.array([d, u])).tolist()
     w = d - d_w
 
-    def centred(x):
-        return x - w
+    def centred_square(x):
+        c = x - w
+        return c * c
 
     tails = a * d_w * d_w + (b * u_w * u_w if b > 0.0 else 0.0)
-    return tails + _integrate(F, a, one_minus_b, centred, centred)
+    return tails + _integrate(F, a, one_minus_b, centred_square)
 
 
 # 1 - r^2 + 2 r log r = e^3 sum_m c_m e^m with e = 1 - r and c_m = 2/((m+2)(m+3));
@@ -339,11 +340,9 @@ def are_table(
 
 
 def _fmt(value: float | None) -> str:
-    """CSV number: shortest round-trip repr, ``inf`` for infinity, empty for None."""
+    """CSV number: shortest round-trip repr (``inf``, ``-inf``), empty for None."""
     if value is None:
         return ""
-    if math.isinf(value):
-        return "inf"
     return repr(float(value))
 
 

@@ -152,24 +152,17 @@ def _cmd_fit(args) -> int:
     result = estimators.fit(args.method, args.model, data, thresholds, args.x0)
     print(f"method={args.method} model={args.model} n={n}")
     if result.exists:
-        print(f"estimate={result.estimate:.6g} exists=true se={math.sqrt(result.avar / n):.6g}")
+        se = math.sqrt(result.avar / n)
+        print(f"estimate={result.estimate:.6g} exists=true se={se:.6g}")
+        row = f"true,{_fmt(result.estimate)},{_fmt(result.avar)},{_fmt(se)},"
     else:
         print(f"exists=false reason={result.reason}")
-    _write_text(args.out, _fit_csv(args, result, n))
+        row = f"false,,,,{result.reason}"
+    _write_text(
+        args.out,
+        f"method,model,n,exists,estimate,avar,se,reason\n{args.method},{args.model},{n},{row}\n",
+    )
     return EXIT_OK if result.exists else EXIT_NO_SOLUTION
-
-
-def _fit_csv(args, result, n: int) -> str:
-    header = "method,model,n,exists,estimate,avar,se,reason"
-    if result.exists:
-        se = math.sqrt(result.avar / n)
-        row = (
-            f"{args.method},{args.model},{n},true,"
-            f"{_fmt(result.estimate)},{_fmt(result.avar)},{_fmt(se)},"
-        )
-    else:
-        row = f"{args.method},{args.model},{n},false,,,,{result.reason}"
-    return header + "\n" + row + "\n"
 
 
 def _cmd_are(args) -> int:
@@ -211,8 +204,12 @@ def _cmd_influence(args) -> int:
         hi = args.x_max
     else:
         hi = adapter.quantile(0.999)
-    if args.points < 2 or hi <= lo:
-        raise _UsageError("need points >= 2 and x-min < x-max")
+    # x-max - x-min is inf or nan when an end is not finite, or when the span overflows
+    if not (args.points >= 2 and lo < hi and math.isfinite(hi - lo)):
+        raise _UsageError(
+            f"need --points >= 2 and --x-min < --x-max with a finite x-max - x-min, "
+            f"got --points {args.points}, --x-min {lo!r}, --x-max {hi!r}"
+        )
     grid = np.linspace(lo, hi, args.points)
     mcm = asymptotics.influence_curve(adapter, "mcm", args.a, args.b, grid).values
     # the MTM curve is the MCM one over 1 - a - b, as influence_curve forms it

@@ -108,7 +108,7 @@ def _window(x: np.ndarray, t: ThresholdPair) -> tuple[np.ndarray, np.ndarray, np
     about twice as slow); they are exact either way.
     """
     above_d = x > t.d
-    inside = above_d if t.upper_is_infinite else above_d & (x <= t.u)
+    inside = above_d & (x <= t.u)
     total = (x * inside).sum(axis=1)
     count = np.int32 if x.shape[1] < 2**31 else np.intp
     return above_d.sum(axis=1, dtype=count), inside.sum(axis=1, dtype=count), total

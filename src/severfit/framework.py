@@ -274,10 +274,8 @@ def _on_nodes(fn: Callable, a: np.ndarray) -> np.ndarray:
     return out if out.shape == a.shape else np.broadcast_to(out, a.shape)
 
 
-def _integrate(
-    F: DistributionAdapter, lo: float, hi: float, h: Callable, other: Callable | None = None
-) -> float:
-    """Integral over (lo, hi) of h(F^{-1}(v)), times other(F^{-1}(v)) if given.
+def _integrate(F: DistributionAdapter, lo: float, hi: float, h: Callable) -> float:
+    """Integral over (lo, hi) of one integrand, h(F^{-1}(v)).
 
     Levels 0.._FIRST_LEVEL take one call of the quantile and of ``h``; each
     further level one more, until two successive estimates agree.  Nodes
@@ -310,8 +308,6 @@ def _integrate(
             x_hi = _on_nodes(F.quantile, v_hi[: np.count_nonzero(v_hi < hi)])
         x = np.concatenate([_on_nodes(F.quantile, v_lo[:n_lo]), x_hi])
         g = _on_nodes(h, x)
-        if other is not None:
-            g = g * (g if other is h else _on_nodes(other, x))
         return dist, g[:n_lo], g[n_lo:]
 
     def weighted(weights: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray) -> np.ndarray:
@@ -351,18 +347,6 @@ def _integrate(
     return float(value)
 
 
-def _window_moments(F: DistributionAdapter, spec: TruncatedSpec) -> tuple[np.ndarray, np.ndarray]:
-    """p[j] = P(window j) and mu_y[j] = E[h_j(X) 1{window j}]: k quadratures."""
-    k = spec.k
-    p = np.zeros(k)
-    mu_y = np.zeros(k)
-    for j, eq in enumerate(spec.equations):
-        lo, hi = F.cdf(eq.window.d), F.cdf(eq.window.u)
-        p[j] = hi - lo
-        mu_y[j] = _integrate(F, lo, hi, eq.h)
-    return p, mu_y
-
-
 def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> PopulationQuantities:
     """All expectations by tanh-sinh quadrature in the quantile (v) domain.
 
@@ -386,7 +370,7 @@ def population_quantities(F: DistributionAdapter, spec: TruncatedSpec) -> Popula
             mu_w_pair[j, jp] = _integrate(F, lo, hi, hj)
             if jp > j:
                 mu_w_pair[jp, j] = _integrate(F, lo, hi, hjp)
-            mu_y_pair[j, jp] = mu_y_pair[jp, j] = _integrate(F, lo, hi, hj, hjp)
+            mu_y_pair[j, jp] = mu_y_pair[jp, j] = _integrate(F, lo, hi, lambda x: hj(x) * hjp(x))
     p, mu_y = np.diag(p_pair).copy(), np.diag(mu_w_pair).copy()
     return PopulationQuantities(
         p=p, p_pair=p_pair, mu_y=mu_y, mu_y_pair=mu_y_pair, mu_w_pair=mu_w_pair
@@ -399,7 +383,12 @@ def population_moment_vector(F: DistributionAdapter, spec: TruncatedSpec) -> np.
     Only the k window integrals; the second moments of
     :func:`population_quantities` are not needed here.
     """
-    p, mu_y = _window_moments(F, spec)
+    p = np.zeros(spec.k)
+    mu_y = np.zeros(spec.k)
+    for j, eq in enumerate(spec.equations):
+        lo, hi = F.cdf(eq.window.d), F.cdf(eq.window.u)
+        p[j] = hi - lo
+        mu_y[j] = _integrate(F, lo, hi, eq.h)
     if np.any(p <= 0):
         raise DegenerateError("a window has zero probability mass")
     return mu_y / p
@@ -629,9 +618,7 @@ def asymptotic_report(
 ) -> AsymptoticReport:
     """Population moments, their covariance, and (optionally) the parameter covariance."""
     q = population_quantities(F, spec)
-    if np.any(q.p <= 0):
-        raise DegenerateError("a window has zero probability mass")
+    sigma = sigma_mu(q)  # raises DegenerateError on a window of zero mass
     mu = q.mu_y / q.p
-    sigma = sigma_mu(q)
     sigma_theta = None if jacobian is None else propagate_theta(sigma, jacobian)
     return AsymptoticReport(mu=mu, sigma_mu=sigma, sigma_theta=sigma_theta)

@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20201012
-# the most blocks a cell may have, and the bound on its cell_index label
+# the most blocks a cell may have
 _INDEX_CAP = 1 << 21
 
 # The study's default design: symmetric truncation levels plus two
@@ -112,7 +112,7 @@ class SimCell:
     ``replications_per_block``, ``blocks`` and the thresholds over
     ``theta_true`` (``derive_stream``).  So equal cells give equal reports, and
     cells that differ only in ``method`` share their samples.  ``cell_index``,
-    ``a`` and ``b`` are labels that no draw reads.
+    ``a`` and ``b`` are labels that no draw reads, and no check bounds them.
     """
 
     n: int
@@ -136,10 +136,6 @@ class SimCell:
             )
         if not 1 <= self.blocks <= _INDEX_CAP:
             raise ConfigError("blocks", f"blocks must be in [1, {_INDEX_CAP}], got {self.blocks}")
-        if not 0 <= self.cell_index < _INDEX_CAP:
-            raise ConfigError(
-                "cell_index", f"cell_index must be in [0, {_INDEX_CAP}), got {self.cell_index}"
-            )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed", f"seed must be in [0, 2**64), got {self.seed}")
         if self.method not in estimators.FIT_METHODS:
@@ -598,6 +594,30 @@ def _list_items(text: str) -> list[str]:
     return items
 
 
+def _design_points(text: str) -> tuple[tuple[float, float], ...]:
+    """The (a, b) pairs of a ``design_points`` value, each checked as tail probabilities."""
+    pairs = tuple((float(a), float(b)) for a, b in _PAIR_RE.findall(text))
+    if not pairs:
+        raise ValueError("no (a,b) pairs found")
+    for a, b in pairs:
+        _check_tail_probabilities(a, b)
+    return pairs
+
+
+# each config key's converter of its stripped value; parse_sim_config reports a
+# converter's ValueError as a ConfigError that names the key
+_CONFIG_KEYS = {
+    "theta": float,
+    "methods": lambda text: tuple(m.lower() for m in _list_items(text)),
+    "design_points": _design_points,
+    "n_list": lambda text: tuple(map(int, _list_items(text))),
+    "blocks": int,
+    "reps": int,
+    "seed": int,
+    "out": str,
+}
+
+
 def parse_sim_config(text: str) -> SimConfig:
     """Parse the line-oriented ``key = value`` simulation config format."""
     values: dict[str, object] = {}
@@ -609,33 +629,10 @@ def parse_sim_config(text: str) -> SimConfig:
             raise ConfigError(line.split()[0], "expected 'key = value'")
         key, _, rhs = line.partition("=")
         key = key.strip().lower()
-        rhs = rhs.strip()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(key, "unknown key")
         try:
-            if key == "theta":
-                values["theta"] = float(rhs)
-            elif key == "methods":
-                values["methods"] = tuple(m.lower() for m in _list_items(rhs))
-            elif key == "design_points":
-                pairs = _PAIR_RE.findall(rhs)
-                if not pairs:
-                    raise ValueError("no (a,b) pairs found")
-                values["design_points"] = tuple((float(a), float(b)) for a, b in pairs)
-                for a, b in values["design_points"]:
-                    _check_tail_probabilities(a, b)
-            elif key == "n_list":
-                values["n_list"] = tuple(map(int, _list_items(rhs)))
-            elif key == "blocks":
-                values["blocks"] = int(rhs)
-            elif key == "reps":
-                values["reps"] = int(rhs)
-            elif key == "seed":
-                values["seed"] = int(rhs)
-            elif key == "out":
-                values["out"] = rhs
-            else:
-                raise ConfigError(key, "unknown key")
-        except ConfigError:
-            raise
+            values[key] = _CONFIG_KEYS[key](rhs.strip())
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
     return SimConfig(**values)  # type: ignore[arg-type]

@@ -18,6 +18,7 @@ from severfit.framework import DistributionAdapter, _quantile_thresholds, adapte
 from severfit.asymptotics import (
     METHODS,
     IFCurve,
+    _fmt,
     are,
     are_mcm,
     are_mtcm,
@@ -597,6 +598,12 @@ class TestAreTable:
                 )
             )
         assert "\n".join(rebuilt) + "\n" == text
+
+    def test_fmt_keeps_the_sign_of_infinity(self):
+        assert _fmt(math.inf) == "inf"
+        assert _fmt(-math.inf) == "-inf"
+        assert _fmt(None) == ""
+        assert _fmt(np.float64(2.5)) == "2.5"
 
 
 class TestStability:

@@ -430,6 +430,18 @@ class TestInfluenceCommand:
             ["influence", "--model", "exp", "--theta", "10", "--a", "0.6", "--b", "0.5"]
         ) == EXIT_INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--x-max=inf"], ["--x-max=nan"], ["--x-min=nan"], ["--x-min=-inf"],
+         ["--x-min=-1e308", "--x-max=1e308"]],  # the last pair's span overflows
+    )
+    def test_non_finite_range_refused(self, bounds, capsys):
+        assert main(["influence", "--model", "exp", "--theta", "10", *bounds]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error:") and "--x-min" in line and "--x-max" in line
+
     def test_infinite_mean_rejected(self, tmp_path, capsys):
         # Pareto I with alpha <= 1 has no mean, so without upper trimming the
         # influence is -inf; with b > 0 the curve exists

@@ -115,6 +115,16 @@ class TestPopulationQuantities:
         assert q.p_pair[0, 1] == pytest.approx(inner_p, abs=1e-14)
         assert q.p_pair[1, 0] == pytest.approx(inner_p, abs=1e-14)
 
+    def test_constant_statistic_integrates_the_same_alone_and_squared(self):
+        # h = 1 squared is h = 1, so both expectations come from the same integrand
+        s = spec_of(
+            (lambda x: x, ThresholdPair(0.0, math.inf)),
+            (np.log1p, ThresholdPair(2.0, math.inf)),
+            (lambda _: 1.0, ThresholdPair(1.0, 5.0)),
+        )
+        q = population_quantities(EXP_ADAPTER, s)
+        assert q.mu_y_pair[2, 2] == q.mu_w_pair[2, 2]
+
     def test_w_pair_uses_own_statistic(self):
         # h_2 over the overlap differs from h_1 over the overlap
         s = spec_of((identity, ThresholdPair(1.0, 9.0)), (square, ThresholdPair(2.0, 8.0)))

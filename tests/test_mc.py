@@ -291,8 +291,7 @@ class TestRunCell:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("blocks", 0), ("blocks", 2**21 + 1), ("cell_index", -1), ("cell_index", 2**21),
-         ("seed", -1), ("seed", 2**64)],
+        [("blocks", 0), ("blocks", 2**21 + 1), ("seed", -1), ("seed", 2**64)],
     )
     def test_stream_indices_and_seed_refused_with_their_keys(self, key, value):
         # refused when the cell is made, not later inside the draw
@@ -664,9 +663,9 @@ class TestCommonRandomNumbers:
         base = cell_from_quantiles(0.10, 0.70, 10.0, 40, "mcm", replications_per_block=30,
                                    blocks=3, seed=13)
         relabelled = [
-            dataclasses.replace(base, cell_index=5),
+            dataclasses.replace(base, cell_index=2**21),
             dataclasses.replace(base, a=None, b=None),
-            dataclasses.replace(base, a=0.2, b=0.3, cell_index=2**21 - 1),
+            dataclasses.replace(base, a=0.2, b=0.3, cell_index=-1),
         ]
         reports = [report for _, report in run_table([base, *relabelled], workers=1)]
         assert reports == [reports[0]] * 4
@@ -780,6 +779,24 @@ out = study.csv
         assert cfg.design_points == ((0.05, 0.05), (0.25, 0.0))
         assert cfg.n_list == (50, 100)
         assert (cfg.blocks, cfg.reps, cfg.seed, cfg.out) == (3, 40, 123, "study.csv")
+
+    def test_every_field_once(self):
+        text = """
+theta = 2.5
+methods = MLE, mcm
+design_points = (0.1, 0.2), (0, 0)
+n_list = 7, 9
+blocks = 4
+reps = 11
+seed = 5
+out = x.csv
+"""
+        keys = [line.partition("=")[0].strip() for line in text.strip().splitlines()]
+        assert keys == [field.name for field in dataclasses.fields(SimConfig)]
+        assert parse_sim_config(text) == SimConfig(
+            theta=2.5, methods=("mle", "mcm"), design_points=((0.1, 0.2), (0.0, 0.0)),
+            n_list=(7, 9), blocks=4, reps=11, seed=5, out="x.csv",
+        )
 
     def test_defaults(self):
         cfg = parse_sim_config("")
