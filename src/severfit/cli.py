@@ -132,12 +132,11 @@ def _thresholds_from_args(args) -> ThresholdPair | None:
             raise _UsageError("--a and --b must be given together")
         if args.theta is None:
             raise _UsageError("--a/--b thresholds need --theta for the quantile scale")
+        ref = ExponentialModel(args.theta)  # theta > 0 and finite, for either model
         if args.model == "pareto1":
             if args.x0 is None:
                 raise _UsageError("pareto1 quantile thresholds need --x0")
             ref = ParetoIModel(alpha=1.0 / args.theta, x0=args.x0)
-        else:
-            ref = ExponentialModel(args.theta)
         return ThresholdPair(*_quantile_thresholds(adapter_from_model(ref), args.a, args.b))
     return None
 
@@ -203,7 +202,10 @@ def _cmd_influence(args) -> int:
     if args.x_max is not None:
         hi = args.x_max
     else:
-        hi = adapter.quantile(0.999)
+        try:
+            hi = adapter.quantile(0.999)
+        except OverflowError:  # math.exp beyond the float range
+            raise _UsageError("the default --x-max lies beyond the float range") from None
     # x-max - x-min is inf or nan when an end is not finite, or when the span overflows
     if not (args.points >= 2 and lo < hi and math.isfinite(hi - lo)):
         raise _UsageError(

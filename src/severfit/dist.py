@@ -194,9 +194,13 @@ def log_transform_pareto_to_exp(
         raise ValueError(
             f"Pareto thresholds must satisfy d >= x0, got d={thresholds.d!r}, x0={m.x0!r}"
         )
-    d2 = math.log(thresholds.d / m.x0)
-    u2 = math.log(thresholds.u / m.x0)
+    d2, u2 = _log_ratio(thresholds.d, m.x0), _log_ratio(thresholds.u, m.x0)
     return ExponentialModel(theta=1.0 / m.alpha), ThresholdPair(d2, u2)
+
+
+def _log_ratio(y: float, x0: float) -> float:
+    """log(y / x0), also where y / x0 overflows and log(y / x0) is still finite."""
+    return math.log(y / x0) if y / x0 < math.inf else math.log(y) - math.log(x0)
 
 
 def sample(

@@ -146,7 +146,10 @@ def _sample_statistic(
 ) -> tuple[float, int, int]:
     """(mu_hat, count averaged, n) of one sample by ``method``'s statistic."""
     x = _as_data(data).reshape(1, -1)
-    mu_hat, count = _METHODS[method].statistic(_window(x, t), x.shape[1], t)
+    with np.errstate(over="ignore"):
+        mu_hat, count = _METHODS[method].statistic(_window(x, t), x.shape[1], t)
+    if np.isinf(mu_hat[0]):
+        raise ValueError(f"the {method} statistic of the data overflows the float range")
     return float(mu_hat[0]), int(count[0]), x.shape[1]
 
 
@@ -181,12 +184,17 @@ def mle_exp(data: Sequence[float]) -> EstimateResult:
     x = _as_data(data)
     if np.any(x < 0):
         raise ValueError("exponential data must be non-negative")
-    theta_hat = float(x.mean())
+    with np.errstate(over="ignore"):
+        theta_hat = float(x.mean())
+    if theta_hat == math.inf:
+        raise ValueError("the sum of the data overflows the float range")
     if theta_hat == 0.0:
         return _nonexistent("mle", BELOW_LOWER_BOUND)
-    return EstimateResult(
-        method="mle", model="exp", exists=True, estimate=theta_hat, avar=theta_hat**2
-    )
+    try:
+        avar = theta_hat**2
+    except OverflowError:  # beyond the float range, as _with_avar reports it
+        avar = math.inf
+    return EstimateResult(method="mle", model="exp", exists=True, estimate=theta_hat, avar=avar)
 
 
 def mle_pareto1(data: Sequence[float], x0: float) -> EstimateResult:
@@ -473,10 +481,14 @@ def fit(
     if model == "pareto1":
         if x0 is None:
             raise ValueError("Pareto fits need x0")
+        if not 0 < x0 < math.inf:
+            raise ValueError(f"x0 must be a positive finite real, got {x0!r}")
         if np.any(x <= x0):
             raise ValueError(f"Pareto data must exceed x0 = {x0!r}")
         t_log = None if t is None or method == "mle" else _log_thresholds(t, x0)
-        return _on_pareto_scale(fit(method, "exp", np.log(x / x0), t_log))
+        # y / x0 overflows where log(y / x0) is still finite
+        logs = np.log(x / x0) if float(x.max()) / x0 < math.inf else np.log(x) - math.log(x0)
+        return _on_pareto_scale(fit(method, "exp", logs, t_log))
 
     if np.any(x < 0):
         raise ValueError("exponential data must be non-negative")

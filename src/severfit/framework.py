@@ -140,11 +140,18 @@ def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[fl
 
     u is infinite when b = 0, and otherwise comes from b itself through
     ``F.complement_quantile`` (``F.quantile(1 - b)`` without one), so a b
-    below the spacing of floats near 1 still gives a finite u.
+    below the spacing of floats near 1 still gives a finite u.  A d, or a u
+    for b > 0, beyond the float range raises ``ValueError``.
     """
     _check_tail_probabilities(a, b)
     complement = F.complement_quantile or (lambda c: F.quantile(1.0 - c))
-    return F.quantile(a), math.inf if b == 0.0 else complement(b)
+    try:
+        d, u = F.quantile(a), math.inf if b == 0.0 else complement(b)
+    except OverflowError:  # math.exp beyond the float range
+        d = u = math.inf
+    if d == math.inf or (u == math.inf and b > 0.0):
+        raise ValueError(f"the thresholds at a={a!r}, b={b!r} lie beyond the float range")
+    return d, u
 
 
 @dataclass(frozen=True)

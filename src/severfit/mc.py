@@ -17,8 +17,8 @@ which others are asked for.  ``run_table`` and ``histogram_study`` draw and
 solve through one entry, ``_ratios(cells, blocks)``, on the unit scale, so
 nothing overflows or underflows with theta.  ``run_table`` groups the cells
 that share a draw key; a task is a contiguous range of one group's blocks,
-sized by the group's share of the table's cost, and draws each block once and
-solves the roots of all its blocks as one batch per method.  Every root
+sized by the group's share of the table's n x rows, and draws each block once
+and solves the roots of all its blocks as one batch per method.  Every root
 depends on its row alone, so a cell's results depend on the cell's own fields
 alone, and are bit-identical regardless of the other cells of the table, the
 task layout, execution order, chunk size or worker count.
@@ -325,36 +325,6 @@ def worker_count(requested: int | None = None) -> int:
 _TASK_ROWS = 1 << 13
 
 
-# The cost of a row's draw beyond its uniforms, and of one root, in uniforms drawn (see _weight).
-_ROW_VALUES = 60.0
-_ROOT_VALUES = 90.0
-
-
-def _weight(group: Sequence[SimCell], blocks: range) -> float:
-    """The cost of the task that runs ``blocks`` of ``group``, in uniforms drawn, by which
-    ``_tasks`` splits a table: per row, the uniforms drawn once for every method (one per
-    value inside the window when u is finite, and one per value below d for the MLE),
-    plus ``_ROW_VALUES`` for its binomials and gammas and ``_ROOT_VALUES`` per moment
-    method's root.
-
-    The constants come from a least-squares fit of ``_run_blocks`` times (4 blocks of 500
-    rows, median of 7, 2 vCPUs) over 60 groups: five windows with u finite and infinite,
-    n = 50, 250 and 1000, and mtum, the three moment methods, mle, and all four.  It gave
-    490 ns a row, 7.8 ns a uniform and 730 ns a root.  Time over weight then spread by a
-    factor of 10 to 20 across the groups (the closed-form roots at u = inf cost less, the
-    narrow (0.10, 0.70) window's more), against 430 to 610 for n x reps x blocks.  Tasks
-    run in table order: on the benchmark's 24 ``sim_study`` cells (2 workers, 10
-    alternating fresh-process rounds of 60 ``run_table`` passes after a warm-up call)
-    heaviest first had the faster median pass in 6 rounds of 10, a tie.
-    """
-    cell, methods = group[0], {c.method for c in group}
-    unit = _unit(cell)
-    inside = 0.0 if unit.upper_is_infinite else math.exp(-unit.d) - math.exp(-unit.u)
-    below = -math.expm1(-unit.d) if "mle" in methods else 0.0
-    per_row = cell.n * (inside + below) + _ROW_VALUES + _ROOT_VALUES * len(methods - {"mle"})
-    return len(blocks) * cell.replications_per_block * per_row
-
-
 def _split(blocks: range, parts: int) -> list[range]:
     """``blocks`` as min(parts, len(blocks)) contiguous ranges of near-equal length."""
     parts = min(parts, len(blocks))
@@ -375,19 +345,20 @@ def _tasks(
 ) -> list[tuple[Sequence[SimCell], range]]:
     """The (group, block range) tasks of a table, group by group in block order.
 
-    With ``W`` the table's total weight, a group of weight ``w`` is split into
-    ceil(workers x w / W) contiguous ranges of its blocks, so that no task
-    outweighs a worker's share by more than one block, or into more where a
-    range would hold over ``_TASK_ROWS`` rows; never into more than one range
-    per block.
+    A group weighs n x replications per block x blocks, the values it would
+    draw as losses.  With ``W`` the table's total weight, a group of weight
+    ``w`` is split into ceil(workers x w / W) contiguous ranges of its blocks,
+    so that no task outweighs a worker's share by more than one block, or into
+    more where a range would hold over ``_TASK_ROWS`` rows; never into more
+    than one range per block.
     """
-    weights = [_weight(group, range(group[0].blocks)) for group in groups]
+    weights = [g[0].n * g[0].replications_per_block * g[0].blocks for g in groups]
     total = sum(weights)
     return [
         (group, blocks)
         for group, weight in zip(groups, weights)
         for blocks in _split(range(group[0].blocks), max(
-            math.ceil(workers * weight / total),
+            -(-workers * weight // total),
             -(-group[0].blocks * group[0].replications_per_block // _TASK_ROWS),
         ))
     ]

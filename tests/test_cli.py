@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from severfit import asymptotics, cli, mc
+from severfit import asymptotics, cli, estimators, mc
 from severfit.cli import EXIT_INPUT_ERROR, EXIT_NO_SOLUTION, EXIT_OK, main
-from severfit.dist import ExponentialModel, RandomSource, sample
+from severfit.dist import ExponentialModel, RandomSource, ThresholdPair, sample
 from severfit.framework import adapter_from_model
 
 
@@ -216,6 +216,96 @@ class TestFitCommand:
         )
         assert code == EXIT_INPUT_ERROR
         assert capsys.readouterr().err == "error: pareto1 quantile thresholds need --x0\n"
+
+
+class TestOverflowingArithmetic:
+    """Finite inputs whose arithmetic leaves the float range give a finite
+    answer or exit 1 with one line; never an infinite estimate or a warning."""
+
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        return line
+
+    @staticmethod
+    def _data(tmp_path, values) -> str:
+        path = tmp_path / "losses.csv"
+        path.write_text("loss\n" + "\n".join(values) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_exp_mle_sum_overflows(self, tmp_path, capsys):
+        data = self._data(tmp_path, ["1e308", "1e308", "5"])
+        code = main(["fit", "--method", "mle", "--model", "exp", "--data", data])
+        assert code == EXIT_INPUT_ERROR
+        assert "overflows" in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("method", ["mtum", "mcm", "mtcm"])
+    def test_exp_window_sum_overflows(self, method, tmp_path, capsys):
+        data = self._data(tmp_path, ["1e308", "1e308", "5"])
+        fit = ["fit", "--method", method, "--model", "exp", "--d", "0", "--u", "inf"]
+        assert main([*fit, "--data", data]) == EXIT_INPUT_ERROR
+        assert "overflows" in self._one_error_line(capsys)
+
+    def test_exp_mle_square_overflows(self, tmp_path):
+        # the estimate is finite; its variance, theta^2, is not
+        data, out = self._data(tmp_path, ["1e200", "3e200"]), tmp_path / "fit.csv"
+        argv = ["fit", "--method", "mle", "--model", "exp", "--data", data, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "mle,exp,2,true,2e+200,inf,inf,"
+
+    def test_pareto_ratio_to_x0_overflows(self, tmp_path):
+        # y / x0 overflows, log(y / x0) does not
+        values = ["1e300", "2e300", "3e299"]
+        data, out = self._data(tmp_path, values), tmp_path / "fit.csv"
+        argv = ["fit", "--method", "mle", "--model", "pareto1", "--x0", "1e-10", "--data", data]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        alpha_hat = float(out.read_text(encoding="utf-8").splitlines()[1].split(",")[4])
+        logs = [math.log(float(v)) - math.log(1e-10) for v in values]
+        assert alpha_hat == pytest.approx(len(logs) / math.fsum(logs), rel=1e-15)
+
+    def test_pareto_threshold_ratio_to_x0_overflows(self, tmp_path):
+        # u / x0 overflows, log(u / x0) does not: u stays finite on the log scale
+        values = ["1e300", "2e300", "3e299"]
+        data, out = self._data(tmp_path, values), tmp_path / "fit.csv"
+        argv = ["fit", "--method", "mcm", "--model", "pareto1", "--x0", "1e-10", "--d", "1e-9",
+                "--u", "2.5e300", "--data", data, "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        alpha_hat = float(out.read_text(encoding="utf-8").splitlines()[1].split(",")[4])
+        logs = [math.log(float(v)) - math.log(1e-10) for v in values]
+        t_log = ThresholdPair(math.log(10.0), math.log(2.5e300) - math.log(1e-10))
+        assert alpha_hat == 1.0 / estimators.fit("mcm", "exp", logs, t_log).estimate
+
+    @pytest.mark.parametrize("method", ["mle", "mtum", "mcm", "mtcm"])
+    def test_pareto_x0_refused(self, method, tmp_path, capsys):
+        data = self._data(tmp_path, ["2", "3", "4", "5"])
+        argv = ["fit", "--method", method, "--model", "pareto1", "--x0", "-1", "--data", data]
+        thresholds = [] if method == "mle" else ["--d", "2.5", "--u", "4.5"]
+        assert main([*argv, *thresholds]) == EXIT_INPUT_ERROR
+        assert self._one_error_line(capsys) == "error: x0 must be a positive finite real, got -1.0"
+
+    @pytest.mark.parametrize("method", ["mle", "mtum", "mcm", "mtcm"])
+    def test_pareto_theta_refused(self, method, tmp_path, capsys):
+        data = self._data(tmp_path, ["2", "3", "4", "5"])
+        argv = ["fit", "--method", method, "--model", "pareto1", "--a", "0.1", "--b", "0.1",
+                "--theta", "0", "--x0", "1", "--data", data]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert self._one_error_line(capsys) == "error: theta must be a positive finite real, got 0.0"
+
+    def test_pareto_influence_thresholds_beyond_the_float_range(self, capsys):
+        argv = ["influence", "--model", "pareto1", "--alpha", "0.001", "--b", "0.05"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert "--x-max" in self._one_error_line(capsys)
+        assert main([*argv, "--x-max", "1e300"]) == EXIT_INPUT_ERROR
+        assert "beyond the float range" in self._one_error_line(capsys)
+
+    def test_pareto_fit_thresholds_beyond_the_float_range(self, tmp_path, capsys):
+        data = self._data(tmp_path, ["2", "3", "4", "5"])
+        argv = ["fit", "--method", "mcm", "--model", "pareto1", "--a", "0.1", "--b", "0.1",
+                "--theta", "1000", "--x0", "1", "--data", data]
+        assert main(argv) == EXIT_INPUT_ERROR
+        assert "beyond the float range" in self._one_error_line(capsys)
 
 
 class TestAreCommand:

@@ -413,7 +413,7 @@ class TestRunTable:
         expected = run_table(cells, workers=1)
         monkeypatch.setenv("SEVERFIT_THREADS", "64")
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 4)
-        assert run_table(cells) == expected  # 6 tasks, 4 CPUs
+        assert run_table(cells) == expected  # 5 tasks, 4 CPUs
         monkeypatch.setattr(mc.os, "cpu_count", lambda: 16)
         assert run_table(cells) == expected  # 6 tasks, 16 CPUs
         assert run_table(cells, workers=3) == expected
@@ -498,44 +498,49 @@ class TestRunTable:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 8, 64])
     def test_cells_split_by_weight(self, workers):
+        def weight(group, blocks):  # the values drawn as losses: n x rows
+            return group[0].n * group[0].replications_per_block * len(blocks)
+
         for cells in self.TABLES:
             groups = mc._groups(cells)
             tasks = mc._tasks(groups, workers)
-            total = sum(mc._weight(group, range(group[0].blocks)) for group in groups)
+            total = sum(weight(group, range(group[0].blocks)) for group in groups)
             for group in groups:
                 blocks_of = group[0].blocks
                 ranges = [blocks for g, blocks in tasks if g == group]
                 # contiguous ranges, in block order, that cover the group's blocks
                 assert [b for blocks in ranges for b in blocks] == list(range(blocks_of))
-                weight = mc._weight(group, range(blocks_of))
-                assert len(ranges) == min(math.ceil(workers * weight / total), blocks_of)
+                w = weight(group, range(blocks_of))
+                assert len(ranges) == min(math.ceil(workers * w / total), blocks_of)
                 # no task outweighs a worker's share by more than one block
-                share = total / workers + mc._weight(group, range(1))
-                assert all(mc._weight(group, blocks) <= share for blocks in ranges)
+                share = total / workers + weight(group, range(1))
+                assert all(weight(group, blocks) <= share for blocks in ranges)
         # at two workers the heavy cell of the skewed table is halved, the light one whole
         assert [blocks for _, blocks in mc._tasks(mc._groups(self.SKEWED_CELLS), 2)] == [
             range(10), range(5), range(5, 10)
         ]
 
-    def test_weight_counts_each_draw_once(self):
-        # a group's values are drawn once for all its methods, and each moment
-        # method adds a root per row; the MLE adds the values below d instead
-        cells = self.GROUPED_CELLS
-        mtum, mcm, mle = cells[0], cells[2], cells[4]
-        unit = mc._unit(mtum)
-        rows, blocks = 4 * 25, range(4)
-        inside = mtum.n * (math.exp(-unit.d) - math.exp(-unit.u))
-        assert mc._weight([mtum], blocks) == pytest.approx(
-            rows * (inside + mc._ROW_VALUES + mc._ROOT_VALUES))
-        assert mc._weight([mtum, mcm, mcm], blocks) == pytest.approx(
-            rows * (inside + mc._ROW_VALUES + 2 * mc._ROOT_VALUES))
-        below = -mtum.n * math.expm1(-unit.d)
-        assert mc._weight([mtum, mle], blocks) == pytest.approx(
-            rows * (inside + below + mc._ROW_VALUES + mc._ROOT_VALUES))
-        # when u is infinite the sum inside is one gamma a row, no uniform
-        infinite = cell_from_quantiles(0.05, 0.0, 10.0, 40, "mtum", replications_per_block=25,
-                                       blocks=4)
-        assert mc._weight([infinite], blocks) == rows * (mc._ROW_VALUES + mc._ROOT_VALUES)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_study_tables_split_at_one_and_two_workers(self, workers):
+        # 4 design points x n in {50, 1000} x 3 methods, 4 blocks of 500: 8 groups,
+        # each one task
+        study = [
+            cell_from_quantiles(a, b, 10.0, n, method, replications_per_block=500, blocks=4)
+            for a, b in ((0.05, 0.05), (0.10, 0.10), (0.25, 0.0), (0.10, 0.70))
+            for n in (50, 1000)
+            for method in ("mtum", "mcm", "mtcm")
+        ]
+        groups = mc._groups(study)
+        assert len(groups) == 8
+        assert mc._tasks(groups, workers) == [(group, range(4)) for group in groups]
+        # the default config: 35 groups of 10 blocks of 2,000 rows, each split by
+        # _TASK_ROWS into 3 ranges
+        groups = mc._groups(build_cells(SimConfig()))
+        assert len(groups) == 35
+        assert mc._tasks(groups, workers) == [
+            (group, blocks) for group in groups
+            for blocks in (range(3), range(3, 6), range(6, 10))
+        ]
 
     def test_tasks_hold_at_most_task_rows(self, monkeypatch):
         cell = self.SPLIT_CELLS[0]  # 5 blocks of 30 rows
