@@ -327,8 +327,11 @@ def are_table(
         for b in b_values:
             try:
                 d, u = _quantile_thresholds(F, a, b)
-            except ValueError:  # raises again for an a or b that no pair admits
-                d, u = _quantile_thresholds(F, a, 0.0)[0], _quantile_thresholds(F, 0.0, b)[1]
+            except ValueError as refused:
+                try:
+                    d, u = _quantile_thresholds(F, a, 0.0)[0], _quantile_thresholds(F, 0.0, b)[1]
+                except ValueError:  # an a or b that no pair admits: name the grid's pair
+                    raise refused from None
                 cells.append((a, b, d, u, None))
             else:
                 cells.append((a, b, d, u, ThresholdPair(d, u)))

@@ -25,8 +25,11 @@ from .errors import DegenerateError, EmptyWindowError, SolverStallError
 from .moments import (
     _log_thresholds,
     mu_mcm,
+    mu_mcm_dtheta,
     mu_mtcm,
+    mu_mtcm_dtheta,
     mu_mtum,
+    mu_mtum_dtheta,
 )
 
 __all__ = [
@@ -54,6 +57,7 @@ EMPTY_WINDOW = "EmptyWindow"
 
 _BOUNDARY_GUARD = 1e-12
 _MAX_SOLVER_ITER = 200
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -204,6 +208,7 @@ def mle_pareto1(data: Sequence[float], x0: float) -> EstimateResult:
 
 def _solve_increasing(
     forward,
+    slope,
     target: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
@@ -212,29 +217,31 @@ def _solve_increasing(
     resid_tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Roots of forward(theta) = target, elementwise, for a strictly increasing
-    forward map on arrays that tends to ``floor`` as theta -> 0, given
-    brackets lo <= root <= hi in exact arithmetic.
+    forward map and its derivative ``slope``, both on arrays, where the map
+    tends to ``floor`` as theta -> 0, given brackets lo <= root <= hi in exact
+    arithmetic.
 
     With f = forward - target, rounding can put a bracket end's computed f on
     the root's side of zero.  Where f(hi) < 0, or lo == hi, the root is hi;
     where f(lo) >= 0 the bracket is (0, lo) with f(0) = floor - target, and
-    theta = 0 is never evaluated.  Refinement takes Chandrupatla's
-    derivative-free steps (T. R. Chandrupatla, *Adv. Eng. Softw.* 28(3),
-    1997) and evaluates one point per iteration.
-    Each element keeps its newest point ``a``, the bracket end ``b`` across
-    the root from it, and the end ``c`` dropped last; f == 0 counts as the
-    upper side, as in plain bisection, so on a plateau of computed zeros the
-    bracket closes on the plateau's lower edge.  The next point is
-    a + t (b - a): the first t is the bracket's secant point, each later one
-    the inverse quadratic interpolation through a, b and c where
-    Chandrupatla's test finds it safe and f(b) != 0, else 1/2.  Where f(b)
-    is 0 the interpolation gives t = 1, and minimum steps would walk a
-    plateau of computed zeros; f(a) == 0 is an exact hit, where the minimum
-    step closes the bracket.  t is kept a quarter of the bracket tolerance
-    1e-12 lo away from both ends, so where a point lands close to the root
-    the next one crosses it and the bracket closes from both sides.
-    An element stops when hi - lo <= 1e-12 lo and |f| <= resid_tol at the
-    latest point, or when lo and hi are adjacent doubles; its root is the
+    theta = 0 is never evaluated.  Refinement evaluates one point x per
+    iteration, and x replaces the bracket end a (f < 0) or b (f >= 0) on its
+    side: f == 0 counts as the upper side, as in plain bisection, so on a
+    plateau of computed zeros the bracket closes on the plateau's lower edge.
+    The first point is the bracket's secant point, or, where f(hi) == 0, hi
+    less the theta over which the map moves by one rounding step of the
+    target; each later one is the Newton point x - f/f' kept inside the
+    bracket ("rtsafe", Press et al., *Numerical Recipes*, 3rd ed., sec. 9.4):
+    it is taken where it lands strictly inside (a, b) and its step is at
+    most half the last one, else the element bisects.  A Newton step is at
+    least a quarter of the bracket tolerance 1e-12 x, and at least one
+    rounding step of the target, toward the root's side, so where Newton
+    closes in from one side the next point crosses the root and the bracket
+    closes from both sides; an exact hit (f == 0) takes that minimum step
+    down.  Where f(b) was already 0 the element bisects instead: Newton and
+    minimum steps would walk a plateau of computed zeros.
+    An element stops when b - a <= 1e-12 a and |f| <= resid_tol at the
+    latest point, or when a and b are adjacent doubles; its root is the
     bracket midpoint.
 
     Returns the roots, the iterations of each (the evaluation at hi counts as
@@ -249,43 +256,55 @@ def _solve_increasing(
     lo, hi = np.where(swap, 0.0, lo), np.where(swap, lo, hi)
     f_lo, f_hi = np.where(swap, floor - target, f_lo), np.where(swap, f_lo, f_hi)
 
-    # Refine on compacted copies; ``idx`` maps them back.
+    # Refine on compacted copies; ``idx`` maps them back.  Every element
+    # enters the loop at once, so one count serves them all.
     idx = np.flatnonzero(~at_hi)
-    iters = iterations[idx]
-    a, fa, b, fb, target = lo[idx], f_lo[idx], hi[idx], f_hi[idx], target[idx]
-    t = fa / (fa - fb)
-    while idx.size:
-        if iters.max() >= _MAX_SOLVER_ITER:
-            raise SolverStallError(f"no convergence after {_MAX_SOLVER_ITER} iterations")
-        iters += 1
-        # t's distance from either end: a quarter of the bracket tolerance
-        tl = np.minimum(0.25 * 1e-12 * np.minimum(a, b) / np.abs(b - a), 0.5)
-        x = a + np.clip(t, tl, 1.0 - tl) * (b - a)
-        fx = forward(x) - target
-        same = (fx < 0.0) == (fa < 0.0)
-        c, fc = np.where(same, a, b), np.where(same, fa, fb)
-        b, fb = np.where(same, b, a), np.where(same, fb, fa)
-        a, fa = x, fx
-        left, right = np.minimum(a, b), np.maximum(a, b)
-        mid = 0.5 * (left + right)
-        converged = (right - left <= 1e-12 * left) & (np.abs(fa) <= resid_tol)
-        # left and right adjacent doubles: the bracket cannot shrink further
-        finished = converged | (mid == left) | (mid == right)
-        if finished.any():
-            theta[idx[finished]] = mid[finished]
-            iterations[idx[finished]] = iters[finished]
-            keep = ~finished
-            state = (idx, a, fa, b, fb, c, fc, target, iters)
-            idx, a, fa, b, fb, c, fc, target, iters = (v[keep] for v in state)
-        # 0/0 and overflow where points share a value: the test below then
-        # fails and the element bisects
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            xi = (a - b) / (c - b)
-            phi = (fa - fb) / (fc - fb)
-            quadratic = (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-            iqi = (fa / (fb - fa) * fc / (fb - fc)
-                   + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
-            t = np.where(quadratic & (fb != 0.0), iqi, 0.5)
+    a, b, target = lo[idx], hi[idx], target[idx]
+    fa, fb = f_lo[idx], f_hi[idx]
+    fb_nonzero = fb != 0.0
+    count = 1
+    # x/0, 0/0 and overflow where the slope underflows: the Newton step is
+    # then infinite or NaN, fails the tests and the element bisects
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = a - fa / (fb - fa) * (b - a)
+        hit = np.flatnonzero(fb == 0.0)  # the secant point is hi itself there
+        x[hit] = b[hit] - _EPS * target[hit] / slope(b[hit])
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        reach = 0.5 * (b - a)  # half the last step
+        while idx.size:
+            if count >= _MAX_SOLVER_ITER:
+                raise SolverStallError(f"no convergence after {_MAX_SOLVER_ITER} iterations")
+            count += 1
+            fx = forward(x) - target
+            below = fx < 0.0
+            np.copyto(a, x, where=below)
+            np.copyto(b, x, where=~below)
+            free = fb_nonzero
+            fb_nonzero = (fx > 0.0) | (below & fb_nonzero)
+            width = b - a
+            size = np.abs(fx)  # |f|, then the length of the step from x
+            # a and b adjacent doubles (or, below 1e-292, two apart): the
+            # bracket cannot shrink further
+            finished = (((width <= 1e-12 * a) & (size <= resid_tol))
+                        | (width <= _EPS * a + 5e-324))
+            fprime = slope(x)
+            size /= fprime
+            newton = (size <= reach) & free
+            # eps target is one to two rounding steps of the target; x is a or
+            # b, so the step lands inside (a, b) where it is shorter than b - a
+            size = np.maximum(size, np.maximum(2.5e-13 * x, _EPS * target / fprime))
+            newton &= size < width
+            size = np.where(newton, size, 0.5 * width)
+            x = x - np.copysign(size, fx)  # toward the root's side; down from f == 0
+            reach = 0.5 * size
+            if finished.any():
+                done = np.flatnonzero(finished)
+                theta[idx[done]] = 0.5 * (a[done] + b[done])
+                iterations[idx[done]] = count
+                keep = np.flatnonzero(~finished)
+                idx, a, b, x, fb_nonzero, reach, target = (
+                    v[keep] for v in (idx, a, b, x, fb_nonzero, reach, target)
+                )
     return theta, iterations, lo, hi
 
 
@@ -298,11 +317,13 @@ def _nonexistent(method: str, reason: str) -> EstimateResult:
 @dataclass(frozen=True)
 class _Method:
     """A row-wise statistic of the ``_window`` triple, its population map
-    (increasing in theta from d up to ``sup(t)``, on floats or arrays) and an
-    upper bound on the root of map = d + m, on arrays of m."""
+    (increasing in theta from d up to ``sup(t)``, on floats or arrays), the
+    map's closed-form slope d map / d theta on arrays, and an upper bound on
+    the root of map = d + m, on arrays of m."""
 
     statistic: Callable[[tuple, int, ThresholdPair], tuple[np.ndarray, np.ndarray]]
     forward: Callable[[np.ndarray, ThresholdPair], np.ndarray]
+    slope: Callable[[np.ndarray, ThresholdPair], np.ndarray]
     sup: Callable[[ThresholdPair], float]
     upper: Callable[[np.ndarray, ThresholdPair], np.ndarray]
 
@@ -317,15 +338,16 @@ class _Method:
 #   MTCM  (mu - d)/theta = 1 - e^-x >= max(x/(1 + x), x - x^2/2)
 _METHODS = {
     "mtum": _Method(
-        _mtum_statistic, lambda theta, t: mu_mtum(theta, t), sup=lambda t: 0.5 * (t.d + t.u),
+        _mtum_statistic, lambda theta, t: mu_mtum(theta, t), mu_mtum_dtheta,
+        sup=lambda t: 0.5 * (t.d + t.u),
         upper=lambda m, t: np.minimum(m, (t.u - t.d) / 6.0) / (1.0 - 2.0 * m / (t.u - t.d)),
     ),
     "mcm": _Method(
-        _mcm_statistic, lambda theta, t: mu_mcm(theta, t), sup=lambda t: t.u,
+        _mcm_statistic, lambda theta, t: mu_mcm(theta, t), mu_mcm_dtheta, sup=lambda t: t.u,
         upper=lambda m, t: (m + t.d) / (1.0 - m / (t.u - t.d)),
     ),
     "mtcm": _Method(
-        _mtcm_statistic, lambda theta, t: mu_mtcm(theta, t), sup=lambda t: t.u,
+        _mtcm_statistic, lambda theta, t: mu_mtcm(theta, t), mu_mtcm_dtheta, sup=lambda t: t.u,
         upper=lambda m, t: np.minimum(m, (t.u - t.d) / 2.0) / (1.0 - m / (t.u - t.d)),
     ),
 }
@@ -378,7 +400,8 @@ def _root(method: str, mu_hat, t: ThresholdPair) -> _Roots:
     iterations = np.zeros(mu.shape, dtype=int)
     lo, hi = estimate.copy(), estimate.copy()
     estimate[inside], iterations[inside], lo[inside], hi[inside] = _solve_increasing(
-        lambda theta: spec.forward(theta, t), mu[inside], mu[inside] - t.d,
+        lambda theta: spec.forward(theta, t), lambda theta: spec.slope(theta, t),
+        mu[inside], mu[inside] - t.d,
         spec.upper(mu[inside] - t.d, t), t.d, resid_tol=1e-10 * max(1.0, scale),
     )
     reason = np.where(below, BELOW_LOWER_BOUND, np.where(above, ABOVE_UPPER_BOUND, None))

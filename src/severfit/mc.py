@@ -194,7 +194,10 @@ def cell_from_quantiles(
 ) -> SimCell:
     """Build a cell whose thresholds are the (a, 1-b) quantiles of Exp(theta)."""
     _check_theta(theta)  # SimCell's rule, before the model refuses theta in its own words
-    d, u = _quantile_thresholds(adapter_from_model(ExponentialModel(theta)), a, b)
+    try:
+        d, u = _quantile_thresholds(adapter_from_model(ExponentialModel(theta)), a, b)
+    except ValueError as exc:  # the pair's rule, or thresholds beyond the float range
+        raise ConfigError("design_points", str(exc)) from None
     return SimCell(
         n=n, method=method, theta_true=theta, thresholds=ThresholdPair(d, u),
         a=a, b=b, **kwargs,

@@ -30,6 +30,7 @@ __all__ = [
     "mu_mtum",
     "mu_mtum_dtheta",
     "mu_mcm",
+    "mu_mcm_dtheta",
     "mcm_second_moment",
     "sigma_mcm2",
     "mu_mtcm",
@@ -155,20 +156,38 @@ def mu_mtum(theta, t: ThresholdPair):
     width = t.u - t.d
     w = width / th
     with np.errstate(over="ignore", divide="ignore"):
-        closed = t.d + th - width / np.expm1(w)
-        series = t.d + width * (0.5 - w / 12.0 + w * w * w / 720.0)
-    value = np.where(w < 1e-2, series, closed)
+        value = np.asarray(t.d + th - width / np.expm1(w))
+    small = w < 1e-2
+    if small.any():
+        w = w[small]
+        value[small] = t.d + width * (0.5 - w / 12.0 + w * w * w / 720.0)
     return _like(theta, value)
 
 
-def mu_mtum_dtheta(theta: float, t: ThresholdPair) -> float:
-    """d mu_MTuM / d theta = 1 - y^2 csch^2 y with y = (u-d)/(2 theta).
+def mu_mtum_dtheta(theta, t: ThresholdPair):
+    """d mu_MTuM / d theta = 1 - y^2 csch^2 y with y = (u-d)/(2 theta), for a
+    float or an array of theta.
 
-    Strictly inside (0, 1) for finite u, approaching 1 as u -> inf.  It is
-    evaluated as ((sinh y - y)/sinh y) ((sinh y + y)/sinh y), with sinh y - y
-    from its Taylor tail for y <= 1, so no difference of nearly equal terms
-    is formed when the window is narrow relative to theta.
+    Strictly inside (0, 1) for finite u, approaching 1 as u -> inf.  A float
+    is evaluated as ((sinh y - y)/sinh y) ((sinh y + y)/sinh y), with
+    sinh y - y from its Taylor tail for y <= 1, so no difference of nearly
+    equal terms is formed when the window is narrow relative to theta.  An
+    array takes 1 - (y/sinh y)^2 and, below y = 5e-3, where that loses about
+    log10(3/y^2) digits, the series y^2/3 - y^4/15 + 2 y^6/189.
     """
+    if isinstance(theta, np.ndarray):
+        th = _positive_array(theta, "theta")
+        if t.upper_is_infinite:
+            return np.ones_like(th)
+        # y/sinh y underflows to 0 long before y = 700, past which sinh overflows
+        y = np.minimum((0.5 * (t.u - t.d)) / th, 700.0)
+        q = y / np.sinh(y)
+        value = np.asarray(1.0 - q * q)
+        small = y < 5e-3
+        if small.any():
+            y2 = y[small] ** 2
+            value[small] = y2 * (1.0 / 3.0 - y2 * (1.0 / 15.0 - y2 * (2.0 / 189.0)))
+        return value
     _check_theta(theta)
     y = (t.u - t.d) / (2.0 * theta)
     if y > 350.0:
@@ -184,6 +203,22 @@ def mu_mcm(theta, t: ThresholdPair):
     tau = np.exp(-t.d / th)
     p = -tau * np.expm1(-(t.u - t.d) / th)
     return _like(theta, t.d + th * p)
+
+
+def mu_mcm_dtheta(theta, t: ThresholdPair):
+    """d mu_MCM / d theta = e^{-d/theta} (h(x) + (d/theta)(1 - e^{-x})), for a
+    float or an array of theta, with x = (u-d)/theta and h(x) = 1 - (1 + x)
+    e^{-x} the MTCM slope; (1 + d/theta) e^{-d/theta} when u is infinite.
+
+    Both terms are non-negative, so no digits cancel; the slope underflows
+    to 0 where e^{-d/theta} does.
+    """
+    th = _positive_array(theta, "theta")
+    r = -t.d / th
+    if t.upper_is_infinite:
+        return _like(theta, np.exp(r) * (1.0 - r))
+    m = -(t.u - t.d) / th
+    return _like(theta, np.exp(r) * (_censored_slope_array(m) + r * np.expm1(m)))
 
 
 def mcm_second_moment(theta: float, t: ThresholdPair) -> float:
@@ -211,14 +246,36 @@ def mu_mtcm(theta, t: ThresholdPair):
     return _like(theta, t.d - th * np.expm1(-(t.u - t.d) / th))
 
 
-def mu_mtcm_dtheta(theta: float, t: ThresholdPair) -> float:
-    """d mu_MTCM / d theta = 1 - (1 + x) e^{-x} with x = (u-d)/theta; 1 when u is infinite.
+def mu_mtcm_dtheta(theta, t: ThresholdPair):
+    """d mu_MTCM / d theta = 1 - (1 + x) e^{-x} with x = (u-d)/theta, for a
+    float or an array of theta; 1 when u is infinite.
 
     A series branch keeps its digits when the window is narrow relative to
     theta, where it tends to x^2/2.
     """
+    if isinstance(theta, np.ndarray):
+        th = _positive_array(theta, "theta")
+        if t.upper_is_infinite:
+            return np.ones_like(th)
+        return _censored_slope_array(-(t.u - t.d) / th)
     _check_theta(theta)
     return _censored_slope((t.u - t.d) / theta)
+
+
+def _censored_slope_array(m: np.ndarray) -> np.ndarray:
+    """1 - (1 + x) e^{-x} on an array of m = -x <= 0 (finite).
+
+    Below x = 1e-2, where the closed form loses about log10(2/x^2) digits,
+    the series sum of (-1)^n (n - 1) x^n / n! for n = 2 to 7.
+    """
+    value = np.asarray(1.0 - (1.0 - m) * np.exp(m))
+    small = m > -1e-2
+    if small.any():
+        x = -m[small]
+        value[small] = x * x * (
+            0.5 - x * (1.0 / 3.0 - x * (1.0 / 8.0 - x * (1.0 / 30.0 - x * (1.0 / 144.0 - x / 840.0))))
+        )
+    return value
 
 
 def sigma_mtcm2(theta: float, t: ThresholdPair) -> float:

@@ -349,6 +349,17 @@ class TestAreCommand:
         assert captured.out == ""
         assert captured.err == f"error: argument {flag.split('=')[0]}: empty list\n"
 
+    def test_thresholds_beyond_the_float_range_name_the_grid_pair(self, capsys):
+        # u at b = 1e-300 overflows; so does the fallback pair (0, b), which
+        # must not be the one named
+        argv = ["are", "--theta", "1e307", "--a-grid", "0.1", "--b-grid", "0,1e-300"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the thresholds at a=0.1, b=1e-300 lie beyond the float range\n"
+        )
+
     @pytest.mark.parametrize("theta", ["1e300", "1e-310"])
     def test_extreme_scale(self, tmp_path, theta):
         # the ARE is scale-free: no NaN at large theta, no division by zero at small
@@ -414,6 +425,18 @@ class TestSimulateCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: config key 'theta':")
+
+    def test_thresholds_beyond_the_float_range_name_design_points(self, tmp_path, capsys):
+        config = tmp_path / "study.cfg"
+        config.write_text("theta = 1e307\nmethods = mcm\ndesign_points = (0.05, 1e-300)\n"
+                          "n_list = 30\nblocks = 1\nreps = 10\n", encoding="utf-8")
+        assert main(["simulate", "--config", str(config)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: config key 'design_points': the thresholds at a=0.05, b=1e-300 "
+            "lie beyond the float range\n"
+        )
 
     def test_config_out_key_used(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

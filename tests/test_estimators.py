@@ -55,6 +55,8 @@ from severfit.moments import (
     pareto_g_limits,
 )
 
+import root_stress
+
 THETA = 10.0
 T_MAIN = ThresholdPair(0.51, 29.96)
 
@@ -497,6 +499,18 @@ def _bisect(forward, target, lo=1e-9, hi=1e9):
             hi = mid
 
 
+def _bisect_batch(forward, targets, lo, hi):
+    """``_bisect`` of each of ``targets`` at once, from lo and the array hi; an
+    element whose ends are adjacent may close onto one of them."""
+    lo, hi = np.full(targets.shape, lo), np.array(hi, dtype=float)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not ((mid > lo) & (mid < hi)).any():
+            return mid
+        below = forward(mid) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+
+
 # The benchmark's Monte Carlo windows at theta = 10 (u = inf included) and
 # its histogram window.
 BENCH_WINDOWS = [quantile_pair(a, b, THETA) for a, b in
@@ -705,6 +719,23 @@ class TestBatchRoots:
             expected = element(batch, i)
             assert element(_root(method, mus[i:i + 1], t), 0) == expected, (method, t, mus[i])
             assert element(reverse, mus.size - 1 - i) == expected, (method, t, mus[i])
+
+    def test_fixed_seed_stress_inside_guard(self):
+        # 1,000 windows of tests/root_stress.py, shares near either guard end
+        # included: 10,111 statistics, mean 10.2 and max 50 iterations
+        stream = root_stress.windows(np.random.default_rng(0))
+        iterations = []
+        for _ in range(1000):
+            method, t, mus = next(stream)
+            roots = _root(method, mus, t)
+            assert np.all(roots.reason == None)  # noqa: E711
+            iterations.append(roots.iterations)
+            forward = _METHODS[method].forward
+            reference = _bisect_batch(lambda theta: forward(theta, t), mus, 1e-300, 2.0 * roots.hi)
+            close = np.abs(roots.estimate - reference) <= 1e-10 * reference
+            flat = np.abs(forward(roots.estimate, t) - mus) <= 4.0 * np.spacing(mus)
+            assert np.all(close | flat), (method, t, mus[~(close | flat)])
+        assert np.concatenate(iterations).max() <= root_stress.MAX_ITERATIONS
 
     @given(case=guarded_statistics())
     @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 """Closed-form population moments against quadrature and finite-difference oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from severfit.moments import (
     mcm_second_moment,
     mtcm_w_summary,
     mu_mcm,
+    mu_mcm_dtheta,
     mu_mtcm,
     mu_mtum,
     mu_mtcm_dtheta,
@@ -149,6 +151,23 @@ class TestMuMtum:
         t = ThresholdPair(1.0, 11.0)
         series, closed = mu_mtum(1000.0 * (1 + 1e-12), t), mu_mtum(1000.0 * (1 - 1e-12), t)
         assert series == pytest.approx(closed, rel=1e-13)
+
+    def test_series_only_where_narrow_keeps_the_two_branch_bits(self):
+        # the series is formed only where w = (u-d)/theta < 1e-2; every value
+        # is the one of forming both branches and choosing with np.where
+        t = ThresholdPair(1.0, 11.0)
+        thetas = 1000.0 * np.array([1 - 1e-12, 1.0, 1 + 1e-12, 0.5, 2.0, 1e-3, 1e3, 1e-5, 1e9])
+
+        def two_branch(theta):
+            w = 10.0 / theta
+            with np.errstate(over="ignore", divide="ignore"):
+                closed = t.d + theta - 10.0 / np.expm1(w)
+                series = t.d + 10.0 * (0.5 - w / 12.0 + w * w * w / 720.0)
+            return np.where(w < 1e-2, series, closed)
+
+        assert mu_mtum(thetas, t).tobytes() == two_branch(thetas).tobytes()
+        for theta in thetas:
+            assert np.float64(mu_mtum(float(theta), t)).tobytes() == two_branch(theta).tobytes()
 
 
 class TestMuMtumDerivative:
@@ -495,6 +514,63 @@ WINDOWS = st.builds(
     st.floats(1e-6, 1e3),
     st.booleans(),
 )
+
+
+class TestArraySlopes:
+    """The slopes on arrays, which the batch root solver takes its Newton
+    steps on, against central differences of their maps."""
+
+    @staticmethod
+    def _normal_slope(method, theta, t) -> bool:
+        """Whether the exact slope is at least the smallest normal float."""
+        if method == "mtum":
+            return mu_mtum_dtheta(theta, t) >= sys.float_info.min
+        if method == "mtcm":
+            return mu_mtcm_dtheta(theta, t) >= sys.float_info.min
+        # e^{-r} (h(x) + r (1 - e^{-x})) from the float MTCM slope h, in logs
+        r, x = t.d / theta, (t.u - t.d) / theta
+        inner = mu_mtcm_dtheta(theta, t) - r * math.expm1(-x)
+        return -r + math.log(inner) >= math.log(sys.float_info.min)
+
+    @given(
+        method=st.sampled_from(["mtum", "mcm", "mtcm"]),
+        theta=st.floats(1e-3, 1e3),
+        d_ratio=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        width_ratio=st.one_of(st.just(math.inf), st.floats(1e-6, 1e3)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_central_difference(self, method, theta, d_ratio, width_ratio):
+        forward, slope = {
+            "mtum": (mu_mtum, mu_mtum_dtheta), "mcm": (mu_mcm, mu_mcm_dtheta),
+            "mtcm": (mu_mtcm, mu_mtcm_dtheta),
+        }[method]
+        d = d_ratio * theta
+        t = ThresholdPair(d, d + width_ratio * theta)
+        value = slope(np.array([theta]), t)[0]
+        if self._normal_slope(method, theta, t):
+            assert 0.0 < value < math.inf
+        h = 1e-6
+        difference = (forward(theta * (1 + h), t) - forward(theta * (1 - h), t)) / (2 * h * theta)
+        # each map value is off by a few ulps of d + theta + min(u - d, theta) at most
+        rounding = 8.0 * np.spacing(t.d + theta + min(t.u - t.d, theta)) / (h * theta)
+        assert abs(value - difference) <= 1e-6 * value + rounding
+        if method != "mcm":  # the float path keeps its own branches
+            assert value == pytest.approx(slope(theta, t), rel=1e-9, abs=0.0)
+
+    def test_mcm_limits(self):
+        theta = np.array([0.5, 2.0, 40.0])
+        assert np.array_equal(mu_mcm_dtheta(theta, ThresholdPair(0.0, math.inf)), np.ones(3))
+        infinite = mu_mcm_dtheta(theta, ThresholdPair(3.0, math.inf))
+        assert infinite == pytest.approx((1 + 3.0 / theta) * np.exp(-3.0 / theta), rel=1e-15)
+        assert np.array_equal(mu_mcm_dtheta(theta, ThresholdPair(0.0, 7.0)),
+                              mu_mtcm_dtheta(theta, ThresholdPair(0.0, 7.0)))
+        assert mu_mcm_dtheta(2.0, ThresholdPair(3.0, 7.0)) == mu_mcm_dtheta(
+            np.array([2.0]), ThresholdPair(3.0, 7.0))[0]
+
+    def test_array_rejects_any_bad_element(self):
+        for slope in (mu_mtum_dtheta, mu_mcm_dtheta, mu_mtcm_dtheta):
+            with pytest.raises(ValueError, match="theta must be a positive finite real"):
+                slope(np.array([1.0, 0.0]), T_MAIN)
 
 
 class TestArrayForwardMaps:
