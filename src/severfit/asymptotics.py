@@ -22,14 +22,7 @@ from .framework import (
     _quantile_thresholds,
     adapter_from_model,
 )
-from .moments import (
-    mu_mtcm_dtheta,
-    mu_mtum_dtheta,
-    sigma_mcm2,
-    sigma_mtcm2,
-    tail_quantities,
-    truncated_summary,
-)
+from .moments import _censored_slope, _censored_var, mu_mtum_dtheta, tail_quantities
 
 __all__ = [
     "AREReport",
@@ -67,25 +60,36 @@ def are_mtum(theta: float, t: ThresholdPair) -> float:
 def are_mcm(theta: float, t: ThresholdPair) -> float:
     """ARE of the censored-moment estimator: mu_Y^2 / sigma_MCM^2.
 
-    Both moments are sums of positive terms, so the ratio stays accurate
-    (about 3 x e^{-d/theta} / 4 to leading order) as x = (u-d)/theta -> 0.
-    mu_Y^2 is never formed: it underflows on windows where the ratio does not.
+    Both are sums of positive terms in x = (u-d)/theta, formed divided by k
+    and k^2, k = min(x, 1), as in :func:`are_mtcm`, so the ratio keeps its
+    digits (about 3 x e^{-d/theta} / 4 to leading order) as x -> 0, also
+    where sigma_MCM^2 itself underflows.  mu_Y^2 is never formed: it
+    underflows on windows where the ratio does not.
     """
-    mu_y = truncated_summary(theta, t).mu_y
-    return mu_y * (mu_y / sigma_mcm2(theta, t))
+    q = tail_quantities(theta, t)
+    x = (t.u - t.d) / theta
+    k = min(x, 1.0)
+    inside = -math.expm1(-x) / k
+    mean = q.tau * (t.d * inside + theta * k * float(_censored_slope(x, k)))
+    var = q.tau * theta * theta * (k * float(_censored_var(x, k)) + q.a * inside * inside)
+    return mean * (mean / var)
 
 
 def are_mtcm(theta: float, t: ThresholdPair) -> float:
     """ARE of the payment-type estimator: tau (theta d mu_MTCM/d theta)^2 / sigma_MTCM^2.
 
     Equal to the printed [p - b (u-d)/theta]^2 / (p (1 + b/tau) - 2 b (u-d)/theta),
-    written as tau (1 - (1+x) e^{-x})^2 / (1 - e^{-2x} - 2x e^{-x}) with
-    x = (u-d)/theta, whose series branches keep the digits the printed form
-    cancels at large theta; reduces to exp(-d/theta) when u is infinite.  The
-    slope is divided before it is squared, which would underflow first.
+    written as tau h^2 / v with x = (u-d)/theta, h = 1 - (1+x) e^{-x} and
+    v = 1 - e^{-2x} - 2x e^{-x}, whose series branches keep the digits the
+    printed form cancels at large theta; reduces to exp(-d/theta) when u is
+    infinite.  h and v are divided by k^2 and k^3, k = min(x, 1), and h is
+    divided before it is squared, so neither underflows where the ARE
+    (about 3 x tau / 4 as x -> 0) does not.
     """
-    slope = theta * mu_mtcm_dtheta(theta, t)
-    return tail_quantities(theta, t).tau * slope * (slope / sigma_mtcm2(theta, t))
+    x = (t.u - t.d) / theta
+    k = min(x, 1.0)
+    h = float(_censored_slope(x, k))
+    return tail_quantities(theta, t).tau * k * h * (h / float(_censored_var(x, k)))
 
 
 _ARE_DISPATCH = {"mtum": are_mtum, "mcm": are_mcm, "mtcm": are_mtcm}
@@ -98,11 +102,12 @@ def are(method: str, theta: float, t: ThresholdPair) -> float:
     with s = 2^(e-1) for theta = m 2^e, 1/2 <= m < 1: the rescaling is exact,
     because s is a power of two, and theta / s lies in [1, 2) at any theta.
     The ``- 1`` keeps s finite near the largest float.  Where d / s
-    overflows, exp(-d/theta) is 0 and so is the ARE.  Where a variance in
-    the formula underflows to 0, as on (800, 900) or (0, 1e-110) at
-    theta = 1, every method answers 0.0, as MTuM's product does there, and
-    ``avar`` refuses the window, although MCM's and MTCM's ARE on the latter
-    is about 7.5e-111.
+    overflows, exp(-d/theta) is 0 and so is the ARE.  MCM and MTCM form
+    theirs in x = (u-d)/theta with their moments divided by leading powers
+    of x, so on (0, 1e-110) at theta = 1 both are about 7.5e-111; MTuM's
+    p mu_MTuM' there is about 8e-332 and rounds to 0.0.  Where the survival
+    at d underflows, as on (800, 900) at theta = 1, every method answers
+    0.0, and ``avar`` refuses the window.
     """
     if method not in _ARE_DISPATCH:
         raise ValueError(f"unknown method {method!r}")

@@ -317,9 +317,9 @@ def _nonexistent(method: str, reason: str) -> EstimateResult:
 @dataclass(frozen=True)
 class _Method:
     """A row-wise statistic of the ``_window`` triple, its population map
-    (increasing in theta from d up to ``sup(t)``, on floats or arrays), the
-    map's closed-form slope d map / d theta on arrays, and an upper bound on
-    the root of map = d + m, on arrays of m."""
+    (increasing in theta from d up to ``sup(t)``), the map's closed-form
+    slope d map / d theta (one formula, with a series branch below its
+    switch), both on floats or arrays, and an upper bound on the root of map = d + m."""
 
     statistic: Callable[[tuple, int, ThresholdPair], tuple[np.ndarray, np.ndarray]]
     forward: Callable[[np.ndarray, ThresholdPair], np.ndarray]

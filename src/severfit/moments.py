@@ -16,7 +16,7 @@ import numpy as np
 from .dist import (
     ParetoIModel,
     ThresholdPair,
-    _taylor_tail,
+    _horner,
     log_transform_pareto_to_exp,
     regularized_incomplete_gamma3,
 )
@@ -31,12 +31,10 @@ __all__ = [
     "mu_mtum_dtheta",
     "mu_mcm",
     "mu_mcm_dtheta",
-    "mcm_second_moment",
     "sigma_mcm2",
     "mu_mtcm",
     "mu_mtcm_dtheta",
     "sigma_mtcm2",
-    "mtcm_w_summary",
     "pareto_g_du",
     "pareto_g_limits",
 ]
@@ -93,22 +91,65 @@ def tail_quantities(theta: float, t: ThresholdPair) -> TailQuantities:
     return TailQuantities(a=a, b=b, tau=tau, p=p)
 
 
-def _censored_slope(x: float) -> float:
-    """1 - (1 + x) e^{-x} = e^{-x} (e^x - 1 - x), for x = (u-d)/theta in [0, inf]."""
-    if x <= 1.0:  # the closed form loses about log10(1/x) digits here
-        return math.exp(-x) * _taylor_tail(x, 2, 1)
-    if math.isinf(x):
-        return 1.0
-    return -math.expm1(-x) - x * math.exp(-x)
+# Taylor coefficients of the series branches, which Horner's rule sums where
+# a closed form loses more than 1e-15 of its value to cancellation.
+# (sinh y - y) / y^3 = sum of y^(2n) / (2n + 3)!, to 1e-17 for y <= 1
+_SINH_TAIL = tuple(1.0 / math.factorial(2 * n + 3) for n in range(9))
+# (e^x - 1 - x) / x^2 = sum of x^n / (n + 2)!, to 1e-17 for x <= 0.4
+_EXP_TAIL = tuple(1.0 / math.factorial(n + 2) for n in range(14))
 
 
-def _censored_var(x: float) -> float:
-    """1 - e^{-2x} - 2x e^{-x} = 2 e^{-x} (sinh x - x), for x = (u-d)/theta in [0, inf]."""
-    if x <= 1.0:  # the closed form loses about 2 log10(1/x) digits here
-        return 2.0 * math.exp(-x) * _taylor_tail(x, 3, 2)
-    if math.isinf(x):
-        return 1.0
-    return -math.expm1(-2.0 * x) - 2.0 * x * math.exp(-x)
+def _piecewise(x, switch: float, series, closed) -> np.ndarray:
+    """series(x) where x <= switch and closed(x) elsewhere, for a float or an
+    array x; each form is evaluated on its own elements only."""
+    x = np.asarray(x)
+    small = x <= switch
+    if small.all():
+        return series(x)
+    if not small.any():
+        return closed(x)
+    value = np.empty_like(x)
+    value[small] = series(x[small])
+    value[~small] = closed(x[~small])
+    return value
+
+
+def _censored_slope(x, scale: float = 1.0) -> np.ndarray:
+    """h(x) / scale^2 with h(x) = 1 - (1 + x) e^{-x} = e^{-x} (e^x - 1 - x),
+    for a float or an array of x = (u-d)/theta in [0, inf].
+
+    Taken as (1 - e^{-x}) - x e^{-x}, and for x <= 0.4, where that loses
+    more than 1e-15 of h, as e^{-x} x^2 times the Taylor tail of e^x from
+    n = 2.  ``scale`` = min(x, 1) keeps the digits of h ~ x^2/2 where h
+    itself underflows.
+    """
+    def series(x):
+        r = x / scale
+        return np.exp(-x) * r * r * _horner(x, _EXP_TAIL)
+
+    def closed(x):
+        return (-np.expm1(-x) - x * np.exp(-x)) / (scale * scale)
+
+    # past x = 800 h is 1 to the last bit, and inf * 0 is not formed
+    return _piecewise(np.minimum(x, 800.0), 0.4, series, closed)
+
+
+def _censored_var(x, scale: float = 1.0) -> np.ndarray:
+    """v(x) / scale^3 with v(x) = 1 - e^{-2x} - 2x e^{-x} = 2 e^{-x} (sinh x - x),
+    for a float or an array of x = (u-d)/theta in [0, inf].
+
+    For x <= 1, where the closed form loses more than 1e-15 of v, it is
+    2 e^{-x} x^3 times the Taylor tail of sinh from n = 3.  ``scale`` =
+    min(x, 1) keeps the digits of v ~ x^3/3 where v itself underflows.
+    """
+    def series(x):
+        r = x / scale
+        return 2.0 * np.exp(-x) * r * r * r * _horner(x * x, _SINH_TAIL)
+
+    def closed(x):
+        return (-np.expm1(-2.0 * x) - 2.0 * x * np.exp(-x)) / (scale * scale * scale)
+
+    return _piecewise(np.minimum(x, 800.0), 1.0, series, closed)
 
 
 def truncated_summary(theta: float, t: ThresholdPair) -> TruncatedSummary:
@@ -126,10 +167,9 @@ def truncated_summary(theta: float, t: ThresholdPair) -> TruncatedSummary:
 
     (Var(X | d < X <= u) = theta^2 d mu_MTuM / d theta, and 1 - p = a + b.)
     """
-    _check_theta(theta)
     q = tail_quantities(theta, t)
     x = (t.u - t.d) / theta
-    h = _censored_slope(x)
+    h = float(_censored_slope(x))
     inside = -math.expm1(-x)  # P(E <= u - d)
     mu_y = t.d * q.p + theta * q.tau * h
     mu_y2 = q.tau * (
@@ -165,36 +205,30 @@ def mu_mtum(theta, t: ThresholdPair):
 
 
 def mu_mtum_dtheta(theta, t: ThresholdPair):
-    """d mu_MTuM / d theta = 1 - y^2 csch^2 y with y = (u-d)/(2 theta), for a
-    float or an array of theta.
+    """d mu_MTuM / d theta = 1 - q^2 with q = y/sinh y and y = (u-d)/(2 theta),
+    for a float or an array of theta.
 
-    Strictly inside (0, 1) for finite u, approaching 1 as u -> inf.  A float
-    is evaluated as ((sinh y - y)/sinh y) ((sinh y + y)/sinh y), with
-    sinh y - y from its Taylor tail for y <= 1, so no difference of nearly
-    equal terms is formed when the window is narrow relative to theta.  An
-    array takes 1 - (y/sinh y)^2 and, below y = 5e-3, where that loses about
-    log10(3/y^2) digits, the series y^2/3 - y^4/15 + 2 y^6/189.
+    Strictly inside (0, 1) for finite u, approaching 1 as u -> inf.  It is
+    taken as ((sinh y - y)/sinh y) ((sinh y + y)/sinh y), and for y <= 0.7,
+    where sinh y - y loses more than 1e-15 of its value, as a q (1 + q) with
+    a = y^2 (sinh y - y)/y^3 from the Taylor tail of sinh and q = 1/(1 + a),
+    so the slope keeps its digits when the window is narrow relative to theta.
     """
-    if isinstance(theta, np.ndarray):
-        th = _positive_array(theta, "theta")
-        if t.upper_is_infinite:
-            return np.ones_like(th)
-        # y/sinh y underflows to 0 long before y = 700, past which sinh overflows
-        y = np.minimum((0.5 * (t.u - t.d)) / th, 700.0)
-        q = y / np.sinh(y)
-        value = np.asarray(1.0 - q * q)
-        small = y < 5e-3
-        if small.any():
-            y2 = y[small] ** 2
-            value[small] = y2 * (1.0 / 3.0 - y2 * (1.0 / 15.0 - y2 * (2.0 / 189.0)))
-        return value
-    _check_theta(theta)
-    y = (t.u - t.d) / (2.0 * theta)
-    if y > 350.0:
-        return 1.0
-    s = math.sinh(y)
-    excess = _taylor_tail(y, 3, 2) if y <= 1.0 else s - y
-    return (excess / s) * ((s + y) / s)
+    th = _positive_array(theta, "theta")
+    # past y = 700, where sinh nears overflow, the slope is 1 to the last bit
+    y = np.minimum((0.5 * (t.u - t.d)) / th, 700.0)
+    return _like(theta, _piecewise(y, 0.7, _mtum_slope_series, _mtum_slope_closed))
+
+
+def _mtum_slope_series(y: np.ndarray) -> np.ndarray:
+    a = y * y * _horner(y * y, _SINH_TAIL)
+    q = 1.0 / (1.0 + a)
+    return a * q * (1.0 + q)
+
+
+def _mtum_slope_closed(y: np.ndarray) -> np.ndarray:
+    s = np.sinh(y)
+    return ((s - y) / s) * ((s + y) / s)
 
 
 def mu_mcm(theta, t: ThresholdPair):
@@ -210,21 +244,13 @@ def mu_mcm_dtheta(theta, t: ThresholdPair):
     float or an array of theta, with x = (u-d)/theta and h(x) = 1 - (1 + x)
     e^{-x} the MTCM slope; (1 + d/theta) e^{-d/theta} when u is infinite.
 
-    Both terms are non-negative, so no digits cancel; the slope underflows
-    to 0 where e^{-d/theta} does.
+    Both terms are non-negative, so no digits cancel; h takes the MTCM
+    slope's series branch below x = 0.4, and the slope underflows to 0
+    where e^{-d/theta} does.
     """
     th = _positive_array(theta, "theta")
-    r = -t.d / th
-    if t.upper_is_infinite:
-        return _like(theta, np.exp(r) * (1.0 - r))
-    m = -(t.u - t.d) / th
-    return _like(theta, np.exp(r) * (_censored_slope_array(m) + r * np.expm1(m)))
-
-
-def mcm_second_moment(theta: float, t: ThresholdPair) -> float:
-    """E[Z^2] = d^2 (1 - e^{-d/theta}) + E[Y^2] + u^2 e^{-u/theta} = sigma_MCM^2 + mu_MCM^2."""
-    mean = mu_mcm(theta, t)
-    return sigma_mcm2(theta, t) + mean * mean
+    r, x = t.d / th, (t.u - t.d) / th
+    return _like(theta, np.exp(-r) * (_censored_slope(x) - r * np.expm1(-x)))
 
 
 def sigma_mcm2(theta: float, t: ThresholdPair) -> float:
@@ -247,35 +273,14 @@ def mu_mtcm(theta, t: ThresholdPair):
 
 
 def mu_mtcm_dtheta(theta, t: ThresholdPair):
-    """d mu_MTCM / d theta = 1 - (1 + x) e^{-x} with x = (u-d)/theta, for a
-    float or an array of theta; 1 when u is infinite.
+    """d mu_MTCM / d theta = h(x) = 1 - (1 + x) e^{-x} with x = (u-d)/theta,
+    for a float or an array of theta; 1 when u is infinite.
 
-    A series branch keeps its digits when the window is narrow relative to
-    theta, where it tends to x^2/2.
+    Below x = 0.4 h comes from the Taylor tail of e^x, so it keeps its digits
+    when the window is narrow relative to theta, where it tends to x^2/2.
     """
-    if isinstance(theta, np.ndarray):
-        th = _positive_array(theta, "theta")
-        if t.upper_is_infinite:
-            return np.ones_like(th)
-        return _censored_slope_array(-(t.u - t.d) / th)
-    _check_theta(theta)
-    return _censored_slope((t.u - t.d) / theta)
-
-
-def _censored_slope_array(m: np.ndarray) -> np.ndarray:
-    """1 - (1 + x) e^{-x} on an array of m = -x <= 0 (finite).
-
-    Below x = 1e-2, where the closed form loses about log10(2/x^2) digits,
-    the series sum of (-1)^n (n - 1) x^n / n! for n = 2 to 7.
-    """
-    value = np.asarray(1.0 - (1.0 - m) * np.exp(m))
-    small = m > -1e-2
-    if small.any():
-        x = -m[small]
-        value[small] = x * x * (
-            0.5 - x * (1.0 / 3.0 - x * (1.0 / 8.0 - x * (1.0 / 30.0 - x * (1.0 / 144.0 - x / 840.0))))
-        )
-    return value
+    th = _positive_array(theta, "theta")
+    return _like(theta, _censored_slope((t.u - t.d) / th))
 
 
 def sigma_mtcm2(theta: float, t: ThresholdPair) -> float:
@@ -286,20 +291,7 @@ def sigma_mtcm2(theta: float, t: ThresholdPair) -> float:
     when the window is narrow relative to theta.
     """
     _check_theta(theta)
-    return theta * (theta * _censored_var((t.u - t.d) / theta))
-
-
-def mtcm_w_summary(theta: float, t: ThresholdPair) -> tuple[float, float, float]:
-    """Moments of W = X 1{d < X <= u} + u 1{X > u}: (mean, raw second moment, variance).
-
-    W = 1{X > d} min(X, u), so with c = mu_MTCM its mean is tau c and, by the
-    law of total variance, Var(W) = tau sigma_MTCM^2 + tau a c^2 (a = 1 - tau).
-    """
-    q = tail_quantities(theta, t)
-    c = mu_mtcm(theta, t)
-    mean = q.tau * c
-    var = q.tau * sigma_mtcm2(theta, t) + q.tau * q.a * c * c
-    return mean, var + mean * mean, var
+    return theta * (theta * float(_censored_var((t.u - t.d) / theta)))
 
 
 def _log_thresholds(t: ThresholdPair, x0: float) -> ThresholdPair:

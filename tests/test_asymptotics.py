@@ -166,15 +166,39 @@ class TestAvar:
         scaled = avar(method, c * theta, ThresholdPair(c * t.d, c * t.u))
         assert scaled == math.ldexp(base, 2 * k)
 
-    @pytest.mark.parametrize("window", [(800.0, 900.0), (800.0, math.inf), (0.0, 1e-110)])
+    @pytest.mark.parametrize("window", [(800.0, 900.0), (800.0, math.inf)])
     @pytest.mark.parametrize("method", METHODS)
     def test_underflowing_variance_gives_zero_efficiency(self, method, window):
-        # MCM's or MTCM's variance underflows to 0 where MTuM's product does:
-        # every method answers 0.0, and avar refuses the window
+        # the survival at d underflows, and with it MCM's variance and every
+        # method's efficiency: each answers 0.0, and avar refuses the window
         t = ThresholdPair(*window)
         assert are(method, 1.0, t) == 0.0
         with pytest.raises(DegenerateError):
             avar(method, 1.0, t)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_narrow_window_against_400_digits(self, method):
+        # x = (u-d)/theta = 1e-110: MCM's and MTCM's variances (about x^3/3)
+        # underflow, their AREs (about 3x/4) do not; MTuM's p mu_MTuM' is
+        # about 8e-332, below the float range
+        mp = pytest.importorskip("mpmath")
+        t = ThresholdPair(0.0, 1e-110)
+        with mp.workdps(400):
+            x = mp.mpf(t.u)
+            h = 1 - (1 + x) * mp.exp(-x)  # mu_Y and theta d mu_MTCM / d theta
+            mean_z, mean_z2 = -mp.expm1(-x), 2 - 2 * (1 + x) * mp.exp(-x)  # Z = min(X, u)
+            y = x / 2
+            oracle = {
+                "mtum": -mp.expm1(-x) * (1 - (y / mp.sinh(y)) ** 2),
+                "mcm": h * h / (mean_z2 - mean_z**2),
+                "mtcm": h * h / (1 - mp.exp(-2 * x) - 2 * x * mp.exp(-x)),
+            }[method]
+        assert are(method, 1.0, t) == pytest.approx(float(oracle), rel=1e-13, abs=0.0)
+        if float(oracle) == 0.0:
+            with pytest.raises(DegenerateError):
+                avar(method, 1.0, t)
+        else:
+            assert avar(method, 1.0, t) == pytest.approx(float(1 / oracle), rel=1e-13)
 
     def test_lower_threshold_beyond_the_float_range_of_theta(self):
         # d / theta overflows: the survival at d is 0 and so is every ARE

@@ -11,8 +11,6 @@ from scipy.integrate import quad
 
 from severfit.dist import ThresholdPair
 from severfit.moments import (
-    mcm_second_moment,
-    mtcm_w_summary,
     mu_mcm,
     mu_mcm_dtheta,
     mu_mtcm,
@@ -207,17 +205,21 @@ class TestMuMtumDerivative:
 
     def test_matches_50_digit_form(self):
         # x = (u-d)/theta from 1e-8 to 1400, around x = 0.1, where a three-term
-        # series lost digits, and around the Taylor/sinh switch at x = 2
+        # series lost digits, and around the series switch at y = x/2 = 0.7;
+        # an array of the same thetas gives the float calls' bits
         mp = pytest.importorskip("mpmath")
         t = ThresholdPair(0.0, 1.0)
         xs = [float(x) for x in np.logspace(-8, math.log10(1400.0), 60)]
-        xs += [0.0999, 0.1, 0.1001, 2.0 - 1e-12, 2.0, 2.0 + 1e-12]
+        xs += [0.0999, 0.1, 0.1001, 1.4 - 1e-12, 1.4, 1.4 + 1e-12]
+        thetas = [1.0 / x for x in xs]
+        batch = mu_mtum_dtheta(np.array(thetas), t)
         with mp.workdps(50):
-            for x in xs:
-                theta = 1.0 / x
+            for x, theta, element in zip(xs, thetas, batch):
                 y = mp.mpf(t.u - t.d) / (2 * mp.mpf(theta))
                 oracle = float(1 - (y / mp.sinh(y)) ** 2)
-                assert mu_mtum_dtheta(theta, t) == pytest.approx(oracle, rel=1e-14, abs=0.0), x
+                value = mu_mtum_dtheta(theta, t)
+                assert value == pytest.approx(oracle, rel=1e-14, abs=0.0), x
+                assert np.float64(value).tobytes() == element.tobytes(), x
 
     def test_two_printed_forms_agree(self):
         # ratio form (p^2 th^2 - e^{-(d+u)/th}(u-d)^2)/(p^2 th^2) vs csch form
@@ -257,7 +259,6 @@ class TestMuMcm:
             epsrel=1e-12,
             limit=400,
         )
-        assert mcm_second_moment(THETA, T_MAIN) == pytest.approx(oracle, rel=1e-8)
         assert sigma_mcm2(THETA, T_MAIN) == pytest.approx(
             oracle - mu_mcm(THETA, T_MAIN) ** 2, rel=1e-8
         )
@@ -290,15 +291,6 @@ class TestMuMtcm:
         assert mu_mtcm(THETA, T_MAIN) == pytest.approx(e_w / q.tau, rel=1e-10)
         assert mu_mtcm(THETA, T_MAIN) == pytest.approx(9.9839794, abs=1e-6)  # frozen
 
-    def test_w_summary_against_oracle(self):
-        q = tail_quantities(THETA, T_MAIN)
-        e_w = window_integral(lambda x: x, T_MAIN) + T_MAIN.u * q.b
-        e_w2 = window_integral(lambda x: x * x, T_MAIN) + T_MAIN.u**2 * q.b
-        mu_w, got_w2, sigma_w2 = mtcm_w_summary(THETA, T_MAIN)
-        assert mu_w == pytest.approx(e_w, rel=1e-10)
-        assert got_w2 == pytest.approx(e_w2, rel=1e-8)
-        assert sigma_w2 == pytest.approx(e_w2 - e_w**2, rel=1e-8)
-
     def test_range_and_monotonicity(self):
         t = ThresholdPair(2.0, 9.0)
         grid = np.geomspace(1e-3, 1e4, 60)
@@ -324,18 +316,26 @@ class TestMtcmSlopeAndVariance:
         assert sigma_mtcm2(THETA, ThresholdPair(2.0, math.inf)) == THETA**2
 
     def test_both_branches_against_50_digit_forms(self):
-        # x = (u-d)/theta across the series/closed switch at x = 1 and far beyond
+        # x = (u-d)/theta across the slope's series switch at x = 0.4, the
+        # variance's at x = 1, and far beyond; an array of the same thetas
+        # gives the float calls' bits
         mp = pytest.importorskip("mpmath")
         t = ThresholdPair(1.0, 2.0)
-        xs = [float(x) for x in np.logspace(-12, 2.5, 30)] + [1.0 - 1e-12, 1.0, 1.0 + 1e-12]
+        xs = [float(x) for x in np.logspace(-12, 2.5, 30)]
+        xs += [0.4 - 1e-12, 0.4, 0.4 + 1e-12, 1.0 - 1e-12, 1.0, 1.0 + 1e-12]
+        thetas = [1.0 / x for x in xs]
+        batch = mu_mtcm_dtheta(np.array(thetas), t)
         with mp.workdps(50):
-            for x in xs:
-                theta = 1.0 / x
+            for x, theta, element in zip(xs, thetas, batch):
                 xm = mp.mpf(t.u - t.d) / mp.mpf(theta)
                 slope = 1 - (1 + xm) * mp.exp(-xm)
                 var = 1 - mp.exp(-2 * xm) - 2 * xm * mp.exp(-xm)
-                assert mu_mtcm_dtheta(theta, t) == pytest.approx(float(slope), rel=1e-14), x
-                assert sigma_mtcm2(theta, t) / theta**2 == pytest.approx(float(var), rel=1e-14), x
+                value = mu_mtcm_dtheta(theta, t)
+                assert value == pytest.approx(float(slope), rel=1e-14, abs=0.0), x
+                assert np.float64(value).tobytes() == element.tobytes(), x
+                assert sigma_mtcm2(theta, t) / theta**2 == pytest.approx(
+                    float(var), rel=1e-14, abs=0.0
+                ), x
 
     def test_mcm_variance_and_mu_y_at_large_theta(self):
         # to leading order in 1/theta: Var(Z) = (u-d)^2 (d + (u-d)/3) / theta and
@@ -347,7 +347,7 @@ class TestMtcmSlopeAndVariance:
 
 
 def _second_moment_oracle(theta, d, u):
-    """E[Y^2], Var(Y), E[Z^2] and the moments of W in 50-digit arithmetic.
+    """E[Y^2], Var(Y) and Var(Z) = E[Z^2] - E[Z]^2 in 50-digit arithmetic.
 
     On the window X = d + theta S with S ~ Exp(1) below x = (u-d)/theta
     (memorylessness), so each window moment is one mpmath quadrature with
@@ -366,11 +366,11 @@ def _second_moment_oracle(theta, d, u):
         above = 0 if mp.isinf(u) else mp.exp(-u / th)
         u_above, u2_above = (0, 0) if mp.isinf(u) else (u * above, u * u * above)
         mean_w, e_w2 = mu_y + u_above, mu_y2 + u2_above
+        mean_z = d * below + mean_w
         return {
             "mu_y2": float(mu_y2),
             "sigma_y2": float(mu_y2 - mu_y**2),
-            "mcm_second_moment": float(d * d * below + e_w2),
-            "mtcm_w_summary": (float(mean_w), float(e_w2), float(e_w2 - mean_w**2)),
+            "sigma_mcm2": float(d * d * below + e_w2 - mean_z**2),
         }
 
 
@@ -388,11 +388,8 @@ class TestSecondMoments:
             s = truncated_summary(theta, t)
             assert s.mu_y2 == pytest.approx(oracle["mu_y2"], rel=1e-13, abs=0.0), theta
             assert s.sigma_y2 == pytest.approx(oracle["sigma_y2"], rel=1e-13, abs=0.0), theta
-            assert mcm_second_moment(theta, t) == pytest.approx(
-                oracle["mcm_second_moment"], rel=1e-13, abs=0.0
-            ), theta
-            assert mtcm_w_summary(theta, t) == pytest.approx(
-                oracle["mtcm_w_summary"], rel=1e-13, abs=0.0
+            assert sigma_mcm2(theta, t) == pytest.approx(
+                oracle["sigma_mcm2"], rel=1e-13, abs=0.0
             ), theta
 
 
@@ -527,7 +524,7 @@ class TestArraySlopes:
             return mu_mtum_dtheta(theta, t) >= sys.float_info.min
         if method == "mtcm":
             return mu_mtcm_dtheta(theta, t) >= sys.float_info.min
-        # e^{-r} (h(x) + r (1 - e^{-x})) from the float MTCM slope h, in logs
+        # e^{-r} (h(x) + r (1 - e^{-x})) from the MTCM slope h, in logs
         r, x = t.d / theta, (t.u - t.d) / theta
         inner = mu_mtcm_dtheta(theta, t) - r * math.expm1(-x)
         return -r + math.log(inner) >= math.log(sys.float_info.min)
@@ -554,8 +551,9 @@ class TestArraySlopes:
         # each map value is off by a few ulps of d + theta + min(u - d, theta) at most
         rounding = 8.0 * np.spacing(t.d + theta + min(t.u - t.d, theta)) / (h * theta)
         assert abs(value - difference) <= 1e-6 * value + rounding
-        if method != "mcm":  # the float path keeps its own branches
-            assert value == pytest.approx(slope(theta, t), rel=1e-9, abs=0.0)
+        single = slope(theta, t)
+        assert type(single) is float
+        assert np.float64(single).tobytes() == value.tobytes()
 
     def test_mcm_limits(self):
         theta = np.array([0.5, 2.0, 40.0])
