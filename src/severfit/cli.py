@@ -199,13 +199,8 @@ def _cmd_influence(args) -> int:
         model = ExponentialModel(args.theta)
     adapter = adapter_from_model(model)
     lo = args.x_min if args.x_min is not None else adapter.support[0]
-    if args.x_max is not None:
-        hi = args.x_max
-    else:
-        try:
-            hi = adapter.quantile(0.999)
-        except OverflowError:  # math.exp beyond the float range
-            raise _UsageError("the default --x-max lies beyond the float range") from None
+    with np.errstate(over="ignore"):  # a default x-max beyond the float range is inf
+        hi = args.x_max if args.x_max is not None else float(adapter.quantile(0.999))
     # x-max - x-min is inf or nan when an end is not finite, or when the span overflows
     if not (args.points >= 2 and lo < hi and math.isfinite(hi - lo)):
         raise _UsageError(

@@ -119,11 +119,28 @@ def exp_pdf(m: ExponentialModel, x: float) -> float:
     return math.exp(-x / m.theta) / m.theta
 
 
-def exp_quantile(m: ExponentialModel, v: float) -> float:
-    """Inverse cdf: -theta * log(1 - v) for 0 <= v < 1."""
+def _loss_at(m: ExponentialModel | ParetoIModel, log_survival):
+    """The loss whose survival probability is exp(log_survival), for a float or
+    an array: each model's one inverse-cdf formula.  Beyond the float range it
+    is inf, with NumPy's overflow warning unless the caller silences it."""
+    if isinstance(m, ExponentialModel):
+        return -m.theta * log_survival
+    if isinstance(m, ParetoIModel):
+        return m.x0 * np.exp(-log_survival / m.alpha)
+    raise TypeError(f"unsupported model type {type(m).__name__}")
+
+
+def _quantile(m: ExponentialModel | ParetoIModel, v: float, name: str) -> float:
+    """F^{-1}(v) for 0 <= v < 1 as a float, inf beyond the float range."""
     if not 0 <= v < 1:
-        raise ValueError(f"exp_quantile requires 0 <= v < 1, got {v!r}")
-    return -m.theta * math.log1p(-v)
+        raise ValueError(f"{name} requires 0 <= v < 1, got {v!r}")
+    with np.errstate(over="ignore"):
+        return float(_loss_at(m, np.log1p(-v)))
+
+
+def exp_quantile(m: ExponentialModel, v: float) -> float:
+    """Inverse cdf: -theta * log(1 - v) for 0 <= v < 1; inf beyond the float range."""
+    return _quantile(m, v, "exp_quantile")
 
 
 def pareto1_cdf(m: ParetoIModel, y: float) -> float:
@@ -146,9 +163,8 @@ def pareto1_pdf(m: ParetoIModel, y: float) -> float:
 
 
 def pareto1_quantile(m: ParetoIModel, v: float) -> float:
-    if not 0 <= v < 1:
-        raise ValueError(f"pareto1_quantile requires 0 <= v < 1, got {v!r}")
-    return m.x0 * math.exp(-math.log1p(-v) / m.alpha)
+    """Inverse cdf: x0 (1 - v)^(-1/alpha) for 0 <= v < 1; inf beyond the float range."""
+    return _quantile(m, v, "pareto1_quantile")
 
 
 def _horner(x, coefficients):
@@ -210,12 +226,4 @@ def sample(
     by inverse cdf applied to the source's uniforms."""
     if np.any(np.asarray(n) < 1):
         raise ValueError(f"sample size must be >= 1, got {n!r}")
-    v = rng.uniform(n)
-    # Transformed in place: every fresh array of a large draw costs page faults.
-    log_survival = np.log1p(np.negative(v, out=v), out=v)  # log(1 - v)
-    if isinstance(m, ExponentialModel):
-        return np.multiply(log_survival, -m.theta, out=log_survival)
-    if isinstance(m, ParetoIModel):
-        tail = np.divide(np.negative(log_survival, out=log_survival), m.alpha, out=log_survival)
-        return np.multiply(np.exp(tail, out=tail), m.x0, out=tail)
-    raise TypeError(f"unsupported model type {type(m).__name__}")
+    return _loss_at(m, np.log1p(-rng.uniform(n)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from array import array
 from collections.abc import Callable, Sequence
@@ -194,10 +195,7 @@ def mle_exp(data: Sequence[float]) -> EstimateResult:
         raise ValueError("the sum of the data overflows the float range")
     if theta_hat == 0.0:
         return _nonexistent("mle", BELOW_LOWER_BOUND)
-    try:
-        avar = theta_hat**2
-    except OverflowError:  # beyond the float range, as _with_avar reports it
-        avar = math.inf
+    avar = theta_hat * theta_hat  # inf beyond the float range, as _with_avar reports it
     return EstimateResult(method="mle", model="exp", exists=True, estimate=theta_hat, avar=avar)
 
 
@@ -269,7 +267,7 @@ def _solve_increasing(
         x = a - fa / (fb - fa) * (b - a)
         hit = np.flatnonzero(fb == 0.0)  # the secant point is hi itself there
         x[hit] = b[hit] - _EPS * target[hit] / slope(b[hit])
-        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        x = np.where((a < x) & (x < b), x, 0.5 * a + 0.5 * b)  # a + b may overflow
         reach = 0.5 * (b - a)  # half the last step
         while idx.size:
             if count >= _MAX_SOLVER_ITER:
@@ -299,7 +297,7 @@ def _solve_increasing(
             reach = 0.5 * size
             if finished.any():
                 done = np.flatnonzero(finished)
-                theta[idx[done]] = 0.5 * (a[done] + b[done])
+                theta[idx[done]] = 0.5 * a[done] + 0.5 * b[done]
                 iterations[idx[done]] = count
                 keep = np.flatnonzero(~finished)
                 idx, a, b, x, fb_nonzero, reach, target = (
@@ -396,13 +394,18 @@ def _root(method: str, mu_hat, t: ThresholdPair) -> _Roots:
     below = mu <= t.d + guard
     above = ~below & (mu >= spec.sup(t) - guard)
     inside = ~(below | above)
+    with np.errstate(over="ignore"):
+        upper = spec.upper(mu[inside] - t.d, t)
+    if np.isinf(upper).any():  # a bound beyond the float range, and maybe the root too
+        if np.max(mu[inside]) > spec.forward(sys.float_info.max, t):
+            raise ValueError(f"the {method} estimate lies beyond the float range")
+        upper = np.minimum(upper, sys.float_info.max)
     estimate = np.full(mu.shape, np.nan)
     iterations = np.zeros(mu.shape, dtype=int)
     lo, hi = estimate.copy(), estimate.copy()
     estimate[inside], iterations[inside], lo[inside], hi[inside] = _solve_increasing(
         lambda theta: spec.forward(theta, t), lambda theta: spec.slope(theta, t),
-        mu[inside], mu[inside] - t.d,
-        spec.upper(mu[inside] - t.d, t), t.d, resid_tol=1e-10 * max(1.0, scale),
+        mu[inside], mu[inside] - t.d, upper, t.d, resid_tol=1e-10 * max(1.0, scale),
     )
     reason = np.where(below, BELOW_LOWER_BOUND, np.where(above, ABOVE_UPPER_BOUND, None))
     return _Roots(estimate, reason, iterations, lo, hi)

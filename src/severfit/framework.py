@@ -26,11 +26,11 @@ from .dist import (
     ExponentialModel,
     ParetoIModel,
     ThresholdPair,
+    _loss_at,
+    exp_cdf,
     exp_pdf,
-    exp_quantile,
     pareto1_cdf,
     pareto1_pdf,
-    pareto1_quantile,
 )
 from .errors import (
     DegenerateError,
@@ -77,6 +77,8 @@ class DistributionAdapter:
     The optional ``complement_quantile`` maps ``c = 1 - v``, a float or an
     ndarray, to ``F^{-1}(1 - c)``; with it, nodes near ``v = 1`` keep the
     digits that forming ``v`` would round away, which heavy upper tails need.
+    On a float either may return a NumPy float; a threshold beyond the float
+    range, inf or ``OverflowError``, is refused.
     """
 
     cdf: Callable[[float], float]
@@ -86,45 +88,27 @@ class DistributionAdapter:
     complement_quantile: Callable[[float | np.ndarray], float | np.ndarray] | None = None
 
 
-def _floats_or_nodes(scalar: Callable[[float], float], nodes: Callable[[np.ndarray], np.ndarray]):
-    """``scalar`` on a float (which it checks), ``nodes`` on an ndarray of quadrature nodes."""
-    return lambda v: nodes(v) if isinstance(v, np.ndarray) else scalar(v)
-
-
 def adapter_from_model(model: ExponentialModel | ParetoIModel) -> DistributionAdapter:
-    """Adapter for the built-in models, with the cdf clamped outside the support."""
+    """Adapter for the built-in models, with the cdf clamped outside the support;
+    the quantiles are the model's one inverse-cdf formula at log(1 - v) and at
+    log(c), on a float or an ndarray alike, and inf beyond the float range."""
+    quantiles = {
+        "quantile": lambda v: _loss_at(model, np.log1p(-v)),
+        "complement_quantile": lambda c: _loss_at(model, np.log(c)),
+    }
     if isinstance(model, ExponentialModel):
-        theta = model.theta
-
-        def cdf(x: float) -> float:
-            if x <= 0:
-                return 0.0
-            return -math.expm1(-x / theta)
-
         return DistributionAdapter(
-            cdf=cdf,
+            cdf=lambda x: exp_cdf(model, x) if x > 0 else 0.0,
             pdf=lambda x: exp_pdf(model, x) if x >= 0 else 0.0,
-            quantile=_floats_or_nodes(
-                lambda v: exp_quantile(model, v), lambda v: -theta * np.log1p(-v)
-            ),
             support=(0.0, math.inf),
-            complement_quantile=_floats_or_nodes(
-                lambda c: -theta * math.log(c), lambda c: -theta * np.log(c)
-            ),
+            **quantiles,
         )
     if isinstance(model, ParetoIModel):
-        alpha, x0 = model.alpha, model.x0
         return DistributionAdapter(
             cdf=lambda y: pareto1_cdf(model, y),
             pdf=lambda y: pareto1_pdf(model, y),
-            quantile=_floats_or_nodes(
-                lambda v: pareto1_quantile(model, v), lambda v: x0 * np.exp(-np.log1p(-v) / alpha)
-            ),
-            support=(x0, math.inf),
-            complement_quantile=_floats_or_nodes(
-                lambda c: x0 * math.exp(-math.log(c) / alpha),
-                lambda c: x0 * np.exp(-np.log(c) / alpha),
-            ),
+            support=(model.x0, math.inf),
+            **quantiles,
         )
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
@@ -146,8 +130,9 @@ def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[fl
     _check_tail_probabilities(a, b)
     complement = F.complement_quantile or (lambda c: F.quantile(1.0 - c))
     try:
-        d, u = F.quantile(a), math.inf if b == 0.0 else complement(b)
-    except OverflowError:  # math.exp beyond the float range
+        with np.errstate(over="ignore"):  # a threshold beyond the float range is inf
+            d, u = float(F.quantile(a)), math.inf if b == 0.0 else float(complement(b))
+    except OverflowError:  # an adapter on math.exp
         d = u = math.inf
     if d == math.inf or (u == math.inf and b > 0.0):
         raise ValueError(f"the thresholds at a={a!r}, b={b!r} lie beyond the float range")

@@ -63,11 +63,6 @@ class TruncatedSummary:
     sigma_y2: float
 
 
-def _check_theta(theta: float) -> None:
-    if not (theta > 0 and math.isfinite(theta)):
-        raise ValueError(f"theta must be a positive finite real, got {theta!r}")
-
-
 def _positive_array(value, name: str) -> np.ndarray:
     """``value`` (a float or an array) as a float array of positive finite reals."""
     array = np.asarray(value, dtype=float)
@@ -82,7 +77,7 @@ def _like(arg, value: np.ndarray):
 
 
 def tail_quantities(theta: float, t: ThresholdPair) -> TailQuantities:
-    _check_theta(theta)
+    _positive_array(theta, "theta")
     w = (t.u - t.d) / theta
     tau = math.exp(-t.d / theta)
     a = -math.expm1(-t.d / theta)
@@ -97,20 +92,27 @@ def tail_quantities(theta: float, t: ThresholdPair) -> TailQuantities:
 _SINH_TAIL = tuple(1.0 / math.factorial(2 * n + 3) for n in range(9))
 # (e^x - 1 - x) / x^2 = sum of x^n / (n + 2)!, to 1e-17 for x <= 0.4
 _EXP_TAIL = tuple(1.0 / math.factorial(n + 2) for n in range(14))
+# (1/2 - 1/x + 1/(e^x - 1)) / x = sum of B_2n x^(2n-2) / (2n)! over n >= 1, with
+# the Bernoulli numbers B_2n = 1/6, -1/30, 1/42, ...; to 1e-17 for x <= 0.6
+_BERNOULLI_TAIL = tuple(
+    p / (q * math.factorial(2 * n + 2))
+    for n, (p, q) in enumerate(((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)))
+)
 
 
-def _piecewise(x, switch: float, series, closed) -> np.ndarray:
-    """series(x) where x <= switch and closed(x) elsewhere, for a float or an
-    array x; each form is evaluated on its own elements only."""
+def _piecewise(x, switch: float, series, closed, *args) -> np.ndarray:
+    """series(x, *args) where x <= switch and closed(x, *args) elsewhere, for a
+    float or an array x and arrays ``args`` of its shape; each form is
+    evaluated on its own elements only."""
     x = np.asarray(x)
     small = x <= switch
     if small.all():
-        return series(x)
+        return series(x, *args)
     if not small.any():
-        return closed(x)
+        return closed(x, *args)
     value = np.empty_like(x)
-    value[small] = series(x[small])
-    value[~small] = closed(x[~small])
+    value[small] = series(x[small], *(a[small] for a in args))
+    value[~small] = closed(x[~small], *(a[~small] for a in args))
     return value
 
 
@@ -177,7 +179,7 @@ def truncated_summary(theta: float, t: ThresholdPair) -> TruncatedSummary:
         + 2.0 * t.d * theta * h
         + 2.0 * theta * theta * regularized_incomplete_gamma3(x)
     )
-    m = t.d + theta * h / inside
+    m = mu_mtum(theta, t)
     sigma_y2 = q.p * theta * theta * mu_mtum_dtheta(theta, t) + q.p * (q.a + q.b) * m * m
     return TruncatedSummary(mu_y=mu_y, mu_y2=mu_y2, sigma_y2=sigma_y2)
 
@@ -185,23 +187,24 @@ def truncated_summary(theta: float, t: ThresholdPair) -> TruncatedSummary:
 def mu_mtum(theta, t: ThresholdPair):
     """Truncated mean E[X | d < X <= u] = mu_Y / p, for a float or an array of theta.
 
-    Uses the equivalent form d + theta - (u - d)/(e^{(u-d)/theta} - 1), which
-    survives theta -> 0 (underflow of both mu_Y and p) and u -> inf; a series
-    branch avoids its cancellation when the window is narrow relative to
-    theta.
+    Uses the equivalent form d + theta - w/(e^x - 1), w = u - d and x = w/theta,
+    which survives theta -> 0 (underflow of both mu_Y and p) and u -> inf.  For
+    x <= 0.6, where its terms cancel, it is d + w (1/x - 1/(e^x - 1)) by the
+    Bernoulli series, so the mean keeps its digits on narrow windows.
     """
     th = _positive_array(theta, "theta")
     if t.upper_is_infinite:
         return _like(theta, t.d + th)
     width = t.u - t.d
-    w = width / th
-    with np.errstate(over="ignore", divide="ignore"):
-        value = np.asarray(t.d + th - width / np.expm1(w))
-    small = w < 1e-2
-    if small.any():
-        w = w[small]
-        value[small] = t.d + width * (0.5 - w / 12.0 + w * w * w / 720.0)
-    return _like(theta, value)
+
+    def series(x, th):
+        return t.d + width * (0.5 - x * _horner(x * x, _BERNOULLI_TAIL))
+
+    def closed(x, th):
+        with np.errstate(over="ignore"):
+            return t.d + th - width / np.expm1(x)
+
+    return _like(theta, _piecewise(width / th, 0.6, series, closed, th))
 
 
 def mu_mtum_dtheta(theta, t: ThresholdPair):
@@ -290,7 +293,7 @@ def sigma_mtcm2(theta: float, t: ThresholdPair) -> float:
     theta^2 when u is infinite, and about theta^2 x^3/3 (series branch)
     when the window is narrow relative to theta.
     """
-    _check_theta(theta)
+    _positive_array(theta, "theta")
     return theta * (theta * float(_censored_var((t.u - t.d) / theta)))
 
 

@@ -248,6 +248,20 @@ class TestOverflowingArithmetic:
         assert main([*fit, "--data", data]) == EXIT_INPUT_ERROR
         assert "overflows" in self._one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "method, values",
+        [("mtum", ["4.9999999995e299"]), ("mcm", ["2e300", "9.999999998e299"]),
+         ("mtcm", ["2e300", "9.999999998e299"])],
+    )
+    def test_exp_root_beyond_the_float_range(self, method, values, tmp_path, capsys):
+        # the statistic lies so close to the map's supremum that theta overflows
+        data = self._data(tmp_path, values)
+        fit = ["fit", "--method", method, "--model", "exp", "--d", "0", "--u", "1e300"]
+        assert main([*fit, "--data", data]) == EXIT_INPUT_ERROR
+        assert self._one_error_line(capsys) == (
+            f"error: the {method} estimate lies beyond the float range"
+        )
+
     def test_exp_mle_square_overflows(self, tmp_path):
         # the estimate is finite; its variance, theta^2, is not
         data, out = self._data(tmp_path, ["1e200", "3e200"]), tmp_path / "fit.csv"

@@ -14,6 +14,7 @@ from severfit.dist import (
     ParetoIModel,
     RandomSource,
     ThresholdPair,
+    _loss_at,
     exp_cdf,
     exp_pdf,
     exp_quantile,
@@ -24,6 +25,7 @@ from severfit.dist import (
     regularized_incomplete_gamma3,
     sample,
 )
+from severfit.framework import adapter_from_model
 
 EXP10 = ExponentialModel(10.0)
 
@@ -242,3 +244,61 @@ class TestSampling:
         assert np.array_equal(np.concatenate(chunks).ravel(), flat)
         with pytest.raises(ValueError):
             sample(EXP10, (3, 0), RandomSource(seed=1))
+
+
+MODELS = st.one_of(
+    st.builds(ExponentialModel, st.floats(1e-300, 1e300)),
+    st.builds(ParetoIModel, st.floats(1e-3, 1e3), st.floats(1e-300, 1e300)),
+)
+
+
+def explicit_loss(m, log_survival):
+    """Each model's inverse cdf as written out, on an array of log(1 - v)."""
+    if isinstance(m, ExponentialModel):
+        return -m.theta * log_survival
+    return m.x0 * np.exp(-log_survival / m.alpha)
+
+
+class TestOneInverseCdf:
+    """The float quantiles, the adapters' quantiles and the sampler take one
+    inverse-cdf formula per model, so a float gives an array element's bits."""
+
+    @given(m=MODELS, vs=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
+    @settings(max_examples=80, deadline=None)
+    def test_float_quantiles_are_the_array_bits(self, m, vs):
+        F = adapter_from_model(m)
+        quantile = exp_quantile if isinstance(m, ExponentialModel) else pareto1_quantile
+        with np.errstate(over="ignore"):
+            batch = F.quantile(np.array(vs))
+            assert batch.tobytes() == explicit_loss(m, np.log1p(-np.array(vs))).tobytes()
+            for v, element in zip(vs, batch):
+                value = quantile(m, v)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == element.tobytes(), v
+                assert np.float64(F.quantile(v)).tobytes() == element.tobytes(), v
+
+    @given(m=MODELS, cs=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=20))
+    @settings(max_examples=80, deadline=None)
+    def test_complement_quantile_floats_are_the_array_bits(self, m, cs):
+        F = adapter_from_model(m)
+        with np.errstate(over="ignore"):
+            batch = F.complement_quantile(np.array(cs))
+            assert batch.tobytes() == explicit_loss(m, np.log(np.array(cs))).tobytes()
+            for c, element in zip(cs, batch):
+                assert np.float64(F.complement_quantile(c)).tobytes() == element.tobytes(), c
+
+    @given(m=MODELS, seed=st.integers(0, 2**64 - 1), n=st.integers(1, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_sample_is_the_formula_on_the_uniforms(self, m, seed, n):
+        with np.errstate(over="ignore"):
+            drawn = sample(m, n, RandomSource(seed=seed, stream=2))
+            log_survival = np.log1p(-RandomSource(seed=seed, stream=2).uniform(n))
+            assert drawn.tobytes() == _loss_at(m, log_survival).tobytes()
+            assert drawn.tobytes() == explicit_loss(m, log_survival).tobytes()
+
+    def test_loss_beyond_the_float_range_is_inf_without_a_warning(self):
+        # warnings are errors in this suite
+        m = ParetoIModel(alpha=1e-3, x0=1.0)
+        assert pareto1_quantile(m, 0.5) == pytest.approx(2.0**1000, rel=1e-12)
+        assert pareto1_quantile(m, 0.9) == math.inf  # 10^1000
+        assert exp_quantile(ExponentialModel(1e308), 0.999) == math.inf

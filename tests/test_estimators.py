@@ -286,6 +286,23 @@ class TestSolverRoundTrips:
         assert r.estimate == pytest.approx(100.0 / (12.0 * (6.0 - mu_hat)), rel=1e-6)
         assert abs(mu_mtum(r.estimate, t) - mu_hat) <= 1e-15 * 6.0
 
+    @pytest.mark.parametrize(
+        "method, solver, forward, theta, t",
+        [
+            ("mtum", solve_mtum_exp, mu_mtum, 1.78e308, ThresholdPair(0.0, 1.78e308)),
+            ("mcm", solve_mcm_exp, mu_mcm, 1.2e308, ThresholdPair(0.0, 1e308)),
+            ("mtcm", solve_mtcm_exp, mu_mtcm, 1.5e308, ThresholdPair(0.0, 1.5e308)),
+        ],
+    )
+    def test_finite_root_whose_bound_overflows(self, method, solver, forward, theta, t):
+        # the closed-form upper bound is beyond the float range, the root is not
+        mu_hat = forward(theta, t)
+        with np.errstate(over="ignore"):
+            assert np.isinf(_METHODS[method].upper(np.array([mu_hat - t.d]), t)).all()
+        r = solver(mu_hat, t)
+        assert r.exists and r.estimate == pytest.approx(theta, rel=1e-12)
+        assert r.avar == math.inf
+
 
 class TestExistenceTrichotomy:
     def test_mtum_boundaries(self):

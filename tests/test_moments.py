@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from severfit.dist import ThresholdPair
+from severfit.dist import ThresholdPair, _horner
 from severfit.moments import (
+    _BERNOULLI_TAIL,
     mu_mcm,
     mu_mcm_dtheta,
     mu_mtcm,
@@ -145,27 +146,51 @@ class TestMuMtum:
         assert values[-1] < 0.5 * (t.d + t.u)
 
     def test_series_branch_matches_closed_form_at_switch(self):
-        # x = (u-d)/theta = 1e-2 on both sides of the switch to the series
+        # adjacent thetas on either side of the switch to the series at
+        # x = (u-d)/theta = 0.6
         t = ThresholdPair(1.0, 11.0)
-        series, closed = mu_mtum(1000.0 * (1 + 1e-12), t), mu_mtum(1000.0 * (1 - 1e-12), t)
-        assert series == pytest.approx(closed, rel=1e-13)
+        theta = 10.0 / 0.6
+        while 10.0 / theta <= 0.6:  # down to the closed form's side
+            theta = math.nextafter(theta, 0.0)
+        closed, series = mu_mtum(theta, t), mu_mtum(math.nextafter(theta, math.inf), t)
+        assert series == pytest.approx(closed, rel=1e-14, abs=0.0)
 
     def test_series_only_where_narrow_keeps_the_two_branch_bits(self):
-        # the series is formed only where w = (u-d)/theta < 1e-2; every value
+        # the series is formed only where x = (u-d)/theta <= 0.6; every value
         # is the one of forming both branches and choosing with np.where
         t = ThresholdPair(1.0, 11.0)
-        thetas = 1000.0 * np.array([1 - 1e-12, 1.0, 1 + 1e-12, 0.5, 2.0, 1e-3, 1e3, 1e-5, 1e9])
+        thetas = (10.0 / 0.6) * np.array(
+            [1 - 1e-12, 1.0, 1 + 1e-12, 0.5, 2.0, 1e-3, 1e3, 1e-5, 1e9]
+        )
 
         def two_branch(theta):
-            w = 10.0 / theta
-            with np.errstate(over="ignore", divide="ignore"):
-                closed = t.d + theta - 10.0 / np.expm1(w)
-                series = t.d + 10.0 * (0.5 - w / 12.0 + w * w * w / 720.0)
-            return np.where(w < 1e-2, series, closed)
+            x = 10.0 / theta
+            with np.errstate(over="ignore"):
+                closed = t.d + theta - 10.0 / np.expm1(x)
+            series = t.d + 10.0 * (0.5 - x * _horner(x * x, _BERNOULLI_TAIL))
+            return np.where(x <= 0.6, series, closed)
 
         assert mu_mtum(thetas, t).tobytes() == two_branch(thetas).tobytes()
         for theta in thetas:
             assert np.float64(mu_mtum(float(theta), t)).tobytes() == two_branch(theta).tobytes()
+
+    @pytest.mark.parametrize("d", [0.0, 3.0])
+    def test_matches_50_digit_form(self, d):
+        # x = (u-d)/theta from 1e-8 to 50 and across the series switch at
+        # x = 0.6; an array of the same thetas gives the float calls' bits
+        mp = pytest.importorskip("mpmath")
+        t = ThresholdPair(d, d + 1.0)
+        xs = [float(x) for x in np.logspace(-8, math.log10(50.0), 400)]
+        xs += [float(x) for x in np.linspace(0.5, 0.7, 201)]
+        thetas = [1.0 / x for x in xs]
+        batch = mu_mtum(np.array(thetas), t)
+        with mp.workdps(50):
+            for x, theta, element in zip(xs, thetas, batch):
+                xm = mp.mpf(t.u - t.d) / mp.mpf(theta)
+                oracle = t.d + (t.u - t.d) * (1 / xm - 1 / mp.expm1(xm))
+                value = mu_mtum(theta, t)
+                assert value == pytest.approx(float(oracle), rel=1e-15, abs=0.0), x
+                assert np.float64(value).tobytes() == element.tobytes(), x
 
 
 class TestMuMtumDerivative:
