@@ -8,6 +8,7 @@ in (0, 1] with equality exactly when nothing is truncated or censored.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -354,14 +355,21 @@ def _fmt(value: float | None) -> str:
     return repr(float(value))
 
 
+def _csv(header: str, rows: Iterable[Iterable[object]]) -> str:
+    """A CSV table: the header line, then one line per row, ending in a newline.
+
+    A ``str`` field is written as itself, an integer (Python or NumPy) as its
+    digits, and any other field through :func:`_fmt`.
+    """
+    def field(f: object) -> str:
+        return f if isinstance(f, str) else str(f) if isinstance(f, numbers.Integral) else _fmt(f)
+
+    return "\n".join([header, *(",".join(map(field, row)) for row in rows)]) + "\n"
+
+
 def are_table_csv(reports: Iterable[AREReport]) -> str:
     """Serialize an efficiency table; absent cells have an empty are and a reason."""
-    lines = ["method,a,b,d,u,are,reason"]
-    for r in reports:
-        if r.are is None:
-            lines.append(f"{r.method},{_fmt(r.a)},{_fmt(r.b)},{_fmt(r.d)},{_fmt(r.u)},,d>=u")
-        else:
-            lines.append(
-                f"{r.method},{_fmt(r.a)},{_fmt(r.b)},{_fmt(r.d)},{_fmt(r.u)},{_fmt(r.are)},"
-            )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        "method,a,b,d,u,are,reason",
+        ((r.method, r.a, r.b, r.d, r.u, r.are, "d>=u" if r.are is None else "") for r in reports),
+    )

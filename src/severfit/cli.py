@@ -19,7 +19,7 @@ import numpy as np
 
 from . import asymptotics, estimators, mc
 from .dist import ExponentialModel, ParetoIModel, ThresholdPair
-from .asymptotics import _fmt
+from .asymptotics import _csv
 from .errors import SeverfitError
 from .framework import _quantile_thresholds, adapter_from_model
 
@@ -153,14 +153,12 @@ def _cmd_fit(args) -> int:
     if result.exists:
         se = math.sqrt(result.avar / n)
         print(f"estimate={result.estimate:.6g} exists=true se={se:.6g}")
-        row = f"true,{_fmt(result.estimate)},{_fmt(result.avar)},{_fmt(se)},"
+        row = ("true", result.estimate, result.avar, se, "")
     else:
         print(f"exists=false reason={result.reason}")
-        row = f"false,,,,{result.reason}"
-    _write_text(
-        args.out,
-        f"method,model,n,exists,estimate,avar,se,reason\n{args.method},{args.model},{n},{row}\n",
-    )
+        row = ("false", None, None, None, result.reason)
+    header = "method,model,n,exists,estimate,avar,se,reason"
+    _write_text(args.out, _csv(header, [(args.method, args.model, n, *row)]))
     return EXIT_OK if result.exists else EXIT_NO_SOLUTION
 
 
@@ -201,6 +199,9 @@ def _cmd_influence(args) -> int:
     lo = args.x_min if args.x_min is not None else adapter.support[0]
     with np.errstate(over="ignore"):  # a default x-max beyond the float range is inf
         hi = args.x_max if args.x_max is not None else float(adapter.quantile(0.999))
+    if args.x_max is None and math.isinf(hi):
+        raise _UsageError("the default --x-max, the model's 0.999 quantile, lies beyond the "
+                          "float range: give --x-max")
     # x-max - x-min is inf or nan when an end is not finite, or when the span overflows
     if not (args.points >= 2 and lo < hi and math.isfinite(hi - lo)):
         raise _UsageError(
@@ -210,10 +211,8 @@ def _cmd_influence(args) -> int:
     grid = np.linspace(lo, hi, args.points)
     mcm = asymptotics.influence_curve(adapter, "mcm", args.a, args.b, grid).values
     # the MTM curve is the MCM one over 1 - a - b, as influence_curve forms it
-    lines = ["x,if_mtm,if_mcm"]
-    for x, v1, v2 in zip(grid, mcm / (1.0 - args.a - args.b), mcm):
-        lines.append(f"{_fmt(x)},{_fmt(v1)},{_fmt(v2)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = zip(grid, mcm / (1.0 - args.a - args.b), mcm)
+    _write_text(args.out, _csv("x,if_mtm,if_mcm", rows))
     return EXIT_OK
 
 
@@ -226,11 +225,9 @@ def _cmd_hist(args) -> int:
         thresholds=ThresholdPair(args.d, args.u),
         seed=args.seed,
     )
-    lines = ["method,n,replicate,theta_hat,skewness"]
-    for panel in panels:
-        for i, value in enumerate(panel.estimates):
-            lines.append(f"{panel.method},{panel.n},{i},{_fmt(float(value))},{_fmt(panel.skewness)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rows = ((panel.method, panel.n, i, value, panel.skewness)
+            for panel in panels for i, value in enumerate(panel.estimates))
+    _write_text(args.out, _csv("method,n,replicate,theta_hat,skewness", rows))
     return EXIT_OK
 
 

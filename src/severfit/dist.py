@@ -9,6 +9,7 @@ and every routine downstream relies on that transform.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +152,7 @@ def pareto1_cdf(m: ParetoIModel, y: float) -> float:
         return 0.0
     if math.isinf(y):
         return 1.0
-    return -math.expm1(m.alpha * math.log(m.x0 / y))
+    return -math.expm1(m.alpha * _log_ratio(m.x0, y))
 
 
 def pareto1_pdf(m: ParetoIModel, y: float) -> float:
@@ -159,7 +160,7 @@ def pareto1_pdf(m: ParetoIModel, y: float) -> float:
         raise ValueError("pareto1_pdf received NaN")
     if y <= m.x0 or math.isinf(y):
         return 0.0
-    return (m.alpha / y) * math.exp(m.alpha * math.log(m.x0 / y))
+    return (m.alpha / y) * math.exp(m.alpha * _log_ratio(m.x0, y))
 
 
 def pareto1_quantile(m: ParetoIModel, v: float) -> float:
@@ -215,8 +216,9 @@ def log_transform_pareto_to_exp(
 
 
 def _log_ratio(y: float, x0: float) -> float:
-    """log(y / x0), also where y / x0 overflows and log(y / x0) is still finite."""
-    return math.log(y / x0) if y / x0 < math.inf else math.log(y) - math.log(x0)
+    """log(y / x0), also where y / x0 overflows or falls below the normal floats."""
+    ratio = y / x0
+    return math.log(ratio) if sys.float_info.min <= ratio < math.inf else math.log(y) - math.log(x0)
 
 
 def sample(

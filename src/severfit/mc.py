@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, estimators
-from .asymptotics import _fmt
+from .asymptotics import _csv
 # ``sample`` is no longer called here; bench/tracer.py wraps it as ``mc.sample``.
 from .dist import ExponentialModel, RandomSource, ThresholdPair, sample  # noqa: F401
 from .errors import ConfigError
@@ -509,38 +509,23 @@ def run_table(
 def sim_table_csv(results: Sequence[tuple[SimCell, SimReport]]) -> str:
     """Long-format CSV, one row per cell, plus an analytic large-n row
     (relative efficiency from the closed-form ARE) per method/design pair."""
-    lines = ["method,a,b,d,u,n,mean_ratio,se_mean_ratio,re,se_re,failures,total"]
-    for cell, report in results:
-        lines.append(
-            ",".join(
-                [
-                    cell.method,
-                    _fmt(cell.a),
-                    _fmt(cell.b),
-                    _fmt(cell.thresholds.d),
-                    _fmt(cell.thresholds.u),
-                    str(cell.n),
-                    _fmt(report.mean_ratio),
-                    _fmt(report.se_mean_ratio),
-                    _fmt(report.re),
-                    _fmt(report.se_re),
-                    str(report.failure_count),
-                    str(report.total_samples),
-                ]
-            )
+    rows = [
+        (
+            cell.method, cell.a, cell.b, cell.thresholds.d, cell.thresholds.u, cell.n,
+            report.mean_ratio, report.se_mean_ratio, report.re, report.se_re,
+            report.failure_count, report.total_samples,
         )
-    seen: list[tuple[str, float, float, ThresholdPair, float]] = []
-    for cell, _ in results:
-        key = (cell.method, cell.a, cell.b, cell.thresholds, cell.theta_true)
-        if key not in seen and cell.method != "mle":
-            seen.append(key)
-    for method, a, b, t, theta in seen:
+        for cell, report in results
+    ]
+    designs = dict.fromkeys(
+        (cell.method, cell.a, cell.b, cell.thresholds, cell.theta_true)
+        for cell, _ in results
+        if cell.method != "mle"
+    )
+    for method, a, b, t, theta in designs:
         are = asymptotics.are(method, theta, t)
-        lines.append(
-            f"{method},{_fmt(a)},{_fmt(b)},{_fmt(t.d)},{_fmt(t.u)},inf,"
-            f"{_fmt(1.0)},,{_fmt(are)},,0,0"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((method, a, b, t.d, t.u, "inf", 1.0, None, are, None, 0, 0))
+    return _csv("method,a,b,d,u,n,mean_ratio,se_mean_ratio,re,se_re,failures,total", rows)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,12 @@ def _positive_array(value, name: str) -> np.ndarray:
     return array
 
 
+def _over_theta(length: float, th: np.ndarray) -> np.ndarray:
+    """length / theta, inf where theta lies so far below length that it overflows."""
+    with np.errstate(over="ignore"):
+        return length / th
+
+
 def _like(arg, value: np.ndarray):
     """A forward map's result: a float for a scalar argument, else the array."""
     return float(value) if np.ndim(arg) == 0 else value
@@ -201,10 +207,10 @@ def mu_mtum(theta, t: ThresholdPair):
         return t.d + width * (0.5 - x * _horner(x * x, _BERNOULLI_TAIL))
 
     def closed(x, th):
-        with np.errstate(over="ignore"):
-            return t.d + th - width / np.expm1(x)
+        return t.d + th - width / np.expm1(x)
 
-    return _like(theta, _piecewise(width / th, 0.6, series, closed, th))
+    with np.errstate(over="ignore"):  # e^x, and x itself at theta far below the window
+        return _like(theta, _piecewise(width / th, 0.6, series, closed, th))
 
 
 def mu_mtum_dtheta(theta, t: ThresholdPair):
@@ -219,7 +225,7 @@ def mu_mtum_dtheta(theta, t: ThresholdPair):
     """
     th = _positive_array(theta, "theta")
     # past y = 700, where sinh nears overflow, the slope is 1 to the last bit
-    y = np.minimum((0.5 * (t.u - t.d)) / th, 700.0)
+    y = np.minimum(_over_theta(0.5 * (t.u - t.d), th), 700.0)
     return _like(theta, _piecewise(y, 0.7, _mtum_slope_series, _mtum_slope_closed))
 
 
@@ -237,8 +243,8 @@ def _mtum_slope_closed(y: np.ndarray) -> np.ndarray:
 def mu_mcm(theta, t: ThresholdPair):
     """Censored mean E[min(max(d, X), u)] = d + theta p, for a float or an array of theta."""
     th = _positive_array(theta, "theta")
-    tau = np.exp(-t.d / th)
-    p = -tau * np.expm1(-(t.u - t.d) / th)
+    tau = np.exp(-_over_theta(t.d, th))
+    p = -tau * np.expm1(-_over_theta(t.u - t.d, th))
     return _like(theta, t.d + th * p)
 
 
@@ -252,7 +258,8 @@ def mu_mcm_dtheta(theta, t: ThresholdPair):
     where e^{-d/theta} does.
     """
     th = _positive_array(theta, "theta")
-    r, x = t.d / th, (t.u - t.d) / th
+    # past d/theta = 800 the slope is 0 to the last bit, and inf * 0 is not formed
+    r, x = np.minimum(_over_theta(t.d, th), 800.0), _over_theta(t.u - t.d, th)
     return _like(theta, np.exp(-r) * (_censored_slope(x) - r * np.expm1(-x)))
 
 
@@ -272,7 +279,7 @@ def mu_mtcm(theta, t: ThresholdPair):
     """Left-truncated right-censored mean d + theta p / tau = d + theta (1 - e^{-(u-d)/theta}),
     for a float or an array of theta."""
     th = _positive_array(theta, "theta")
-    return _like(theta, t.d - th * np.expm1(-(t.u - t.d) / th))
+    return _like(theta, t.d - th * np.expm1(-_over_theta(t.u - t.d, th)))
 
 
 def mu_mtcm_dtheta(theta, t: ThresholdPair):
@@ -283,7 +290,7 @@ def mu_mtcm_dtheta(theta, t: ThresholdPair):
     when the window is narrow relative to theta, where it tends to x^2/2.
     """
     th = _positive_array(theta, "theta")
-    return _like(theta, _censored_slope((t.u - t.d) / th))
+    return _like(theta, _censored_slope(_over_theta(t.u - t.d, th)))
 
 
 def sigma_mtcm2(theta: float, t: ThresholdPair) -> float:

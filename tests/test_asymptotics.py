@@ -509,6 +509,17 @@ class TestInfluenceClosedForm:
             assert influence_mtm(F, a, 0.0, x) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+class TestInfluenceOnAParetoWindowToTheFloatLimit:
+    def test_cdf_at_an_upper_threshold_where_x0_over_u_underflows(self):
+        # F(1e308) takes log(x0/u) as log(x0) - log(u); W = a d + integral of Q over
+        # (a, 1) = 1.5e-20 + 1e-20 for Pareto(2, 1e-20) with d = 2e-20 and a = 3/4
+        F = adapter_from_model(ParetoIModel(2.0, 1e-20))
+        t = ThresholdPair(2e-20, 1e308)
+        assert F.cdf(t.u) == 1.0
+        assert influence_mcm(F, t, 5.0) == 5.0
+        assert influence_mcm(F, t, 1e-20) == pytest.approx(2e-20 - 2.5e-20, rel=1e-12)
+
+
 class TestInfluence:
     def test_untrimmed_is_influence_of_mean(self):
         for x in (0.0, 3.0, 10.0, 42.0):

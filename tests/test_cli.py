@@ -314,6 +314,16 @@ class TestOverflowingArithmetic:
         assert main([*argv, "--x-max", "1e300"]) == EXIT_INPUT_ERROR
         assert "beyond the float range" in self._one_error_line(capsys)
 
+    def test_default_x_max_beyond_the_float_range_names_the_default(self, capsys):
+        argv = ["influence", "--model", "pareto1", "--alpha", "0.001", "--b", "0.05"]
+        assert main(argv) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the default --x-max, the model's 0.999 quantile, lies beyond the float "
+            "range: give --x-max\n"
+        )
+
     def test_pareto_fit_thresholds_beyond_the_float_range(self, tmp_path, capsys):
         data = self._data(tmp_path, ["2", "3", "4", "5"])
         argv = ["fit", "--method", "mcm", "--model", "pareto1", "--a", "0.1", "--b", "0.1",

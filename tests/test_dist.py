@@ -112,6 +112,25 @@ class TestParetoI:
                 exp_cdf(twin, math.log(y / 2.0)), abs=1e-12
             )
 
+    def test_ratio_below_the_normal_floats(self):
+        # x0/y underflows to 0 (1e-328) or falls below the normal floats (1e-400 -> 0);
+        # the log ratio comes from log(x0) - log(y)
+        m = ParetoIModel(1.0, 1e-20)
+        assert pareto1_cdf(m, 1e308) == 1.0
+        assert pareto1_pdf(m, 1e308) == 0.0
+        m = ParetoIModel(0.001, 1e-300)
+        survival = 10.0 ** -0.4  # (x0/y)^alpha at y = 1e100
+        assert pareto1_cdf(m, 1e100) == pytest.approx(1.0 - survival, rel=1e-14)
+        assert pareto1_pdf(m, 1e100) == pytest.approx(0.001 / 1e100 * survival, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.001, 1.0, 2.5])
+    def test_bits_kept_where_the_ratio_is_normal(self, alpha):
+        m = ParetoIModel(alpha, 1.5)
+        for y in 1.5 * np.geomspace(1.0 + 1e-9, 1e307, 301):
+            log_ratio = math.log(m.x0 / y)
+            assert pareto1_cdf(m, y) == -math.expm1(alpha * log_ratio)
+            assert pareto1_pdf(m, y) == (alpha / y) * math.exp(alpha * log_ratio)
+
     @given(
         alpha=st.floats(0.05, 50.0),
         x0=st.floats(0.01, 100.0),

@@ -688,3 +688,32 @@ class TestInfiniteThresholdLimits:
         d = ratio * theta
         for w in (701.0, 709.0, 710.0, 1e5, 1e200):
             assert mu_mtum(theta, ThresholdPair(d, d + w * theta)) == d + theta, w
+
+
+class TestThetaFarBelowTheWindow:
+    """Where (u-d)/theta or d/theta overflows, each map and slope is its limit
+    as theta -> 0, with no warning: d + theta (d for MCM with d > 0), slope 1
+    for MTuM and MTCM, and for MCM 1 at d = 0 and 0 otherwise."""
+
+    WINDOWS = [
+        ThresholdPair(0.0, 1e10), ThresholdPair(0.0, math.inf), ThresholdPair(1.0, 2.0),
+        ThresholdPair(5.0, 1e10), ThresholdPair(5.0, math.inf),
+    ]
+
+    @pytest.mark.parametrize("theta", [1e-310, 5e-324])
+    @pytest.mark.parametrize("t", WINDOWS)
+    def test_limits(self, theta, t):
+        above_zero = t.d > 0
+        limits = {
+            mu_mtum: t.d + theta,
+            mu_mcm: t.d if above_zero else theta,
+            mu_mtcm: t.d + theta,
+            mu_mtum_dtheta: 1.0,
+            mu_mcm_dtheta: 0.0 if above_zero else 1.0,
+            mu_mtcm_dtheta: 1.0,
+        }
+        for fn, limit in limits.items():
+            value = fn(theta, t)
+            assert type(value) is float and value == limit, fn.__name__
+            values = fn(np.array([theta, theta]), t)
+            assert np.array_equal(values, [limit, limit]), fn.__name__
