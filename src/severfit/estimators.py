@@ -10,6 +10,7 @@ threshold is excluded, one equal to the upper threshold included.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import sys
 import warnings
@@ -543,7 +544,8 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
     The file is opened once, and its first row, the first line that is
     neither blank nor a comment, is read once (``_first_row``).  The rest of
     a regular file goes to ``np.loadtxt``'s C parser.  A file that parser
-    refuses, and any other file or stream, goes on to the line parser,
+    refuses or would misread (``_comment_after``), and any other file or
+    stream, goes on to the line parser,
     ``_read_loss_lines``, right after the first row.  Every token the C
     parser accepts gets ``float``'s value, so both routes give the same
     array, and ``_first_row`` and the line parser alone decide every error
@@ -559,14 +561,39 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
                     # an empty body warns "input contained no data"
                     warnings.simplefilter("error", UserWarning)
                     # an absolute path, so numpy's DataSource sees no URL scheme
-                    return np.loadtxt(
+                    values = np.loadtxt(
                         os.path.abspath(path), dtype=float, delimiter=",", comments=None,
                         skiprows=lineno if first is None else lineno - 1, usecols=column,
                         ndmin=1, encoding="utf-8",
                     )
+                if not (column and _comment_after(handle, lineno)):
+                    return values
             except (ValueError, UserWarning):
                 pass
         return _read_loss_lines(path, rows, column, first)
+
+
+def _comment_after(handle, lineno: int) -> bool:
+    """Whether a line past line ``lineno`` of the open file starts with '#'.
+
+    np.loadtxt reads such a line as a row (``comments=None``, so that a '#'
+    inside a row stays an error), which it refuses where the '#' lies in the
+    loss column, but not where the loss column is past column 0.
+    """
+    with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        start = 0
+        for _ in range(lineno):  # a line ends at \n, \r or \r\n, as for the text reader
+            end = data.find(b"\n", start)
+            end = len(data) if end < 0 else end
+            cr = data.find(b"\r", start, end)
+            start = end + 1 if cr < 0 else cr + 1 + (data[cr + 1 : cr + 2] == b"\n")
+        at = data.find(b"#", start)
+        while at >= 0:
+            begin = max(data.rfind(b"\n", start, at), data.rfind(b"\r", start, at)) + 1
+            if not data[max(begin, start) : at].decode("utf-8", "replace").strip():
+                return True
+            at = data.find(b"#", at + 1)
+    return False
 
 
 def _cells(line: str) -> list[str]:

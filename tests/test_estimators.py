@@ -1215,6 +1215,28 @@ class TestLossReaderValues:
         assert actual == expected
         assert opened.call_count == 1 and header.call_count == 1
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("id,loss,id\n\n#,1,5,", None),
+            ("id,loss\n1,2\n \t#,7\n3,4\n", [2.0, 4.0]),
+            ("# a,9\nid,loss\r\n1,2\r# b,7\r\n3,4", [2.0, 4.0]),
+            ("id,loss\n1#,2\n3,4\n", [2.0, 4.0]),
+        ],
+        ids=["comment-only-body", "padded-comment", "mixed-endings", "hash-in-id"],
+    )
+    def test_comment_row_past_column_0(self, tmp_path, text, expected):
+        # np.loadtxt reads a comment line as a row; its loss cell must not be kept
+        path = tmp_path / "comment.csv"
+        path.write_bytes(text.encode("utf-8"))
+        if expected is None:
+            with pytest.raises(ValueError, match="no data rows$"):
+                read_loss_csv(path)
+        else:
+            assert read_loss_csv(path).tolist() == expected
+        oracle, reader = read_both(path)
+        assert reader == oracle
+
     def test_first_fault_read_is_reported(self, tmp_path):
         # the undecodable byte lies chunks past the malformed line, which is read first
         path = tmp_path / "two_faults.csv"
