@@ -532,6 +532,10 @@ def fit(
 
 # np.loadtxt decompresses a path by these suffixes; the line parser does not
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+# a regular file of at least this many bytes is parsed in line ranges on the pool
+_RANGE_BYTES = 1 << 22
+# newlines are counted in pieces of this many bytes, not in one copy of a range
+_COUNT_BYTES = 1 << 20
 
 
 def read_loss_csv(path: str | Path) -> np.ndarray:
@@ -543,9 +547,14 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
 
     The file is opened once, and its first row, the first line that is
     neither blank nor a comment, is read once (``_first_row``).  The rest of
-    a regular file goes to ``np.loadtxt``'s C parser.  A file that parser
-    refuses or would misread (``_comment_after``), and any other file or
-    stream, goes on to the line parser,
+    a regular file goes to ``np.loadtxt``'s C parser (``_parse``): a file of
+    ``_RANGE_BYTES`` or more in contiguous line ranges (``_line_ranges``),
+    one per worker of the process pool ``simulate`` keeps, capped by
+    ``SEVERFIT_THREADS``, and joined in order.  A range that the parser
+    refuses or warns on, or a broken pool, sends the file to the parser in
+    one piece, so the array is the same at any worker count.  A file that
+    parser refuses or would misread (``_comment_after``), and any other file
+    or stream, goes on to the line parser,
     ``_read_loss_lines``, right after the first row.  Every token the C
     parser accepts gets ``float``'s value, so both routes give the same
     array, and ``_first_row`` and the line parser alone decide every error
@@ -556,21 +565,91 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
         lineno, column, first = _first_row(path, rows)
         # a pipe or FIFO is read once, by the line parser
         if os.path.isfile(path) and not str(path).endswith(_COMPRESSED_SUFFIXES):
+            source = os.path.abspath(path)  # so numpy's DataSource sees no URL scheme
+            skip = lineno if first is None else lineno - 1
+            ranges = _line_ranges(handle, skip)
             try:  # a UnicodeDecodeError is a ValueError
-                with warnings.catch_warnings():
-                    # an empty body warns "input contained no data"
-                    warnings.simplefilter("error", UserWarning)
-                    # an absolute path, so numpy's DataSource sees no URL scheme
-                    values = np.loadtxt(
-                        os.path.abspath(path), dtype=float, delimiter=",", comments=None,
-                        skiprows=lineno if first is None else lineno - 1, usecols=column,
-                        ndmin=1, encoding="utf-8",
-                    )
+                values = _parse_ranges(source, column, ranges) if ranges else None
+                if values is None:
+                    values = _parse(source, column, skip)
                 if not (column and _comment_after(handle, lineno)):
                     return values
             except (ValueError, UserWarning):
                 pass
         return _read_loss_lines(path, rows, column, first)
+
+
+def _parse(path: str, column: int, skiprows: int, max_rows: int | None = None) -> np.ndarray:
+    """``np.loadtxt`` on the lines of ``path`` past the first ``skiprows``,
+    ``max_rows`` of them when given, with a ``UserWarning`` raised."""
+    with warnings.catch_warnings():
+        # an empty body warns "input contained no data", and a blank line
+        # "contained no data and will not be counted towards max_rows"
+        warnings.simplefilter("error", UserWarning)
+        return np.loadtxt(
+            path, dtype=float, delimiter=",", comments=None, skiprows=skiprows,
+            max_rows=max_rows, usecols=column, ndmin=1, encoding="utf-8",
+        )
+
+
+def _line_ranges(handle, skip: int) -> list[tuple[int, int | None]]:
+    """The lines of the open file past the first ``skip`` as contiguous
+    ``(skiprows, max_rows)`` ranges of near-equal bytes, one per worker, the
+    last to the end; none where they are parsed in one piece: a file under
+    ``_RANGE_BYTES``, one worker (``SEVERFIT_THREADS`` or the CPU count), or
+    a file holding a carriage return, which ends lines as a newline does, but
+    the ranges are cut and counted at newlines alone.
+    """
+    if os.fstat(handle.fileno()).st_size < _RANGE_BYTES:
+        return []
+    from . import mc  # mc imports this module
+
+    workers = min(mc.worker_count(), os.cpu_count() or 1)
+    if workers < 2:
+        return []
+    with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        if data.find(b"\r") >= 0:
+            return []
+        start = 0
+        for _ in range(skip):
+            start = data.find(b"\n", start) + 1
+            if not start:
+                return []
+        size, cuts = len(data), [start]
+        for k in range(1, workers):
+            cut = data.find(b"\n", max(cuts[-1], start + (size - start) * k // workers)) + 1
+            if 0 < cut < size:
+                cuts.append(cut)
+        ranges = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            lines = sum(
+                data[at : min(at + _COUNT_BYTES, hi)].count(b"\n")
+                for at in range(lo, hi, _COUNT_BYTES)
+            )
+            ranges.append((skip, lines))
+            skip += lines
+    return ranges + [(skip, None)] if ranges else []
+
+
+def _parse_ranges(path: str, column: int, ranges) -> np.ndarray | None:
+    """``_parse`` on each line range on mc's kept pool, joined in order; None
+    where a range raises or warns, or the pool is found broken, which is then
+    dropped as ``mc._task_results`` drops it."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from . import mc  # mc imports this module
+
+    n = len(ranges)
+    try:
+        with mc._pool_lock:  # no other thread replaces the pool before all are submitted
+            pool = mc._pool_of(n)
+            parts = pool.map(_parse, [path] * n, [column] * n, *zip(*ranges))
+        return np.concatenate(list(parts))
+    except (ValueError, UserWarning):
+        return None
+    except BrokenProcessPool:
+        mc._drop_pool(pool)
+        return None
 
 
 def _comment_after(handle, lineno: int) -> bool:

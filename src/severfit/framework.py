@@ -131,7 +131,9 @@ def _quantile_thresholds(F: DistributionAdapter, a: float, b: float) -> tuple[fl
     complement = F.complement_quantile or (lambda c: F.quantile(1.0 - c))
     try:
         with np.errstate(over="ignore"):  # a threshold beyond the float range is inf
-            d, u = float(F.quantile(a)), math.inf if b == 0.0 else float(complement(b))
+            # + 0.0: F.quantile(0) = -theta * log1p(-0) is -0.0 for an integer a = 0
+            d = float(F.quantile(a)) + 0.0
+            u = math.inf if b == 0.0 else float(complement(b))
     except OverflowError:  # an adapter on math.exp
         d = u = math.inf
     if d == math.inf or (u == math.inf and b > 0.0):

@@ -634,6 +634,12 @@ class TestAreTable:
             )
         assert "\n".join(rebuilt) + "\n" == text
 
+    def test_integer_a_of_zero_gives_d_of_positive_zero(self):
+        # F.quantile(0) is -theta * log1p(-0) = -0.0 for an integer 0
+        reports = are_table(THETA, [0, 0.05], [0], methods=("mtum",))
+        assert math.copysign(1.0, reports[0].d) == 1.0
+        assert are_table_csv(reports).split("\n")[1] == "mtum,0,0,0.0,inf,1.0,"
+
     def test_fmt_keeps_the_sign_of_infinity(self):
         assert _fmt(math.inf) == "inf"
         assert _fmt(-math.inf) == "-inf"

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from severfit import cli, estimators
+from severfit import cli, estimators, mc
 from severfit.dist import (
     ExponentialModel,
     ParetoIModel,
@@ -1261,6 +1261,83 @@ class TestLossReaderValues:
             got = read_loss_csv("http://host/x.csv")
         assert fast.call_count == 1 and lines.call_count == 0
         assert got.tolist() == [1.5, 2.5]
+
+
+class TestLossReaderRanges:
+    """A regular file of ``_RANGE_BYTES`` or more is parsed in line ranges on
+    mc's kept pool, or in one piece where a range is refused."""
+
+    # 46-character tokens: about 5.1 MiB in one column
+    ROWS = 114_000
+
+    @pytest.fixture(scope="class")
+    def tokens(self):
+        values = 10.0 * np.random.default_rng(17).standard_exponential(self.ROWS)
+        return [f"{x:.40e}" for x in values.tolist()]
+
+    @pytest.fixture(scope="class")
+    def layouts(self, tokens, tmp_path_factory):
+        """A one-column file and one with ``loss`` in column 1, each with its
+        oracle array."""
+        texts = {
+            "single": "loss\n" + "\n".join(tokens) + "\n",
+            "second-column": "id,loss\n" + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)),
+        }
+        files = {}
+        for layout, text in texts.items():
+            path = tmp_path_factory.mktemp("ranges") / f"{layout}.csv"
+            path.write_text(text, encoding="utf-8")
+            assert path.stat().st_size >= estimators._RANGE_BYTES
+            files[layout] = path, oracle_read_loss_csv(path)
+        return files
+
+    @staticmethod
+    def read(monkeypatch, path, workers):
+        """read_loss_csv at ``workers`` of two CPUs, and what each of its
+        ranged parses returned (None where a range was refused)."""
+        monkeypatch.setenv("SEVERFIT_THREADS", str(workers))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        real, ranged = estimators._parse_ranges, []
+
+        def spy(*args):
+            ranged.append(real(*args))
+            return ranged[-1]
+
+        monkeypatch.setattr(estimators, "_parse_ranges", spy)
+        return read_loss_csv(path), ranged
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("layout", ["single", "second-column"])
+    def test_same_bits_at_any_worker_count(self, monkeypatch, layouts, layout, workers):
+        path, expected = layouts[layout]
+        got, ranged = self.read(monkeypatch, path, workers)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # one worker parses in one piece; two parse two ranges on the kept pool
+        assert (mc._pool is not None) == (workers == 2)
+        assert len(ranged) == (workers == 2) and all(part is not None for part in ranged)
+
+    def test_invalid_thread_count_is_reported(self, monkeypatch, layouts):
+        # as simulate reports it, not taken for a refused range
+        monkeypatch.setenv("SEVERFIT_THREADS", "two")
+        with pytest.raises(ValueError, match="^SEVERFIT_THREADS must be an integer, got 'two'$"):
+            read_loss_csv(layouts["single"][0])
+
+    @pytest.mark.parametrize("case", ["blank-line", "crlf", "comment-last"])
+    def test_refused_ranges_fall_back_to_one_piece(self, tmp_path, monkeypatch, tokens, case):
+        # a blank line warns under max_rows, a '#' line raises, and a '\r' ends
+        # lines that the ranges are not cut at
+        lines = ["loss", *tokens]
+        if case == "blank-line":
+            lines.insert(10, "")
+        text = "\n".join(lines) + ("\n# end\n" if case == "comment-last" else "\n")
+        if case == "crlf":
+            text = text.replace("\n", "\r\n")
+        path = tmp_path / "refused.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = oracle_read_loss_csv(path)
+        got, ranged = self.read(monkeypatch, path, 2)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert ranged == ([] if case == "crlf" else [None])
 
 
 class TestFitOutputUnchanged:

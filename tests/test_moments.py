@@ -522,6 +522,14 @@ class TestThetaValidation:
             with pytest.raises(ValueError):
                 fn(-2.0, T_MAIN)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_float_and_arrays_share_the_message(self, bad):
+        # a float is checked in Python, an array by NumPy: one message for both
+        for value in (bad, np.array(bad), np.array([bad])):
+            with pytest.raises(ValueError) as caught:
+                mu_mtum(value, T_MAIN)
+            assert str(caught.value) == f"theta must be a positive finite real, got {value!r}"
+
 
 # The forward maps the estimators solve, with the supremum of each one's
 # attainable interval.
