@@ -532,8 +532,11 @@ def fit(
 
 # np.loadtxt decompresses a path by these suffixes; the line parser does not
 _COMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
-# a regular file of at least this many bytes is parsed in line ranges on the pool
-_RANGE_BYTES = 1 << 22
+# A regular file is parsed in line ranges on the pool, one per worker, each of about this
+# many bytes or more.  On 2 vCPUs (Xeon under KVM), where the pool starts in about 9 ms, a
+# one-shot `severfit fit` was 0.89x as fast with two ranges of 1.5 MiB and 1.08x with two
+# of 2 MiB; reads in a process that has started the pool stop losing near 1 MiB a range.
+_RANGE_BYTES = 1 << 21
 # newlines are counted in pieces of this many bytes, not in one copy of a range
 _COUNT_BYTES = 1 << 20
 
@@ -547,14 +550,14 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
 
     The file is opened once, and its first row, the first line that is
     neither blank nor a comment, is read once (``_first_row``).  The rest of
-    a regular file goes to ``np.loadtxt``'s C parser (``_parse``): a file of
-    ``_RANGE_BYTES`` or more in contiguous line ranges (``_line_ranges``),
-    one per worker of the process pool ``simulate`` keeps, capped by
-    ``SEVERFIT_THREADS``, and joined in order.  A range that the parser
-    refuses or warns on, or a broken pool, sends the file to the parser in
-    one piece, so the array is the same at any worker count.  A file that
-    parser refuses or would misread (``_comment_after``), and any other file
-    or stream, goes on to the line parser,
+    a regular file goes to ``np.loadtxt``'s C parser (``_parse``): a large
+    file in contiguous line ranges (``_line_ranges``) of ``_RANGE_BYTES`` or
+    more, one per worker of the process pool ``simulate`` keeps, capped by
+    ``SEVERFIT_THREADS``, and joined in order.  A range that warns (a blank
+    line), or a broken pool, sends the file to the parser in one piece, so
+    the array is the same at any worker count.  A file that parser refuses,
+    in a range or in one piece, or would misread (``_comment_after``), and
+    any other file or stream, goes on to the line parser,
     ``_read_loss_lines``, right after the first row.  Every token the C
     parser accepts gets ``float``'s value, so both routes give the same
     array, and ``_first_row`` and the line parser alone decide every error
@@ -569,7 +572,7 @@ def read_loss_csv(path: str | Path) -> np.ndarray:
             skip = lineno if first is None else lineno - 1
             ranges = _line_ranges(handle, skip)
             try:  # a UnicodeDecodeError is a ValueError
-                values = _parse_ranges(source, column, ranges) if ranges else None
+                values = _parse_ranges(source, column, ranges)
                 if values is None:
                     values = _parse(source, column, skip)
                 if not (column and _comment_after(handle, lineno)):
@@ -594,17 +597,19 @@ def _parse(path: str, column: int, skiprows: int, max_rows: int | None = None) -
 
 def _line_ranges(handle, skip: int) -> list[tuple[int, int | None]]:
     """The lines of the open file past the first ``skip`` as contiguous
-    ``(skiprows, max_rows)`` ranges of near-equal bytes, one per worker, the
-    last to the end; none where they are parsed in one piece: a file under
-    ``_RANGE_BYTES``, one worker (``SEVERFIT_THREADS`` or the CPU count), or
-    a file holding a carriage return, which ends lines as a newline does, but
-    the ranges are cut and counted at newlines alone.
+    ``(skiprows, max_rows)`` ranges of near-equal bytes, the last to the end:
+    one per worker (``SEVERFIT_THREADS`` or the CPU count), and no more than
+    the file's size holds ``_RANGE_BYTES``.  None where they are parsed in
+    one piece: where that allows one range, or in a file holding a carriage
+    return, which ends lines as a newline does, but the ranges are cut and
+    counted at newlines alone.
     """
-    if os.fstat(handle.fileno()).st_size < _RANGE_BYTES:
+    most = os.fstat(handle.fileno()).st_size // _RANGE_BYTES
+    if most < 2:
         return []
     from . import mc  # mc imports this module
 
-    workers = min(mc.worker_count(), os.cpu_count() or 1)
+    workers = min(mc.worker_count(), os.cpu_count() or 1, most)
     if workers < 2:
         return []
     with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
@@ -632,24 +637,25 @@ def _line_ranges(handle, skip: int) -> list[tuple[int, int | None]]:
 
 
 def _parse_ranges(path: str, column: int, ranges) -> np.ndarray | None:
-    """``_parse`` on each line range on mc's kept pool, joined in order; None
-    where a range raises or warns, or the pool is found broken, which is then
-    dropped as ``mc._task_results`` drops it."""
+    """``_parse`` on each line range on mc's kept pool (``mc._pool_map``),
+    joined in order; None where there are no ranges, where a range warns (a
+    blank line under ``max_rows``, which the parse in one piece skips), or
+    where the pool is found broken.  A range that raises does so on a row the
+    parse in one piece refuses too, as the parser reads each row alone
+    (``usecols``), so its ValueError is raised here.
+    """
+    if not ranges:
+        return None
     from concurrent.futures.process import BrokenProcessPool
 
     from . import mc  # mc imports this module
 
     n = len(ranges)
     try:
-        with mc._pool_lock:  # no other thread replaces the pool before all are submitted
-            pool = mc._pool_of(n)
-            parts = pool.map(_parse, [path] * n, [column] * n, *zip(*ranges))
-        return np.concatenate(list(parts))
-    except (ValueError, UserWarning):
+        parts = mc._pool_map(n, _parse, [path] * n, [column] * n, *zip(*ranges))
+    except (UserWarning, BrokenProcessPool):
         return None
-    except BrokenProcessPool:
-        mc._drop_pool(pool)
-        return None
+    return np.concatenate(parts)
 
 
 def _comment_after(handle, lineno: int) -> bool:

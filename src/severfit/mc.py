@@ -23,11 +23,12 @@ depends on its row alone, so a cell's results depend on the cell's own fields
 alone, and are bit-identical regardless of the other cells of the table, the
 task layout, execution order, chunk size or worker count.
 
-The tasks of a table run in one process pool, which is kept for later calls
-that need the same number of workers (``_pool_of``): a call that needs
-another number shuts it down before it starts the new one, a forked child
-forgets its parent's pool, a pool found broken is dropped, and the pool is
-shut down at interpreter exit.
+The tasks of a table, and the line ranges of a large loss file
+(``estimators.read_loss_csv``), run in one process pool (``_pool_map``),
+which is kept for later calls that need the same number of workers
+(``_pool_of``): a call that needs another number shuts it down before it
+starts the new one, a forked child forgets its parent's pool, a pool found
+broken is dropped, and the pool is shut down at interpreter exit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import re
 import struct
 import sys
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -418,18 +419,25 @@ def _task_results(
     """``_run_blocks`` on every (group, block range) task, in task order.
 
     The tasks are submitted in that order to the kept process pool
-    (``_pool_of``) of at most ``workers`` workers and one per task, or run in
-    process when that is one.  A call that finds the pool broken (a worker
-    died) drops it and raises ``BrokenProcessPool``; the next call starts a
-    new one.
+    (``_pool_map``) of at most ``workers`` workers and one per task, or run in
+    process when that is one.
     """
     size = min(workers, len(tasks))
     if size <= 1:
         return [_run_blocks(group, blocks) for group, blocks in tasks]
+    return _pool_map(size, _run_blocks, *zip(*tasks))
+
+
+def _pool_map(size: int, fn: Callable, *iterables: Iterable) -> list:
+    """``fn`` on the items of ``iterables``, as ``map`` takes them, on the kept
+    pool of ``size`` workers (``_pool_of``), the results in order.  A call
+    that finds the pool broken (a worker died) drops it and raises
+    ``BrokenProcessPool``; the next call starts a new one.
+    """
     try:
         with _pool_lock:  # no other thread replaces the pool before all are submitted
             pool = _pool_of(size)
-            results = pool.map(_run_blocks, *zip(*tasks))
+            results = pool.map(fn, *iterables)
         return list(results)
     except BrokenProcessPool:
         _drop_pool(pool)

@@ -1,6 +1,7 @@
 """Sample statistics, solver round trips, existence trichotomy, MLE
 benchmarks, and the end-to-end fit orchestration."""
 
+import itertools
 import math
 import os
 import threading
@@ -1264,8 +1265,9 @@ class TestLossReaderValues:
 
 
 class TestLossReaderRanges:
-    """A regular file of ``_RANGE_BYTES`` or more is parsed in line ranges on
-    mc's kept pool, or in one piece where a range is refused."""
+    """A regular file of two ``_RANGE_BYTES`` or more is parsed in line ranges
+    on mc's kept pool, or in one piece where a range warns, or by the line
+    parser where a range raises."""
 
     # 46-character tokens: about 5.1 MiB in one column
     ROWS = 114_000
@@ -1287,20 +1289,27 @@ class TestLossReaderRanges:
         for layout, text in texts.items():
             path = tmp_path_factory.mktemp("ranges") / f"{layout}.csv"
             path.write_text(text, encoding="utf-8")
-            assert path.stat().st_size >= estimators._RANGE_BYTES
+            assert path.stat().st_size >= 2 * estimators._RANGE_BYTES
             files[layout] = path, oracle_read_loss_csv(path)
         return files
 
     @staticmethod
     def read(monkeypatch, path, workers):
         """read_loss_csv at ``workers`` of two CPUs, and what each of its
-        ranged parses returned (None where a range was refused)."""
+        ranged parses gave: the array, None where a range warned, or the
+        ValueError a range raised."""
         monkeypatch.setenv("SEVERFIT_THREADS", str(workers))
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         real, ranged = estimators._parse_ranges, []
 
-        def spy(*args):
-            ranged.append(real(*args))
+        def spy(path, column, ranges):
+            if not ranges:
+                return real(path, column, ranges)
+            try:
+                ranged.append(real(path, column, ranges))
+            except ValueError as exc:
+                ranged.append(exc)
+                raise
             return ranged[-1]
 
         monkeypatch.setattr(estimators, "_parse_ranges", spy)
@@ -1322,10 +1331,26 @@ class TestLossReaderRanges:
         with pytest.raises(ValueError, match="^SEVERFIT_THREADS must be an integer, got 'two'$"):
             read_loss_csv(layouts["single"][0])
 
+    @pytest.mark.parametrize("range_bytes, count", [(None, 2), (1 << 20, 5)])
+    def test_ranges_hold_range_bytes_each(self, monkeypatch, layouts, range_bytes, count):
+        # eight workers on eight CPUs cut about 5.1 MiB into no range under _RANGE_BYTES
+        monkeypatch.setenv("SEVERFIT_THREADS", "8")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        if range_bytes is not None:
+            monkeypatch.setattr(estimators, "_RANGE_BYTES", range_bytes)
+        with open(layouts["single"][0], encoding="utf-8") as handle:
+            ranges = estimators._line_ranges(handle, 1)
+        assert len(ranges) == count and ranges[-1][1] is None
+        skips = [skip for skip, _ in ranges]
+        assert skips == list(itertools.accumulate([1] + [rows for _, rows in ranges[:-1]]))
+        assert min(rows for _, rows in ranges[:-1]) * 46 >= estimators._RANGE_BYTES
+
     @pytest.mark.parametrize("case", ["blank-line", "crlf", "comment-last"])
-    def test_refused_ranges_fall_back_to_one_piece(self, tmp_path, monkeypatch, tokens, case):
-        # a blank line warns under max_rows, a '#' line raises, and a '\r' ends
-        # lines that the ranges are not cut at
+    def test_refused_ranges_fall_back(self, tmp_path, monkeypatch, tokens, case):
+        # a blank line warns under max_rows, so the file is parsed in one
+        # piece; a '\r' ends lines that the ranges are not cut at, so it is
+        # not cut; a '#' line raises in a range as it would in one piece, so
+        # the line parser reads the file with no second C parse
         lines = ["loss", *tokens]
         if case == "blank-line":
             lines.insert(10, "")
@@ -1335,9 +1360,17 @@ class TestLossReaderRanges:
         path = tmp_path / "refused.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = oracle_read_loss_csv(path)
-        got, ranged = self.read(monkeypatch, path, 2)
+        with reader_spies() as (fast, line_parser):
+            got, ranged = self.read(monkeypatch, path, 2)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
-        assert ranged == ([] if case == "crlf" else [None])
+        if case == "comment-last":
+            assert len(ranged) == 1 and isinstance(ranged[0], ValueError)
+        else:
+            assert ranged == ([] if case == "crlf" else [None])
+        # C parses in this process, past the ranges on the pool
+        assert (fast.call_count, line_parser.call_count) == (
+            (0, 1) if case == "comment-last" else (1, 0)
+        )
 
 
 class TestFitOutputUnchanged:
